@@ -57,6 +57,8 @@ def as_delta_series(deltas) -> np.ndarray:
     deltas = np.asarray(list(deltas), dtype=float)
     if deltas.ndim != 1 or len(deltas) == 0:
         raise ValueError("delta series must be a non-empty sequence")
+    if not np.all(np.isfinite(deltas)):
+        raise ValueError("horizons must be finite")
     if np.any(deltas <= 0):
         raise ValueError("horizons must be positive")
     if np.any(np.diff(deltas) >= 0):

@@ -2,7 +2,8 @@
 
 Each subcommand runs one study, writes a CSV (plot-ready records) and a JSON
 report into the output directory, prints one PASS/FAIL line per embedded
-check, and exits 0 only if every check passed (2 on configuration errors).
+check, and exits 0 only if every check passed (1 if a check failed, 2 on
+configuration errors and numerical refusals such as an overflowing horizon).
 Outputs are deterministic: identical configuration produces byte-identical
 CSV regardless of thread count.
 """
@@ -165,6 +166,8 @@ def _load_config(ns: argparse.Namespace) -> StudyConfig:
         raise ConfigError("threads must be >= 1")
     if cfg.quad[0] < 1 or cfg.quad[1] < 1:
         raise ConfigError("quadrature orders must be >= 1")
+    if not cfg.p > 0:
+        raise ConfigError(f"p must be > 0, got {cfg.p}")
     return cfg
 
 
@@ -485,6 +488,10 @@ def main(argv=None) -> int:
         return 2
     except (ValueError, TypeError) as e:
         print(f"error: {e}", file=sys.stderr)
+        return 2
+    except (OverflowError, FloatingPointError) as e:
+        print(f"error: numerical refusal ({type(e).__name__}): {e}",
+              file=sys.stderr)
         return 2
     if all(ok for _, ok, _ in cfg.checks):
         return 0

@@ -8,6 +8,13 @@ horizon of the interface, repairs the jump in the nonlocal traction; adding
 it to the state operator yields the corrected operator whose horizon-scaled
 value at interface points tends to 45/32 times the local traction jump.
 
+That limit, and the natural-condition limit of the state operator, do not
+hold for fields with a gradient kink across the interface when lambda !=
+mu: the inner integral of the divergence channel ``g`` takes each inner
+point's own phase and so crosses the interface, which leaves a
+horizon-independent term.  The zero-traction patch on the moduli (3, 1, 5, 2)
+misses 45/32 times the traction jump by about 1.04.
+
 All evaluators are pure functions of (config, material, field, point).  The
 nested double integrals reuse one reference ball rule for the inner and outer
 integral and are evaluated in fixed node order, so results are reproducible
@@ -176,7 +183,14 @@ def bond_correction_term(config: OperatorConfig, material: Material,
 # nested (composition-type) evaluations
 # ---------------------------------------------------------------------------
 
-_NESTED_CHUNK_ENTRIES = 2_000_000  # outer-chunk size bound, in field points
+# Outer-chunk size bound, in field points.  It is small so that each chunk's
+# temporaries (points, both sides' values, the side mask, the selection) stay
+# cache-sized, and the allocator reuses them from chunk to chunk instead of
+# faulting about 48 MB of fresh pages in per chunk, as a bound of 2,000,000
+# did.  A sweep from 4096 to 2,000,000 on one core of a 2-core x86 machine
+# was fastest at 8192, on the two-sided (4608-node rule) and the smooth
+# (768-node rule) path alike.  Each outer node's sums do not depend on it.
+_NESTED_CHUNK_ENTRIES = 8192
 
 
 def _nested_moments(config: OperatorConfig, field: PiecewiseField, x):
@@ -267,19 +281,17 @@ def _dilatation_coefficient(config: OperatorConfig, material: Material, x):
                            (len(config.rule),))
 
 
-def dilatation_operator(config: OperatorConfig, material: Material,
-                        field: PiecewiseField, x) -> Vec3:
-    """Dilatational part: nested double integral weighted by lambda - mu.
+def _dilatation_vanishes(config: OperatorConfig, material: Material, x) -> bool:
+    """True where the REDUCED integrand is zero at every outer node, so the
+    dilatational part is zero without a nested pass."""
+    return (config.ld_form is LdForm.REDUCED
+            and not _dilatation_coefficient(config, material, x).any())
 
-    The REDUCED form composes the outer kernel against the inner divergence
-    integral of the field itself; the FULL form keeps the two difference
-    terms whose extra pieces cancel by odd symmetry over full balls.
-    """
-    x = np.asarray(x, dtype=float)
-    c_y = _dilatation_coefficient(config, material, x)
-    if config.ld_form is LdForm.REDUCED and not c_y.any():
-        return np.zeros(3)  # integrand vanishes at every node
-    g, _ = _nested_moments(config, field, x)
+
+def _dilatation_from_moments(config: OperatorConfig, material: Material,
+                             field: PiecewiseField, x, g) -> Vec3:
+    """The dilatational part in the configured form, from the inner
+    divergence integrals ``g`` of one nested pass at x."""
     if config.ld_form is LdForm.REDUCED:
         return _dilatation_from_g(config, material, x, g)
 
@@ -301,6 +313,21 @@ def dilatation_operator(config: OperatorConfig, material: Material,
     term1 = ((9.0 / ball_volume(delta) ** 2) * delta**4
              * float(lam_x - mu_x) * g_x * s0)
     return term1 + term2
+
+
+def dilatation_operator(config: OperatorConfig, material: Material,
+                        field: PiecewiseField, x) -> Vec3:
+    """Dilatational part: nested double integral weighted by lambda - mu.
+
+    The REDUCED form composes the outer kernel against the inner divergence
+    integral of the field itself; the FULL form keeps the two difference
+    terms whose extra pieces cancel by odd symmetry over full balls.
+    """
+    x = np.asarray(x, dtype=float)
+    if _dilatation_vanishes(config, material, x):
+        return np.zeros(3)  # integrand vanishes at every node
+    g, _ = _nested_moments(config, field, x)
+    return _dilatation_from_moments(config, material, field, x, g)
 
 
 def state_operator(config: OperatorConfig, material: Material,
@@ -339,6 +366,24 @@ def _require_interface(material: Material) -> TwoPhaseMaterial:
     return material
 
 
+def _in_slab(config: OperatorConfig, material: TwoPhaseMaterial, x) -> bool:
+    return abs(material.interface.signed_distance(x)) < config.delta
+
+
+def _correction_from_moments(config: OperatorConfig, material: TwoPhaseMaterial,
+                             field: PiecewiseField, x, g, p) -> Vec3:
+    """The interface correction at a slab point x, from the moments ``g`` and
+    ``p`` of one nested pass at x."""
+    if _dilatation_coefficient(config, material, x).any():
+        dil = _dilatation_from_g(config, material, x, g)
+    else:
+        dil = np.zeros(3)
+    return (bond_correction_term(config, material, field, x)
+            + 0.25 * dil
+            + _normal_term_from_p(config, material, x, p,
+                                  material.interface.normal))
+
+
 def interface_correction(config: OperatorConfig, material: Material,
                          field: PiecewiseField, x) -> Vec3:
     """Correction operator acting on the extended-interface slab.
@@ -349,28 +394,31 @@ def interface_correction(config: OperatorConfig, material: Material,
     """
     x = np.asarray(x, dtype=float)
     material = _require_interface(material)
-    if abs(material.interface.signed_distance(x)) >= config.delta:
+    if not _in_slab(config, material, x):
         raise ValueError("point lies outside the extended interface slab")
-    normal = material.interface.normal
     g, p = _nested_moments(config, field, x)
-    if _dilatation_coefficient(config, material, x).any():
-        dil = _dilatation_from_g(config, material, x, g)
-    else:
-        dil = np.zeros(3)
-    return (bond_correction_term(config, material, field, x)
-            + 0.25 * dil
-            + _normal_term_from_p(config, material, x, p, normal))
+    return _correction_from_moments(config, material, field, x, g, p)
 
 
 def corrected_operator(config: OperatorConfig, material: Material,
                        field: PiecewiseField, x) -> Vec3:
-    """State operator plus the indicator-gated interface correction."""
+    """State operator plus the indicator-gated interface correction.
+
+    In the slab both parts read the inner integrals of one nested pass: ``g``
+    feeds the dilatational part and the correction's quarter of it, ``p``
+    the normal-projected term.
+    """
     x = np.asarray(x, dtype=float)
-    value = state_operator(config, material, field, x)
-    if (isinstance(material, TwoPhaseMaterial)
-            and abs(material.interface.signed_distance(x)) < config.delta):
-        value = value + interface_correction(config, material, field, x)
-    return value
+    if not (isinstance(material, TwoPhaseMaterial)
+            and _in_slab(config, material, x)):
+        return state_operator(config, material, field, x)
+    g, p = _nested_moments(config, field, x)
+    if _dilatation_vanishes(config, material, x):
+        dil = np.zeros(3)
+    else:
+        dil = _dilatation_from_moments(config, material, field, x, g)
+    value = bond_operator(config, material, field, x) + dil
+    return value + _correction_from_moments(config, material, field, x, g, p)
 
 
 # ---------------------------------------------------------------------------
@@ -437,7 +485,9 @@ def natural_condition_limit(material: Material, field: PiecewiseField, x) -> Vec
 
     Evaluated from one-sided gradients and the phase constants.  The result
     differs from 45/32 times the traction jump, which is what motivates the
-    corrected operator.
+    corrected operator.  For fields with a gradient kink and lambda != mu the
+    scaled operator misses this formula by a horizon-independent term: the
+    inner integral of the divergence channel ``g`` crosses the interface.
     """
     material = _require_interface(material)
     x = np.asarray(x, dtype=float)

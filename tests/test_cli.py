@@ -60,6 +60,27 @@ class TestExitCodes:
     def test_missing_config_file(self):
         assert main(["moments", "--config", "/nonexistent/x.json"]) == 2
 
+    def test_zero_norm_exponent_rejected(self, tmp_path, capsys):
+        rc = main(["converge", "--quad", "2,2", "--p", "0",
+                   "--out", str(tmp_path)])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: p must be > 0, got 0.0\n"
+
+    def test_non_finite_horizon_rejected(self, tmp_path, capsys):
+        rc = main(["star", "--quad", "2,2", "--delta-series", "inf,0.1,0.01",
+                   "--out", str(tmp_path)])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: horizons must be finite\n"
+
+    def test_overflowing_horizon_is_a_numerical_refusal(self, tmp_path, capsys):
+        rc = main(["star", "--quad", "2,2",
+                   "--delta-series", "1e300,1e-300,1e-310",
+                   "--out", str(tmp_path)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: numerical refusal (OverflowError): ")
+        assert err.count("\n") == 1
+
     def test_failing_check_exits_one(self, tmp_path):
         # the order-(1, 1) rule is too coarse for the fourth moment, so that
         # check fails and the run exits 1

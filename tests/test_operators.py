@@ -316,6 +316,81 @@ class TestCorrectedOperator:
         assert np.abs(limit).max() < 2e-3
 
 
+
+def _fused_cases():
+    """(name, field, material, slab point) for the fusion pins."""
+    patch_field, _ = F.make_manufactured("patch_jump_zero_traction")
+    ramp_field, ramp_mat = F.make_manufactured("gradient_jump")
+    rng = np.random.default_rng(4)
+    n = random_unit(rng)
+    x = rng.normal(size=3)
+    iface = F.PlanarInterface(x, n)
+    g_minus = rng.normal(size=(3, 3))
+    g_plus = g_minus + np.outer(rng.normal(size=3), n)
+    c_minus = rng.normal(size=3)
+    c_plus = c_minus - (g_plus - g_minus) @ x
+    oblique = F.PiecewiseField(F.linear_field(c_plus, g_plus),
+                               F.linear_field(c_minus, g_minus), iface)
+    return [
+        ("patch_3152", patch_field,
+         F.TwoPhaseMaterial(3.0, 1.0, 5.0, 2.0, F.INTERFACE_Z), X0),
+        ("gradient_jump_lam_ne_mu", ramp_field,
+         F.TwoPhaseMaterial(2.0, 1.0, 0.5, 2.0, F.INTERFACE_Z),
+         np.array([0.01, -0.02, 0.03])),
+        ("gradient_jump_lam_eq_mu", ramp_field, ramp_mat, X0),
+        ("oblique_kink", oblique,
+         F.TwoPhaseMaterial(*rng.uniform(0.5, 3.0, size=4), iface),
+         x - 0.04 * n),
+    ]
+
+
+FUSED_CASES = _fused_cases()
+
+
+class TestFusedNestedPass:
+    """The corrected operator reads one nested pass in the slab."""
+
+    @pytest.mark.parametrize("form", list(O.LdForm))
+    @pytest.mark.parametrize("name,field,mat,x", FUSED_CASES,
+                             ids=[c[0] for c in FUSED_CASES])
+    def test_equals_state_plus_correction(self, name, field, mat, x, form):
+        cfg = O.make_config(0.1, 4, 6, split_normal=mat.interface.normal,
+                            ld_form=form)
+        assert abs(mat.interface.signed_distance(x)) < cfg.delta
+        got = O.corrected_operator(cfg, mat, field, x)
+        assert_array_equal(got, O.state_operator(cfg, mat, field, x)
+                           + O.interface_correction(cfg, mat, field, x))
+
+    def test_one_pass_per_evaluation(self, monkeypatch):
+        _, field, mat, x = FUSED_CASES[0]
+        cfg = O.make_config(0.1, 4, 6, split_normal=EZ)
+        n = len(cfg.rule)
+        count = [0]
+        for name in ("value", "value_on"):
+            original = getattr(F.PiecewiseField, name)
+
+            def counted(self, pts, *args, _original=original):
+                count[0] += int(np.prod(np.shape(pts)[:-1]))
+                return _original(self, pts, *args)
+
+            monkeypatch.setattr(F.PiecewiseField, name, counted)
+        O.corrected_operator(cfg, mat, field, x)
+        # the pass evaluates both sides at n^2 inner points; the bond sum
+        # and the bond correction each read the n outer nodes and x
+        assert count[0] == 2 * n * n + 2 * (n + 1)
+
+    @pytest.mark.parametrize("name", ["patch_jump_zero_traction", "trig_smooth"])
+    def test_moments_do_not_depend_on_chunk_size(self, name, monkeypatch):
+        field, _ = F.make_manufactured(name)
+        cfg = O.make_config(0.1, 4, 6, split_normal=EZ)
+        x = np.array([0.01, 0.02, 0.03])
+        results = []
+        for entries in (1, 10**9):
+            monkeypatch.setattr(O, "_NESTED_CHUNK_ENTRIES", entries)
+            results.append(O._nested_moments(cfg, field, x))
+        assert_array_equal(results[0][0], results[1][0])
+        assert_array_equal(results[0][1], results[1][1])
+
 class TestClosedFormLimits:
     def test_natural_condition_patch_value(self, patch):
         field, mat = patch
