@@ -28,18 +28,15 @@ from .fields import (
     SmoothMaterial,
     TwoPhaseMaterial,
     constant_material,
-    lame_at,
     make_manufactured,
     navier,
     navier_d,
     navier_s,
-    signed_distance,
     stress,
     traction_jump,
 )
 from .operators import (
     Horizon,
-    LdForm,
     OperatorConfig,
     base_operator,
     base_operator_scalar,

@@ -32,7 +32,6 @@ from .fields import (
     traction_jump,
 )
 from .operators import (
-    LdForm,
     OperatorConfig,
     corrected_operator,
     make_config,
@@ -51,6 +50,23 @@ CSV_HEADER = ["delta", "point_id", "vx", "vy", "vz", "err_p"]
 def _fmt(v: float) -> str:
     # 17 significant digits: lossless float64 round trip
     return f"{v:.16e}"
+
+
+def write_table(path, header, rows) -> None:
+    """Write an RFC 4180 CSV; float cells get the lossless format, other
+    cells are written as they are."""
+    with open(path, "w", newline="") as f:
+        w = csv.writer(f)
+        w.writerow(header)
+        w.writerows([_fmt(v) if isinstance(v, float) else v for v in row]
+                    for row in rows)
+
+
+def write_json(path, payload) -> None:
+    """Write a JSON report with sorted keys and a final newline."""
+    with open(path, "w") as f:
+        json.dump(payload, f, indent=1, sort_keys=True)
+        f.write("\n")
 
 
 def as_delta_series(deltas) -> np.ndarray:
@@ -163,9 +179,7 @@ class ConvergenceReport:
         )
 
     def write_json(self, path) -> None:
-        with open(path, "w") as f:
-            json.dump(self.to_json_dict(), f, indent=1, sort_keys=True)
-            f.write("\n")
+        write_json(path, self.to_json_dict())
 
     @classmethod
     def read_json(cls, path) -> "ConvergenceReport":
@@ -173,12 +187,9 @@ class ConvergenceReport:
             return cls.from_json_dict(json.load(f))
 
     def write_csv(self, path) -> None:
-        with open(path, "w", newline="") as f:
-            w = csv.writer(f)  # RFC 4180 line endings
-            w.writerow(CSV_HEADER)
-            for r in self.records():
-                w.writerow([_fmt(r["delta"]), r["point_id"],
-                            *(map(_fmt, r["value"])), _fmt(r["err"])])
+        write_table(path, CSV_HEADER,
+                    ([r["delta"], r["point_id"], *r["value"], r["err"]]
+                     for r in self.records()))
 
     @staticmethod
     def read_csv_records(path):
@@ -221,23 +232,32 @@ def _run_grid(task, n_delta: int, n_points: int, threads: int):
         return list(pool.map(lambda ij: task(*ij), pairs))
 
 
-def _configs(deltas, radial_order, angular_order, ld_form, split_normal=None):
+def _configs(deltas, radial_order, angular_order, split_normal=None):
     return [make_config(float(d), radial_order, angular_order,
-                        ld_form=ld_form, split_normal=split_normal)
+                        split_normal=split_normal)
             for d in deltas]
 
 
 def _quad_params(cfgs: Sequence[OperatorConfig]) -> dict:
     r = cfgs[0].rule
     return {"radial_order": r.radial_order, "angular_order": r.angular_order,
-            "nodes": len(r), "ld_form": cfgs[0].ld_form.value}
+            "nodes": len(r)}
+
+
+def _navier_refs(material: Material, field: PiecewiseField, pts) -> np.ndarray:
+    """The local limit at each point, on the point's own side."""
+    sides = [SideTag.PLUS] * len(pts)
+    if isinstance(material, TwoPhaseMaterial):
+        sides = [SideTag.PLUS if s >= 0 else SideTag.MINUS
+                 for s in material.interface.signed_distance(pts)]
+    return np.array([navier(material, field, x, side)
+                     for x, side in zip(pts, sides)])
 
 
 def converge_to_navier(material: Material, field: PiecewiseField, deltas,
                        sample_points, p: float = 2.0,
                        radial_order: int = DEFAULT_RADIAL_ORDER,
                        angular_order: int = DEFAULT_ANGULAR_ORDER,
-                       ld_form: LdForm = LdForm.REDUCED,
                        threads: int = 1) -> ConvergenceReport:
     """Discrete L^p distance between the nonlocal operator and its local
     limit over a sample grid, per horizon, with fitted rate."""
@@ -248,14 +268,8 @@ def converge_to_navier(material: Material, field: PiecewiseField, deltas,
         if np.any(dist < 2.0 * deltas.max()):
             raise ValueError("sample points must stay at least two largest "
                              "horizons away from the interface")
-    cfgs = _configs(deltas, radial_order, angular_order, ld_form)
-
-    sides = [SideTag.PLUS] * len(pts)
-    if isinstance(material, TwoPhaseMaterial):
-        sides = [SideTag.PLUS if s >= 0 else SideTag.MINUS
-                 for s in material.interface.signed_distance(pts)]
-    refs = np.array([navier(material, field, x, side)
-                     for x, side in zip(pts, sides)])
+    cfgs = _configs(deltas, radial_order, angular_order)
+    refs = _navier_refs(material, field, pts)
 
     def task(i, j):
         return state_operator(cfgs[i], material, field, pts[j]) - refs[j]
@@ -291,7 +305,7 @@ def interface_blowup(material: Material, field: PiecewiseField, x, deltas,
     x = np.asarray(x, dtype=float)
     material = _require_on_interface(material, x)
     deltas = as_delta_series(deltas)
-    cfgs = _configs(deltas, radial_order, angular_order, LdForm.REDUCED,
+    cfgs = _configs(deltas, radial_order, angular_order,
                     split_normal=material.interface.normal)
 
     def task(i, _):
@@ -314,7 +328,7 @@ def _scaled_limit_study(study, operator, target, material, field, x, deltas,
     x = np.asarray(x, dtype=float)
     material = _require_on_interface(material, x)
     deltas = as_delta_series(deltas)
-    cfgs = _configs(deltas, radial_order, angular_order, LdForm.REDUCED,
+    cfgs = _configs(deltas, radial_order, angular_order,
                     split_normal=material.interface.normal)
 
     def task(i, _):
@@ -372,15 +386,11 @@ def star_converges_offinterface(material: Material, field: PiecewiseField,
     """
     deltas = as_delta_series(deltas)
     pts = np.asarray(sample_points, dtype=float).reshape(-1, 3)
-    cfgs = _configs(deltas, radial_order, angular_order, LdForm.REDUCED)
-
-    sides = [SideTag.PLUS] * len(pts)
+    cfgs = _configs(deltas, radial_order, angular_order)
+    refs = _navier_refs(material, field, pts)
     sd = np.zeros(len(pts))
     if isinstance(material, TwoPhaseMaterial):
         sd = material.interface.signed_distance(pts)
-        sides = [SideTag.PLUS if s >= 0 else SideTag.MINUS for s in sd]
-    refs = np.array([navier(material, field, x, side)
-                     for x, side in zip(pts, sides)])
 
     def task(i, j):
         return corrected_operator(cfgs[i], material, field, pts[j])

@@ -11,7 +11,6 @@ CSV regardless of thread count.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import sys
@@ -26,12 +25,8 @@ from .fields import (
     PlanarInterface,
     TwoPhaseMaterial,
     make_manufactured,
-    traction_jump,
 )
-from .operators import (
-    half_ball_moment_tensor,
-    natural_condition_limit,
-)
+from .operators import half_ball_moment_tensor
 from .quadrature import (
     DEFAULT_ANGULAR_ORDER,
     DEFAULT_RADIAL_ORDER,
@@ -44,18 +39,6 @@ from .quadrature import (
     third_moment,
 )
 
-STUDIES = ("moments", "kdelta", "converge", "blowup", "natural", "star", "solve")
-
-_KNOWN_KEYS = {
-    "study", "field", "material", "deltas", "delta_min", "quad", "normal",
-    "p", "threads", "out", "box", "h", "ratio", "b", "sample_count",
-}
-
-
-def _fmt(v: float) -> str:
-    return f"{v:.16e}"
-
-
 class ConfigError(Exception):
     pass
 
@@ -65,7 +48,7 @@ class StudyConfig:
     study: str
     field: Optional[str] = None
     material: Optional[tuple] = None  # (lam+, mu+, lam-, mu-)
-    deltas: Optional[list] = None
+    deltas: Optional[tuple] = None
     delta_min: Optional[float] = None
     quad: tuple = (DEFAULT_RADIAL_ORDER, DEFAULT_ANGULAR_ORDER)
     normal: tuple = (0.0, 0.0, 1.0)
@@ -75,7 +58,7 @@ class StudyConfig:
     box: tuple = ((-0.5, -0.5, -0.5), (0.5, 0.5, 0.5))
     h: float = 1.0 / 16.0
     ratio: float = 3.0
-    b: Optional[list] = None
+    b: Optional[tuple] = None
     sample_count: int = 5
     checks: list = dataclass_field(default_factory=list)
 
@@ -85,14 +68,61 @@ class StudyConfig:
         return bool(ok)
 
 
-def _parse_floats(text: str, n: Optional[int] = None):
-    try:
-        vals = [float(t) for t in text.split(",") if t != ""]
-    except ValueError as e:
-        raise ConfigError(f"expected comma-separated numbers, got {text!r}") from e
-    if n is not None and len(vals) != n:
-        raise ConfigError(f"expected {n} comma-separated numbers, got {text!r}")
-    return vals
+def _scalar(kind):
+    """Converter for one value of type ``kind`` from JSON or flag text."""
+    def convert(value):
+        try:
+            return kind(value)
+        except (TypeError, ValueError):
+            raise ValueError(f"expected {kind.__name__}, got {value!r}") from None
+    return convert
+
+
+def _numbers(count=None, kind=float):
+    """Converter for numbers from a JSON list or comma-separated text."""
+    def convert(value):
+        if isinstance(value, str):
+            value = [t for t in value.split(",") if t != ""]
+        if not isinstance(value, list) or count not in (None, len(value)):
+            raise ValueError(f"expected {count or 'a list of'} numbers, "
+                             f"got {value!r}")
+        return tuple(map(_scalar(kind), value))
+    return convert
+
+
+def _material(value):
+    """(l+, m+, l-, m-) from a JSON list or the text two-phase:l+,m+,l-,m-."""
+    if isinstance(value, str):
+        if not value.startswith("two-phase:"):
+            raise ValueError(f"expected two-phase:l+,m+,l-,m-, got {value!r}")
+        value = value[len("two-phase:"):]
+    return _numbers(4)(value)
+
+
+def _box(value):
+    if not isinstance(value, list) or len(value) != 2:
+        raise ValueError(f"expected corners [[x, y, z], [x, y, z]], got {value!r}")
+    return tuple(map(_numbers(3), value))
+
+
+# one converter per setting, for config-file values and flag text alike; a
+# flag sets the key of its own name (--delta-series sets deltas)
+_SETTINGS = {
+    "field": str,
+    "material": _material,
+    "deltas": _numbers(),
+    "delta_min": _scalar(float),
+    "quad": _numbers(2, int),
+    "normal": _numbers(3),
+    "p": _scalar(float),
+    "threads": _scalar(int),
+    "out": str,
+    "box": _box,
+    "h": _scalar(float),
+    "ratio": _scalar(float),
+    "b": _numbers(),
+    "sample_count": _scalar(int),
+}
 
 
 def _load_config(ns: argparse.Namespace) -> StudyConfig:
@@ -103,64 +133,26 @@ def _load_config(ns: argparse.Namespace) -> StudyConfig:
                 data = json.load(f)
         except (OSError, json.JSONDecodeError) as e:
             raise ConfigError(f"cannot read config file: {e}") from e
-        unknown = set(data) - _KNOWN_KEYS
+        if not isinstance(data, dict):
+            raise ConfigError("config file must hold a JSON object")
+        study = data.pop("study", ns.study)
+        if study != ns.study:
+            raise ConfigError(f"config is for study {study!r}, "
+                              f"command line says {ns.study!r}")
+        unknown = set(data) - set(_SETTINGS)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        if "study" in data and data["study"] != ns.study:
-            raise ConfigError(f"config is for study {data['study']!r}, "
-                              f"command line says {ns.study!r}")
 
+    # flags override the file; PERIDYN_THREADS applies where neither sets threads
+    settings = {"threads": os.environ.get("PERIDYN_THREADS", 1), **data}
+    settings.update((key, getattr(ns, key)) for key in _SETTINGS
+                    if getattr(ns, key, None) is not None)
     cfg = StudyConfig(study=ns.study)
-    if "field" in data:
-        cfg.field = data["field"]
-    if "material" in data:
-        cfg.material = tuple(float(v) for v in data["material"])
-    if "deltas" in data:
-        cfg.deltas = [float(v) for v in data["deltas"]]
-    if "delta_min" in data:
-        cfg.delta_min = float(data["delta_min"])
-    if "quad" in data:
-        cfg.quad = tuple(int(v) for v in data["quad"])
-    if "normal" in data:
-        cfg.normal = tuple(float(v) for v in data["normal"])
-    for key in ("p", "h", "ratio"):
-        if key in data:
-            setattr(cfg, key, float(data[key]))
-    for key in ("threads", "sample_count"):
-        if key in data:
-            setattr(cfg, key, int(data[key]))
-    if "out" in data:
-        cfg.out = str(data["out"])
-    if "box" in data:
-        cfg.box = (tuple(map(float, data["box"][0])), tuple(map(float, data["box"][1])))
-    if "b" in data:
-        cfg.b = [float(v) for v in data["b"]]
-
-    # flags override file values
-    if ns.field:
-        cfg.field = ns.field
-    if ns.material:
-        spec = ns.material
-        if not spec.startswith("two-phase:"):
-            raise ConfigError("material must look like two-phase:l+,m+,l-,m-")
-        cfg.material = tuple(_parse_floats(spec.split(":", 1)[1], 4))
-    if ns.delta_series:
-        cfg.deltas = _parse_floats(ns.delta_series)
-    if ns.delta_min is not None:
-        cfg.delta_min = ns.delta_min
-    if ns.quad:
-        vals = _parse_floats(ns.quad, 2)
-        cfg.quad = (int(vals[0]), int(vals[1]))
-    if ns.normal:
-        cfg.normal = tuple(_parse_floats(ns.normal, 3))
-    if ns.p is not None:
-        cfg.p = ns.p
-    if ns.out:
-        cfg.out = ns.out
-    if ns.threads is not None:
-        cfg.threads = ns.threads
-    elif "threads" not in data:
-        cfg.threads = int(os.environ.get("PERIDYN_THREADS", "1"))
+    for key, value in settings.items():
+        try:
+            setattr(cfg, key, _SETTINGS[key](value))
+        except ValueError as e:
+            raise ConfigError(f"{key}: {e}") from e
 
     if cfg.threads < 1:
         raise ConfigError("threads must be >= 1")
@@ -193,19 +185,6 @@ def _deltas(cfg: StudyConfig, default):
     return analysis.as_delta_series(default)
 
 
-def _write_table(path, header, rows):
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(header)
-        w.writerows(rows)
-
-
-def _write_json(path, payload):
-    with open(path, "w") as f:
-        json.dump(payload, f, indent=1, sort_keys=True)
-        f.write("\n")
-
-
 def _outdir(cfg: StudyConfig) -> str:
     os.makedirs(cfg.out, exist_ok=True)
     return cfg.out
@@ -221,6 +200,7 @@ def _run_moments(cfg: StudyConfig) -> None:
     rule = build_ball_rule(*cfg.quad)
     rows = []
     worst4 = 0.0
+    # the horizon column of this table is written in its short form
     for delta in (1.0, 0.5):
         fm = fourth_moment(rule, delta)
         for idx in np.ndindex(3, 3, 3, 3):
@@ -233,7 +213,7 @@ def _run_moments(cfg: StudyConfig) -> None:
                 ref = 0.0
             err = abs(fm[idx] - ref)
             worst4 = max(worst4, err)
-            rows.append(["fourth", delta, i, j, k, l, _fmt(fm[idx]), _fmt(ref), _fmt(err)])
+            rows.append(["fourth", str(delta), i, j, k, l, fm[idx], ref, err])
     worst2 = 0.0
     for delta in (1.0, 0.5):
         sm = second_moment(rule, delta)
@@ -241,19 +221,20 @@ def _run_moments(cfg: StudyConfig) -> None:
         for i, j in np.ndindex(3, 3):
             err = abs(sm[i, j] - ref2[i, j])
             worst2 = max(worst2, err / delta**3)
-            rows.append(["second", delta, i, j, "", "", _fmt(sm[i, j]), _fmt(ref2[i, j]), _fmt(err)])
+            rows.append(["second", str(delta), i, j, "", "", sm[i, j], ref2[i, j], err])
     worst3 = 0.0
     for delta in (1.0, 0.5):
         tm = third_moment(rule, delta)
         worst3 = max(worst3, float(np.abs(tm).max()) / delta**2)
-    _write_table(os.path.join(out, "moments.csv"),
-                 ["quantity", "delta", "i", "j", "k", "l", "value", "reference", "abs_err"],
-                 rows)
+    analysis.write_table(os.path.join(out, "moments.csv"),
+                         ["quantity", "delta", "i", "j", "k", "l", "value",
+                          "reference", "abs_err"],
+                         rows)
     ok = True
     ok &= cfg.record("fourth_moment", worst4 < 1e-10, f"max entry error {worst4:.3e} (tol 1e-10)")
     ok &= cfg.record("second_moment", worst2 < 1e-10, f"max scaled error {worst2:.3e} (tol 1e-10)")
     ok &= cfg.record("third_moment", worst3 < 1e-12, f"max scaled entry {worst3:.3e} (tol 1e-12)")
-    _write_json(os.path.join(out, "moments.json"), {
+    analysis.write_json(os.path.join(out, "moments.json"), {
         "study": "moments", "quad": list(cfg.quad),
         "fourth_moment_max_err": worst4, "second_moment_max_scaled_err": worst2,
         "third_moment_max_scaled": worst3,
@@ -280,16 +261,17 @@ def _run_kdelta(cfg: StudyConfig) -> None:
         for idx in np.ndindex(3, 3, 3):
             err = abs(kd[idx] - closed[idx])
             worst = max(worst, err)
-            rows.append([_fmt(delta), *idx, _fmt(kd[idx]), _fmt(closed[idx]), _fmt(err)])
+            rows.append([delta, *idx, kd[idx], closed[idx], err])
     spread = max(float(np.abs(a - b).max()) for a in scaled for b in scaled)
-    _write_table(os.path.join(out, "kdelta.csv"),
-                 ["delta", "i", "j", "k", "numeric_scaled", "closed_form", "abs_err"],
-                 rows)
+    analysis.write_table(os.path.join(out, "kdelta.csv"),
+                         ["delta", "i", "j", "k", "numeric_scaled",
+                          "closed_form", "abs_err"],
+                         rows)
     ok = cfg.record("closed_form", worst < 1e-9,
                     f"max |scaled numeric - closed| {worst:.3e} (tol 1e-9)")
     ok &= cfg.record("delta_independence", spread < 1e-11,
                      f"max spread across horizons {spread:.3e} (tol 1e-11)")
-    _write_json(os.path.join(out, "kdelta.json"), {
+    analysis.write_json(os.path.join(out, "kdelta.json"), {
         "study": "kdelta", "normal": [float(v) for v in n], "deltas": deltas,
         "quad": list(cfg.quad), "max_err": worst, "delta_spread": spread,
         "checks": [list(c) for c in cfg.checks],
@@ -352,42 +334,20 @@ def _run_blowup(cfg: StudyConfig) -> None:
     _report_outputs(cfg, report)
 
 
-def _limit_tolerance(target: np.ndarray) -> float:
-    return max(5e-3, 0.01 * float(np.linalg.norm(target)))
-
-
-def _run_natural(cfg: StudyConfig) -> None:
-    name, field, material = _field_material(cfg, "patch_jump_zero_traction")
+def _run_limit(cfg: StudyConfig, study, default_field: str, check: str,
+               label: str) -> None:
+    """An interface limit study, checked against the target it reports."""
+    name, field, material = _field_material(cfg, default_field)
     deltas = _deltas(cfg, analysis.geometric_deltas(0.1, 1e-3, 5))
-    x0 = material.interface.point
-    report = analysis.natural_limit_check(material, field, x0, deltas,
-                                          radial_order=cfg.quad[0],
-                                          angular_order=cfg.quad[1],
-                                          threads=cfg.threads)
+    report = study(material, field, material.interface.point, deltas,
+                   radial_order=cfg.quad[0], angular_order=cfg.quad[1],
+                   threads=cfg.threads)
     report.params["field"] = name
-    target = natural_condition_limit(material, field, x0)
+    target = np.asarray(report.params["target"])
     err = float(np.linalg.norm(report.limit_estimate - target))
-    tol = _limit_tolerance(target)
-    cfg.record("natural_limit", err <= tol,
-               f"|limit - formula| = {err:.3e} (tol {tol:.3e}); "
-               f"limit {np.array2string(report.limit_estimate, precision=6)}")
-    _report_outputs(cfg, report)
-
-
-def _run_star(cfg: StudyConfig) -> None:
-    name, field, material = _field_material(cfg, "gradient_jump")
-    deltas = _deltas(cfg, analysis.geometric_deltas(0.1, 1e-3, 5))
-    x0 = material.interface.point
-    report = analysis.star_limit_check(material, field, x0, deltas,
-                                       radial_order=cfg.quad[0],
-                                       angular_order=cfg.quad[1],
-                                       threads=cfg.threads)
-    report.params["field"] = name
-    target = (45.0 / 32.0) * traction_jump(material, field, x0)
-    err = float(np.linalg.norm(report.limit_estimate - target))
-    tol = _limit_tolerance(target)
-    cfg.record("star_limit", err <= tol,
-               f"|limit - 45/32 traction jump| = {err:.3e} (tol {tol:.3e}); "
+    tol = max(5e-3, 0.01 * float(np.linalg.norm(target)))
+    cfg.record(check, err <= tol,
+               f"|limit - {label}| = {err:.3e} (tol {tol:.3e}); "
                f"limit {np.array2string(report.limit_estimate, precision=6)}")
     _report_outputs(cfg, report)
 
@@ -415,9 +375,9 @@ def _run_solve(cfg: StudyConfig) -> None:
     free = grid.tags != solver.NodeTag.CONSTRAINT
     rows = []
     for pt, u, tag in zip(grid.points, result.u, grid.tags):
-        rows.append([*map(_fmt, pt), *map(_fmt, u), solver.NodeTag(tag).name.lower()])
-    _write_table(os.path.join(out, "solution.csv"),
-                 ["x", "y", "z", "ux", "uy", "uz", "tag"], rows)
+        rows.append([*pt, *u, solver.NodeTag(tag).name.lower()])
+    analysis.write_table(os.path.join(out, "solution.csv"),
+                         ["x", "y", "z", "ux", "uy", "uz", "tag"], rows)
 
     res_scale = max(abs(opr.matrix).sum(axis=1).max(), 1.0)
     worst_res = max(v["max"] for v in result.residuals.values())
@@ -435,7 +395,7 @@ def _run_solve(cfg: StudyConfig) -> None:
         else:
             cfg.record("recovery_info", True,
                        f"max nodal error {recovery:.3e} (no tolerance for field {name!r})")
-    _write_json(os.path.join(out, "solve_report.json"), {
+    analysis.write_json(os.path.join(out, "solve_report.json"), {
         "study": "solve", "field": name, "h": cfg.h, "ratio": cfg.ratio,
         "n_nodes": int(grid.n_nodes), "n_free": int(free.sum()),
         "residuals": result.residuals, "rcond": result.rcond,
@@ -449,8 +409,13 @@ _RUNNERS = {
     "kdelta": _run_kdelta,
     "converge": _run_converge,
     "blowup": _run_blowup,
-    "natural": _run_natural,
-    "star": _run_star,
+    # looked up per run, so a wrapped or patched study function is called
+    "natural": lambda cfg: _run_limit(cfg, analysis.natural_limit_check,
+                                      "patch_jump_zero_traction",
+                                      "natural_limit", "formula"),
+    "star": lambda cfg: _run_limit(cfg, analysis.star_limit_check,
+                                   "gradient_jump", "star_limit",
+                                   "45/32 traction jump"),
     "solve": _run_solve,
 }
 
@@ -461,19 +426,20 @@ def build_parser() -> argparse.ArgumentParser:
         description="Nonlocal-operator studies: moment identities, interface "
                     "limits, convergence rates, and equilibrium solves.")
     sub = parser.add_subparsers(dest="study", required=True)
-    for study in STUDIES:
+    for study in _RUNNERS:
         p = sub.add_parser(study)
         p.add_argument("--config", help="JSON study configuration file")
         p.add_argument("--out", help="output directory (default: current)")
-        p.add_argument("--delta-series", help="comma-separated decreasing horizons")
-        p.add_argument("--delta-min", type=float,
+        p.add_argument("--delta-series", dest="deltas",
+                       help="comma-separated decreasing horizons")
+        p.add_argument("--delta-min",
                        help="smallest horizon of a geometric series from 0.1")
         p.add_argument("--quad", help="quadrature orders R,A")
         p.add_argument("--material", help="two-phase:l+,m+,l-,m-")
         p.add_argument("--field", help=f"one of {', '.join(MANUFACTURED_NAMES)}")
         p.add_argument("--normal", help="unit normal x,y,z")
-        p.add_argument("--p", type=float, help="exponent of the discrete norm")
-        p.add_argument("--threads", type=int,
+        p.add_argument("--p", help="exponent of the discrete norm")
+        p.add_argument("--threads",
                        help="worker threads (default: PERIDYN_THREADS or 1)")
     return parser
 
@@ -483,10 +449,7 @@ def main(argv=None) -> int:
     try:
         cfg = _load_config(ns)
         _RUNNERS[ns.study](cfg)
-    except ConfigError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except (ValueError, TypeError) as e:
+    except (ConfigError, ValueError, TypeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except (OverflowError, FloatingPointError) as e:

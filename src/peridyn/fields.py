@@ -56,10 +56,6 @@ class PlanarInterface:
         return x - np.multiply.outer(sd, self.normal)
 
 
-def signed_distance(interface: PlanarInterface, x) -> np.ndarray:
-    return interface.signed_distance(x)
-
-
 # a plane through the origin normal to the third axis; the default interface
 # of the manufactured two-phase configurations
 INTERFACE_Z = PlanarInterface(np.zeros(3), E3)
@@ -234,11 +230,6 @@ def constant_material(lam: float, mu: float) -> SmoothMaterial:
         )
 
     return SmoothMaterial(const(lam), const(mu))
-
-
-def lame_at(material: Material, x):
-    """Lamé parameters (lambda, mu) at a point or array of points."""
-    return material.lame_at(x)
 
 
 def _lame_for(material: Material, x, side: SideTag):

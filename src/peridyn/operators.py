@@ -23,9 +23,8 @@ bit for bit.
 
 from __future__ import annotations
 
-import enum
+import sys
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -51,25 +50,19 @@ class Horizon:
     def __post_init__(self):
         if not self.delta > 0:
             raise ValueError("horizon must be positive")
-
-
-class LdForm(enum.Enum):
-    """Form of the dilatational operator.
-
-    REDUCED drops the inner terms that cancel by the odd symmetry of the
-    kernel over a full ball; it is valid at points whose double-horizon
-    neighborhood lies inside the evaluation domain.  FULL keeps both terms.
-    """
-
-    REDUCED = "reduced"
-    FULL = "full"
+        # the nested operators scale by 9/|B_delta|^2, which is not finite
+        # below a horizon of about 4e-52
+        vol = ball_volume(self.delta)
+        if not vol * vol > 9.0 / sys.float_info.max:
+            raise FloatingPointError(
+                f"horizon {self.delta!r} is too small: the nested operators' "
+                "prefactor 9/|B_delta|^2 is not finite")
 
 
 @dataclass(frozen=True)
 class OperatorConfig:
     horizon: Horizon
     rule: BallQuadrature
-    ld_form: LdForm = LdForm.REDUCED
 
     @property
     def delta(self) -> float:
@@ -79,8 +72,6 @@ class OperatorConfig:
 def make_config(delta: float,
                 radial_order: int = DEFAULT_RADIAL_ORDER,
                 angular_order: int = DEFAULT_ANGULAR_ORDER,
-                rule: Optional[BallQuadrature] = None,
-                ld_form: LdForm = LdForm.REDUCED,
                 split_normal=None) -> OperatorConfig:
     """Convenience constructor.
 
@@ -88,12 +79,11 @@ def make_config(delta: float,
     split by the plane normal to it, which keeps integrands that are smooth
     on each side of that plane exactly integrable.
     """
-    if rule is None:
-        if split_normal is not None:
-            rule = build_split_ball_rule(split_normal, radial_order, angular_order)
-        else:
-            rule = build_ball_rule(radial_order, angular_order)
-    return OperatorConfig(Horizon(delta), rule, ld_form)
+    if split_normal is not None:
+        rule = build_split_ball_rule(split_normal, radial_order, angular_order)
+    else:
+        rule = build_ball_rule(radial_order, angular_order)
+    return OperatorConfig(Horizon(delta), rule)
 
 
 def weight_mass(delta: float, r: float) -> float:
@@ -255,79 +245,37 @@ def _nested_moments(config: OperatorConfig, field: PiecewiseField, x):
     return g, p
 
 
-def _inner_divergence_at(config: OperatorConfig, field: PiecewiseField, x) -> float:
-    """The scalar inner integral g evaluated at the center point itself."""
-    z = config.rule.points
-    r2 = np.einsum("qi,qi->q", z, z)
-    u = field.value(x + config.delta * z)
-    return float(np.einsum("q,qi,qi->", config.rule.weights / r2, z, u))
+def _dilatation(config: OperatorConfig, material: Material,
+                field: PiecewiseField, x, g=None) -> Vec3:
+    """The dilatational part at x from the inner divergence integrals ``g``
+    of a nested pass at x, or of one made here if ``g`` is None.
 
-
-def _dilatation_from_g(config: OperatorConfig, material: Material, x, g) -> Vec3:
+    Where lambda - mu vanishes at every outer node the integrand is zero,
+    and the result is an exact zero vector without a nested pass.
+    """
     z = config.rule.points
     w = config.rule.weights
-    r2 = np.einsum("qi,qi->q", z, z)
     delta = config.delta
     lam_y, mu_y = material.lame_at(x + delta * z)
-    c_y = lam_y - mu_y
+    c_y = np.broadcast_to(np.asarray(lam_y - mu_y, dtype=float), (len(z),))
+    if not c_y.any():
+        return np.zeros(3)
+    if g is None:
+        g, _ = _nested_moments(config, field, x)
+    r2 = np.einsum("qi,qi->q", z, z)
     s = np.einsum("q,qi->i", (w / r2) * c_y * g, z)
     return (9.0 / ball_volume(delta) ** 2) * delta**4 * s
-
-
-def _dilatation_coefficient(config: OperatorConfig, material: Material, x):
-    """lambda - mu at the outer quadrature nodes around x."""
-    lam_y, mu_y = material.lame_at(x + config.delta * config.rule.points)
-    return np.broadcast_to(np.asarray(lam_y - mu_y, dtype=float),
-                           (len(config.rule),))
-
-
-def _dilatation_vanishes(config: OperatorConfig, material: Material, x) -> bool:
-    """True where the REDUCED integrand is zero at every outer node, so the
-    dilatational part is zero without a nested pass."""
-    return (config.ld_form is LdForm.REDUCED
-            and not _dilatation_coefficient(config, material, x).any())
-
-
-def _dilatation_from_moments(config: OperatorConfig, material: Material,
-                             field: PiecewiseField, x, g) -> Vec3:
-    """The dilatational part in the configured form, from the inner
-    divergence integrals ``g`` of one nested pass at x."""
-    if config.ld_form is LdForm.REDUCED:
-        return _dilatation_from_g(config, material, x, g)
-
-    # FULL: subtract the collocation values from the inner integral and add
-    # the fully factorized term weighted by (lambda - mu)(x)
-    z = config.rule.points
-    w = config.rule.weights
-    r2 = np.einsum("qi,qi->q", z, z)
-    delta = config.delta
-    y = x + delta * z
-    s0 = np.einsum("q,qi->i", w / r2, z)  # zero up to roundoff by symmetry
-    g_diff = g - field.value(y) @ s0
-    lam_y, mu_y = material.lame_at(y)
-    term2 = np.einsum("q,qi->i", (w / r2) * (lam_y - mu_y) * g_diff, z)
-    term2 *= (9.0 / ball_volume(delta) ** 2) * delta**4
-
-    lam_x, mu_x = material.lame_at(x)
-    g_x = _inner_divergence_at(config, field, x) - float(field.value(x) @ s0)
-    term1 = ((9.0 / ball_volume(delta) ** 2) * delta**4
-             * float(lam_x - mu_x) * g_x * s0)
-    return term1 + term2
 
 
 def dilatation_operator(config: OperatorConfig, material: Material,
                         field: PiecewiseField, x) -> Vec3:
     """Dilatational part: nested double integral weighted by lambda - mu.
 
-    The REDUCED form composes the outer kernel against the inner divergence
-    integral of the field itself; the FULL form keeps the two difference
-    terms whose extra pieces cancel by odd symmetry over full balls.
+    The outer kernel is composed against the inner divergence integral of
+    the field itself; the terms that cancel by the odd symmetry of the
+    kernel over a full ball are dropped.
     """
-    x = np.asarray(x, dtype=float)
-    if _dilatation_vanishes(config, material, x):
-        return np.zeros(3)  # integrand vanishes at every node
-    g, _ = _nested_moments(config, field, x)
-    return _dilatation_from_moments(config, material, field, x, g)
+    return _dilatation(config, material, field, np.asarray(x, dtype=float))
 
 
 def state_operator(config: OperatorConfig, material: Material,
@@ -370,14 +318,10 @@ def _in_slab(config: OperatorConfig, material: TwoPhaseMaterial, x) -> bool:
     return abs(material.interface.signed_distance(x)) < config.delta
 
 
-def _correction_from_moments(config: OperatorConfig, material: TwoPhaseMaterial,
-                             field: PiecewiseField, x, g, p) -> Vec3:
-    """The interface correction at a slab point x, from the moments ``g`` and
-    ``p`` of one nested pass at x."""
-    if _dilatation_coefficient(config, material, x).any():
-        dil = _dilatation_from_g(config, material, x, g)
-    else:
-        dil = np.zeros(3)
+def _correction(config: OperatorConfig, material: TwoPhaseMaterial,
+                field: PiecewiseField, x, dil, p) -> Vec3:
+    """The interface correction at a slab point x, from the dilatational
+    part ``dil`` and the moments ``p`` of one nested pass at x."""
     return (bond_correction_term(config, material, field, x)
             + 0.25 * dil
             + _normal_term_from_p(config, material, x, p,
@@ -388,7 +332,7 @@ def interface_correction(config: OperatorConfig, material: Material,
                          field: PiecewiseField, x) -> Vec3:
     """Correction operator acting on the extended-interface slab.
 
-    Sum of the frozen-modulus bond correction, one quarter of the reduced
+    Sum of the frozen-modulus bond correction, one quarter of the
     dilatational part, and the normal-projected term with the normal taken
     at the orthogonal projection of x onto the interface.
     """
@@ -397,7 +341,8 @@ def interface_correction(config: OperatorConfig, material: Material,
     if not _in_slab(config, material, x):
         raise ValueError("point lies outside the extended interface slab")
     g, p = _nested_moments(config, field, x)
-    return _correction_from_moments(config, material, field, x, g, p)
+    dil = _dilatation(config, material, field, x, g)
+    return _correction(config, material, field, x, dil, p)
 
 
 def corrected_operator(config: OperatorConfig, material: Material,
@@ -413,12 +358,9 @@ def corrected_operator(config: OperatorConfig, material: Material,
             and _in_slab(config, material, x)):
         return state_operator(config, material, field, x)
     g, p = _nested_moments(config, field, x)
-    if _dilatation_vanishes(config, material, x):
-        dil = np.zeros(3)
-    else:
-        dil = _dilatation_from_moments(config, material, field, x, g)
+    dil = _dilatation(config, material, field, x, g)
     value = bond_operator(config, material, field, x) + dil
-    return value + _correction_from_moments(config, material, field, x, g, p)
+    return value + _correction(config, material, field, x, dil, p)
 
 
 # ---------------------------------------------------------------------------

@@ -19,22 +19,7 @@ Tensor4 = np.ndarray
 
 IDENTITY = np.eye(3)
 
-E1 = np.array([1.0, 0.0, 0.0])
-E2 = np.array([0.0, 1.0, 0.0])
 E3 = np.array([0.0, 0.0, 1.0])
-
-
-def vec3(x, y, z) -> Vec3:
-    return np.array([x, y, z], dtype=float)
-
-
-def as_vec3(v) -> Vec3:
-    v = np.asarray(v, dtype=float)
-    if v.shape != (3,):
-        raise ValueError(f"expected a 3-vector, got shape {v.shape}")
-    if not np.all(np.isfinite(v)):
-        raise ValueError("vector entries must be finite")
-    return v
 
 
 def outer(a: Vec3, b: Vec3) -> Mat3:
@@ -65,12 +50,3 @@ def contract_t4_mat(T: Tensor4, A: Mat3) -> Mat3:
     :func:`peridyn.quadrature.fourth_moment`.
     """
     return np.einsum("ijkl,lk->ij", T, A)
-
-
-def sym(A: Mat3) -> Mat3:
-    return 0.5 * (A + A.T)
-
-
-def random_unit_vector(rng: np.random.Generator) -> Vec3:
-    v = rng.normal(size=3)
-    return v / np.linalg.norm(v)

@@ -1,5 +1,8 @@
+import json
 import math
+import os
 
+import jsonschema
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -226,6 +229,24 @@ class TestStarOffInterface:
             off = np.abs(mat.interface.signed_distance(pts)) >= d
             assert rep.errors[i, off].max() < 1e-9
         assert all(np.isfinite(rep.extra["collar_scaled_sup"]))
+
+    def test_report_matches_schema(self, tmp_path):
+        field, mat = F.make_manufactured("patch_jump_zero_traction")
+        pts = np.array([[0.1, -0.2, 0.2], [0.2, 0.1, 0.012]])
+        rep = A.star_converges_offinterface(mat, field, (0.05, 0.025), pts,
+                                            radial_order=2, angular_order=2)
+        path = tmp_path / "report.json"
+        rep.write_json(path)
+        with open(path) as f:
+            payload = json.load(f)
+        with open(os.path.join(os.path.dirname(__file__), "..", "docs",
+                               "report_schema.json")) as f:
+            schema = json.load(f)
+        jsonschema.validate(payload, schema)
+        # params are pinned: a stray key does not validate
+        payload["params"]["ld_form"] = "reduced"
+        with pytest.raises(jsonschema.ValidationError):
+            jsonschema.validate(payload, schema)
 
     def test_quadratic_fictitious_interface(self):
         base, _ = F.make_manufactured("quadratic")

@@ -5,7 +5,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from peridyn.cli import main
+from peridyn.cli import _load_config, build_parser, main
 
 DOCS = os.path.join(os.path.dirname(__file__), "..", "docs")
 
@@ -81,11 +81,84 @@ class TestExitCodes:
         assert err.startswith("error: numerical refusal (OverflowError): ")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("series", ["1e-100,1e-120,1e-140",
+                                        "1e-50,1e-51,1e-52"])
+    def test_underflowing_horizon_is_a_numerical_refusal(self, series,
+                                                         tmp_path, capsys):
+        # 9/|B_delta|^2 divides by zero, or overflows to inf, below about 4e-52
+        rc = main(["star", "--quad", "2,2", "--delta-series", series,
+                   "--out", str(tmp_path)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: numerical refusal (FloatingPointError): ")
+        assert err.count("\n") == 1
+
     def test_failing_check_exits_one(self, tmp_path):
         # the order-(1, 1) rule is too coarse for the fourth moment, so that
         # check fails and the run exits 1
         rc = main(["moments", "--quad", "1,1", "--out", str(tmp_path)])
         assert rc == 1
+
+
+class TestConfigTable:
+    """Config-file values and flags go through the same converters."""
+
+    @pytest.mark.parametrize("payload,key", [
+        ({"quad": 8}, "quad"),
+        ({"box": 1}, "box"),
+        ({"material": [1, 2]}, "material"),
+        ({"threads": "two"}, "threads"),
+        ({"normal": [0, 0, "z"]}, "normal"),
+    ], ids=["quad", "box", "material", "threads", "normal"])
+    def test_bad_value_names_its_key(self, payload, key, tmp_path, capsys):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(payload))
+        rc = main(["moments", "--config", str(cfg), "--out", str(tmp_path)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {key}: expected ")
+        assert err.count("\n") == 1
+
+    def test_bad_flag_names_its_key(self, tmp_path, capsys):
+        rc = main(["moments", "--quad", "4", "--out", str(tmp_path)])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: quad: expected 2 numbers")
+
+    def test_top_level_must_be_an_object(self, tmp_path, capsys):
+        cfg = tmp_path / "c.json"
+        cfg.write_text("[1, 2]")
+        assert main(["moments", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == \
+            "error: config file must hold a JSON object\n"
+
+    @pytest.mark.parametrize("quad", ["4,6", [4, 6]], ids=["text", "list"])
+    def test_file_value_matches_flag(self, quad, tmp_path):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"quad": quad}))
+        assert main(["moments", "--config", str(cfg),
+                     "--out", str(tmp_path / "file")]) == 0
+        assert main(["moments", "--quad", "4,6",
+                     "--out", str(tmp_path / "flag")]) == 0
+        for name in ("moments.csv", "moments.json"):
+            assert (tmp_path / "file" / name).read_bytes() == \
+                (tmp_path / "flag" / name).read_bytes()
+
+    def test_precedence(self, tmp_path, monkeypatch):
+        # flag > file > PERIDYN_THREADS > default
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"threads": 4, "quad": [4, 6]}))
+
+        def load(*argv):
+            return _load_config(build_parser().parse_args(["converge", *argv]))
+
+        monkeypatch.delenv("PERIDYN_THREADS", raising=False)
+        assert load().threads == 1
+        monkeypatch.setenv("PERIDYN_THREADS", "3")
+        assert load().threads == 3
+        loaded = load("--config", str(cfg))
+        assert (loaded.threads, loaded.quad) == (4, (4, 6))
+        loaded = load("--config", str(cfg), "--threads", "5", "--quad", "2,2")
+        assert (loaded.threads, loaded.quad) == (5, (2, 2))
 
 
 class TestStudyOutputs:
@@ -169,5 +242,6 @@ class TestDeterminism:
 
     def test_env_thread_fallback(self, tmp_path, monkeypatch):
         monkeypatch.setenv("PERIDYN_THREADS", "3")
-        rc = main(["kdelta", "--out", str(tmp_path)])
-        assert rc == 0
+        ns = build_parser().parse_args(["kdelta", "--out", str(tmp_path)])
+        assert _load_config(ns).threads == 3
+        assert main(["kdelta", "--out", str(tmp_path)]) == 0

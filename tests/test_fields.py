@@ -35,9 +35,9 @@ class TestLameAt:
     def test_two_phase_convention(self, iface):
         # plus values on the interface itself
         mat = F.TwoPhaseMaterial(1.0, 1.0, 2.0, 2.0, iface)
-        assert F.lame_at(mat, np.array([0.3, -0.7, 0.0])) == (1.0, 1.0)
-        assert F.lame_at(mat, np.array([0.0, 0.0, -1.0])) == (2.0, 2.0)
-        assert F.lame_at(mat, np.array([0.0, 0.0, 0.5])) == (1.0, 1.0)
+        assert mat.lame_at(np.array([0.3, -0.7, 0.0])) == (1.0, 1.0)
+        assert mat.lame_at(np.array([0.0, 0.0, -1.0])) == (2.0, 2.0)
+        assert mat.lame_at(np.array([0.0, 0.0, 0.5])) == (1.0, 1.0)
 
     def test_smooth_material(self):
         mu = F.AnalyticScalarField(
@@ -46,7 +46,7 @@ class TestLameAt:
                                      np.zeros(p.shape[:-1]),
                                      np.zeros(p.shape[:-1])], axis=-1))
         mat = F.SmoothMaterial(mu, mu)
-        lam, m = F.lame_at(mat, np.zeros(3))
+        lam, m = mat.lame_at(np.zeros(3))
         assert m == 2.0
 
     def test_positive_shear_required(self, iface):
@@ -141,7 +141,7 @@ class TestManufactured:
             field, material = F.make_manufactured(name)
             v = field.value(np.array([0.1, 0.2, 0.3]))
             assert v.shape == (3,)
-            lam, mu = F.lame_at(material, np.array([0.1, 0.2, 0.3]))
+            lam, mu = material.lame_at(np.array([0.1, 0.2, 0.3]))
             assert np.all(np.asarray(mu) > 0)
 
     def test_interface_continuity_at_random_points(self, rng):

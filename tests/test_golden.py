@@ -29,6 +29,12 @@ RUNS = [
      ["blowup", "--field", "gradient_jump", *MATERIAL, *SERIES]),
     ("converge_smooth_material_trig.csv", "converge.csv",
      ["converge", "--field", "smooth_material_trig", "--quad", "4,6"]),
+    ("moments_quad_4_6.csv", "moments.csv", ["moments", "--quad", "4,6"]),
+    ("kdelta_oblique_normal.csv", "kdelta.csv",
+     ["kdelta", "--quad", "4,6", "--normal", "0.6,0,0.8"]),
+    # the solve's JSON rcond varies in its last digits from run to run; the
+    # solution CSV does not
+    ("solve_linear.csv", "solution.csv", ["solve", "--field", "linear"]),
 ]
 
 

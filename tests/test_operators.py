@@ -130,15 +130,6 @@ class TestDilatationOperator:
         assert_allclose(O.dilatation_operator(cfg, mat, field, x),
                         [2.0, 0.0, 0.0], atol=1e-9)
 
-    def test_full_equals_reduced_for_smooth_fields(self):
-        field, _ = F.make_manufactured("trig_smooth")
-        mat = F.constant_material(2.0, 1.0)
-        x = np.array([0.05, -0.1, 0.2])
-        red = O.dilatation_operator(O.make_config(0.2), mat, field, x)
-        full = O.dilatation_operator(O.make_config(0.2, ld_form=O.LdForm.FULL),
-                                     mat, field, x)
-        assert np.abs(red - full).max() < 1e-12
-
 
 class TestStateOperator:
     def test_constant_coefficients_quadratic(self):
@@ -350,12 +341,10 @@ FUSED_CASES = _fused_cases()
 class TestFusedNestedPass:
     """The corrected operator reads one nested pass in the slab."""
 
-    @pytest.mark.parametrize("form", list(O.LdForm))
     @pytest.mark.parametrize("name,field,mat,x", FUSED_CASES,
                              ids=[c[0] for c in FUSED_CASES])
-    def test_equals_state_plus_correction(self, name, field, mat, x, form):
-        cfg = O.make_config(0.1, 4, 6, split_normal=mat.interface.normal,
-                            ld_form=form)
+    def test_equals_state_plus_correction(self, name, field, mat, x):
+        cfg = O.make_config(0.1, 4, 6, split_normal=mat.interface.normal)
         assert abs(mat.interface.signed_distance(x)) < cfg.delta
         got = O.corrected_operator(cfg, mat, field, x)
         assert_array_equal(got, O.state_operator(cfg, mat, field, x)

@@ -1,5 +1,4 @@
 import numpy as np
-import pytest
 from numpy.testing import assert_allclose
 
 from peridyn import tensor
@@ -97,10 +96,3 @@ def test_contract_of_rank_one_reduces_to_scalars(rng):
         m = rng.normal(size=(3, 3))
         assert_allclose(tensor.contract_t3_mat(tensor.outer3(a, b, c), m),
                         a * (b @ m @ c), atol=1e-13)
-
-
-def test_as_vec3_rejects_bad_input():
-    with pytest.raises(ValueError):
-        tensor.as_vec3([1.0, 2.0])
-    with pytest.raises(ValueError):
-        tensor.as_vec3([np.nan, 0.0, 0.0])
