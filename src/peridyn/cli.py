@@ -3,7 +3,8 @@
 Each subcommand runs one study, writes a CSV (plot-ready records) and a JSON
 report into the output directory, prints one PASS/FAIL line per embedded
 check, and exits 0 only if every check passed (1 if a check failed, 2 on
-configuration errors and numerical refusals such as an overflowing horizon).
+configuration errors and numerical refusals such as an overflowing horizon
+or a singular solve).
 Outputs are deterministic: identical configuration produces byte-identical
 CSV regardless of thread count.
 """
@@ -14,6 +15,7 @@ import argparse
 import json
 import os
 import sys
+import time
 from dataclasses import dataclass, field as dataclass_field
 from typing import Optional
 
@@ -312,10 +314,16 @@ def _material_jumps(material) -> bool:
                  or material.mu_plus != material.mu_minus))
 
 
-def _run_blowup(cfg: StudyConfig) -> None:
-    name, field, material = _field_material(cfg, "patch_jump_zero_traction")
+def _two_phase(cfg: StudyConfig, default_field: str):
+    """Field and material of an interface study, which needs two phases."""
+    name, field, material = _field_material(cfg, default_field)
     if not isinstance(material, TwoPhaseMaterial):
-        raise ConfigError("blowup study needs a two-phase material")
+        raise ConfigError(f"{cfg.study} study needs a two-phase material")
+    return name, field, material
+
+
+def _run_blowup(cfg: StudyConfig) -> None:
+    name, field, material = _two_phase(cfg, "patch_jump_zero_traction")
     deltas = _deltas(cfg, analysis.geometric_deltas(0.1, 1e-3, 5))
     x0 = material.interface.point
     report = analysis.interface_blowup(material, field, x0, deltas,
@@ -337,7 +345,7 @@ def _run_blowup(cfg: StudyConfig) -> None:
 def _run_limit(cfg: StudyConfig, study, default_field: str, check: str,
                label: str) -> None:
     """An interface limit study, checked against the target it reports."""
-    name, field, material = _field_material(cfg, default_field)
+    name, field, material = _two_phase(cfg, default_field)
     deltas = _deltas(cfg, analysis.geometric_deltas(0.1, 1e-3, 5))
     report = study(material, field, material.interface.point, deltas,
                    radial_order=cfg.quad[0], angular_order=cfg.quad[1],
@@ -365,7 +373,9 @@ def _run_solve(cfg: StudyConfig) -> None:
                                  cfg.h, cfg.ratio, iface)
     except ValueError as e:
         raise ConfigError(str(e)) from e
+    t0 = time.perf_counter()
     opr = solver.assemble(grid, material)
+    assemble_s = time.perf_counter() - t0
     body = None
     if cfg.b is not None:
         const = np.asarray(cfg.b, dtype=float)
@@ -399,7 +409,8 @@ def _run_solve(cfg: StudyConfig) -> None:
         "study": "solve", "field": name, "h": cfg.h, "ratio": cfg.ratio,
         "n_nodes": int(grid.n_nodes), "n_free": int(free.sum()),
         "residuals": result.residuals, "rcond": result.rcond,
-        "recovery_error": recovery, "timings": result.timings,
+        "recovery_error": recovery,
+        "timings": {"assemble_s": assemble_s, **result.timings},
         "checks": [list(c) for c in cfg.checks],
     })
 
@@ -449,12 +460,13 @@ def main(argv=None) -> int:
     try:
         cfg = _load_config(ns)
         _RUNNERS[ns.study](cfg)
-    except (ConfigError, ValueError, TypeError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except (OverflowError, FloatingPointError) as e:
+    # LinAlgError is a ValueError, so the numerical refusals come first
+    except (OverflowError, FloatingPointError, np.linalg.LinAlgError) as e:
         print(f"error: numerical refusal ({type(e).__name__}): {e}",
               file=sys.stderr)
+        return 2
+    except (ConfigError, ValueError, TypeError) as e:
+        print(f"error: {e}", file=sys.stderr)
         return 2
     if all(ok for _, ok, _ in cfg.checks):
         return 0

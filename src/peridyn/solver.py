@@ -149,10 +149,6 @@ def _block_coo(rows, cols, blocks, n_dofs):
         shape=(n_dofs, n_dofs))
 
 
-def _scalar_coo(rows, cols, vals, shape):
-    return sp.coo_matrix((vals, (rows, cols)), shape=shape)
-
-
 def assemble(grid: BoxGrid, material: Material) -> DiscreteOperator:
     """Assemble the corrected-operator collocation matrix.
 
@@ -160,6 +156,12 @@ def assemble(grid: BoxGrid, material: Material) -> DiscreteOperator:
     correction terms, constraint rows are identity.  The nested dilatational
     and normal-projected terms are assembled as products of single-integral
     matrices (inner divergence integral times outer kernel integral).
+
+    Each term is built once and the terms are added in a fixed order: the
+    bond blocks (state part on free rows, frozen-modulus correction on
+    extended rows, identity on constraint rows), then the dilatational term,
+    its extra quarter on extended rows, then the normal-projected term.  The
+    result is canonical CSR: sorted indices, no duplicates, no stored zeros.
     """
     n = grid.n_nodes
     ndofs = 3 * n
@@ -184,32 +186,30 @@ def assemble(grid: BoxGrid, material: Material) -> DiscreteOperator:
 
     free = np.flatnonzero(grid.tags != NodeTag.CONSTRAINT)
     ext = np.flatnonzero(grid.tags == NodeTag.EXTENDED_INTERFACE)
+    cons = np.flatnonzero(grid.tags == NodeTag.CONSTRAINT)
     reach = _stencil_reach(h, delta)
     inner_ok = np.all((idx3 >= reach) & (idx3 <= np.array(grid.shape) - 1 - reach),
                       axis=1)
     inner_rows = np.flatnonzero(inner_ok)
 
-    blocks = []
-
-    def bond_like(rows, mu_row_plus_col: bool, sign: float, prefac: float):
-        """sum_k prefac * w_k * weight(mu) * bond_kern_k acting as difference."""
-        parts = []
+    # bond blocks (F, K, 3, 3) acting as differences: the state part with
+    # weight mu(x) + mu(y), and the correction with the frozen weight mu(x),
+    # negated, on extended rows (zero weight elsewhere)
+    wk = (15.0 / m) * w_vol
+    cols = free[:, None] + off_flat[None, :]
+    state = (wk * (mu[free, None] + mu[cols]))[:, :, None, None] * bond_kern
+    frozen = np.where(grid.tags[free] == NodeTag.EXTENDED_INTERFACE, mu[free], 0.0)
+    corr = -(wk * frozen[:, None])[:, :, None, None] * bond_kern
+    diag = np.zeros((len(free), 3, 3))
+    for part in (state, corr):
         for k in range(len(offs)):
-            cols = rows + off_flat[k]
-            if mu_row_plus_col:
-                wgt = prefac * w_vol[k] * (mu[rows] + mu[cols])
-            else:
-                wgt = prefac * w_vol[k] * mu[rows]
-            blk = sign * wgt[:, None, None] * bond_kern[k]
-            parts.append(_block_coo(rows, cols, blk, ndofs))
-            parts.append(_block_coo(rows, rows, -blk, ndofs))
-        return parts
-
-    # state operator, bond part, on all free rows
-    blocks += bond_like(free, True, +1.0, 15.0 / m)
-    # correction bond term (frozen modulus, negative) on extended rows
-    if len(ext):
-        blocks += bond_like(ext, False, -1.0, 15.0 / m)
+            diag -= part[:, k]
+    matrix = _block_coo(
+        np.concatenate([np.repeat(free, len(offs)), free, cons]),
+        np.concatenate([cols.reshape(-1), free, cons]),
+        np.concatenate([(state + corr).reshape(-1, 3, 3), diag,
+                        np.broadcast_to(np.eye(3), (len(cons), 3, 3))]),
+        ndofs).tocsr()
 
     # inner divergence matrix: (N, 3N), rows where the full stencil exists
     g_rows = np.repeat(inner_rows, len(offs))
@@ -218,11 +218,11 @@ def assemble(grid: BoxGrid, material: Material) -> DiscreteOperator:
                              (len(inner_rows), len(offs), 3)).reshape(-1)
     g_cols3 = (3 * g_cols[:, None] + np.arange(3)[None, :]).reshape(-1)
     g_rows3 = np.repeat(g_rows, 3)
-    G = _scalar_coo(g_rows3, g_cols3, g_vals, (n, ndofs)).tocsr()
+    G = sp.coo_matrix((g_vals, (g_rows3, g_cols3)), shape=(n, ndofs)).tocsr()
 
     # outer kernel matrices (3N, N): rows free / extended as needed
-    def outer_vector(rows, node_weight):
-        """D[3x+i, y] = (9/m^2) w_k node_weight(y) dir_kern_k,i for y = x + k."""
+    def outer_vector(rows, node_weight, scale=9.0 / m**2):
+        """D[3x+i, y] = scale w_k node_weight(y) dir_kern_k,i for y = x + k."""
         cols = (rows[:, None] + off_flat[None, :]).reshape(-1)
         if not np.all(inner_ok[cols]):
             raise AssertionError("outer stencil references an incomplete inner row")
@@ -231,46 +231,30 @@ def assemble(grid: BoxGrid, material: Material) -> DiscreteOperator:
         rows3 = (3 * np.repeat(rows, len(offs))[:, None]
                  + np.arange(3)[None, :]).reshape(-1)
         cols3 = np.repeat(cols, 3)
-        return _scalar_coo(rows3, cols3, (9.0 / m**2) * vals.reshape(-1),
-                           (ndofs, n)).tocsr()
+        return sp.coo_matrix((scale * vals.reshape(-1), (rows3, cols3)),
+                             shape=(ndofs, n)).tocsr()
 
     c_coef = lam - mu
-    dil = None
     if np.any(c_coef != 0.0):
         dil = outer_vector(free, c_coef) @ G
-        blocks.append(dil.tocoo())
-        if len(ext):
-            # extended rows carry an extra quarter of the dilatational term
-            mask = sp.coo_matrix((np.ones(3 * len(ext)),
-                                  ((3 * ext[:, None] + np.arange(3)).reshape(-1),) * 2),
-                                 shape=(ndofs, ndofs)).tocsr()
-            blocks.append((0.25 * (mask @ dil)).tocoo())
+        # extended rows carry an extra quarter of the dilatational term
+        quarter = np.repeat(np.where(grid.tags == NodeTag.EXTENDED_INTERFACE,
+                                     0.25, 0.0), 3)
+        matrix = matrix + dil + sp.diags(quarter) @ dil
 
     # normal-projected correction on extended rows:
     # (5/4)(9/m^2) W[x, z] (n (x) n) with W = sum_axis Q_axis S_axis
     if len(ext) and isinstance(material, TwoPhaseMaterial):
         normal = material.interface.normal
-        w_scalar = None
-        for axis in range(3):
-            s_rows = np.repeat(inner_rows, len(offs))
-            s_cols = (inner_rows[:, None] + off_flat[None, :]).reshape(-1)
-            s_vals = np.tile(w_vol * dir_kern[:, axis], len(inner_rows))
-            S = _scalar_coo(s_rows, s_cols, s_vals, (n, n)).tocsr()
-            q_rows = np.repeat(ext, len(offs))
-            q_cols = (ext[:, None] + off_flat[None, :]).reshape(-1)
-            q_vals = (np.tile(w_vol * dir_kern[:, axis], len(ext))
-                      * mu[q_cols])
-            Q = _scalar_coo(q_rows, q_cols, q_vals, (n, n)).tocsr()
-            w_scalar = Q @ S if w_scalar is None else w_scalar + Q @ S
+        q = outer_vector(ext, mu, scale=1.0)
+        w_scalar = sum(q[axis::3] @ G[:, axis::3] for axis in range(3))
         w_scalar = (1.25 * 9.0 / m**2) * w_scalar
-        blocks.append(sp.kron(w_scalar, np.outer(normal, normal)).tocoo())
+        matrix = matrix + sp.kron(w_scalar, np.outer(normal, normal))
 
-    # identity rows for constraint nodes
-    cons = np.flatnonzero(grid.tags == NodeTag.CONSTRAINT)
-    cons3 = (3 * cons[:, None] + np.arange(3)[None, :]).reshape(-1)
-    blocks.append(_scalar_coo(cons3, cons3, np.ones(len(cons3)), (ndofs, ndofs)))
-
-    matrix = sum(b.tocsr() for b in blocks).tocsr()
+    # a block build keeps exact zeros that a sparse sum would drop, and a sum
+    # with an unsorted product leaves its indices unsorted
+    matrix.eliminate_zeros()
+    matrix.sort_indices()
     return DiscreteOperator(grid=grid, material=material, matrix=matrix,
                             offsets=offs, fractions=frac)
 
@@ -321,8 +305,9 @@ def solve_equilibrium(opr: DiscreteOperator, b, g,
     free = np.flatnonzero(grid.tags != NodeTag.CONSTRAINT)
     free3 = (3 * free[:, None] + np.arange(3)[None, :]).reshape(-1)
     cons3 = np.setdiff1d(np.arange(3 * grid.n_nodes), free3)
-    a_ff = opr.matrix[free3][:, free3].toarray()
-    rhs_f = rhs[free3] - opr.matrix[free3][:, cons3] @ rhs[cons3]
+    a_f = opr.matrix[free3]
+    a_ff = a_f[:, free3].toarray()
+    rhs_f = rhs[free3] - a_f[:, cons3] @ rhs[cons3]
     t1 = time.perf_counter()
 
     anorm = np.abs(a_ff).sum(axis=0).max()

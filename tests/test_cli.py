@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 
@@ -5,6 +6,7 @@ import jsonschema
 import numpy as np
 import pytest
 
+from peridyn import solver
 from peridyn.cli import _load_config, build_parser, main
 
 DOCS = os.path.join(os.path.dirname(__file__), "..", "docs")
@@ -91,6 +93,37 @@ class TestExitCodes:
         assert rc == 2
         err = capsys.readouterr().err
         assert err.startswith("error: numerical refusal (FloatingPointError): ")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["star", "--field", "trig_smooth", "--delta-series", "0.1,0.05,0.025"],
+        ["natural", "--field", "smooth_material_trig"],
+        ["blowup", "--field", "trig_smooth"],
+    ], ids=lambda argv: argv[0])
+    def test_interface_study_needs_two_phase(self, argv, tmp_path, capsys):
+        rc = main([*argv, "--quad", "2,2", "--out", str(tmp_path)])
+        assert rc == 2
+        assert capsys.readouterr().err == \
+            f"error: {argv[0]} study needs a two-phase material\n"
+
+    @pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
+    def test_singular_solve_is_a_numerical_refusal(self, tmp_path, capsys,
+                                                   monkeypatch):
+        assemble = solver.assemble
+
+        def singular(grid, material):
+            opr = assemble(grid, material)
+            free = np.flatnonzero(grid.tags != solver.NodeTag.CONSTRAINT)
+            matrix = opr.matrix.tolil()
+            matrix[3 * free[0]] = 0.0
+            return dataclasses.replace(opr, matrix=matrix.tocsr())
+
+        monkeypatch.setattr(solver, "assemble", singular)
+        rc = main(["solve", "--field", "linear", "--out", str(tmp_path)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: numerical refusal (LinAlgError): "
+                              "collocation matrix is singular")
         assert err.count("\n") == 1
 
     def test_failing_check_exits_one(self, tmp_path):
@@ -202,6 +235,22 @@ class TestStudyOutputs:
         validate(tmp_path / "solve_report.json", "solve_report_schema.json")
         header = (tmp_path / "solution.csv").read_text().splitlines()[0]
         assert header == "x,y,z,ux,uy,uz,tag"
+
+    def test_solve_report_timings(self, tmp_path):
+        rc = main(["solve", "--out", str(tmp_path), "--field", "constant"])
+        assert rc == 0
+        with open(tmp_path / "solve_report.json") as f:
+            payload = json.load(f)
+        schema = load_schema("solve_report_schema.json")
+        jsonschema.validate(payload, schema)
+        assert set(payload["timings"]) == {"assemble_s", "extract_s",
+                                           "factor_solve_s"}
+        payload["timings"]["solve_s"] = 0.0
+        with pytest.raises(jsonschema.ValidationError):
+            jsonschema.validate(payload, schema)
+        del payload["timings"]["solve_s"], payload["timings"]["assemble_s"]
+        with pytest.raises(jsonschema.ValidationError):
+            jsonschema.validate(payload, schema)
 
     def test_solve_config_file(self, tmp_path):
         cfg = tmp_path / "solve.json"

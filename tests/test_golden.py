@@ -35,6 +35,9 @@ RUNS = [
     # the solve's JSON rcond varies in its last digits from run to run; the
     # solution CSV does not
     ("solve_linear.csv", "solution.csv", ["solve", "--field", "linear"]),
+    # lambda != mu and an interface: reaches every assembled term
+    ("solve_gradient_jump.csv", "solution.csv",
+     ["solve", "--field", "gradient_jump", *MATERIAL]),
 ]
 
 

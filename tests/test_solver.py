@@ -26,6 +26,26 @@ def flagship_operator(flagship_grid, patch):
     return S.assemble(flagship_grid, mat)
 
 
+def assemble_oblique():
+    # lambda != mu on both sides and an oblique interface off the lattice
+    # planes, so every assembled term is present
+    iface = F.PlanarInterface(np.array([0.01, 0.0, 0.02]), np.array([0.6, 0.0, 0.8]))
+    mat = F.TwoPhaseMaterial(3.0, 1.0, 5.0, 2.0, iface)
+    return S.assemble(S.build_grid(BOX, 1.0 / 16.0, 3.0, iface), mat)
+
+
+def assemble_bond_only():
+    # lambda = mu and no extended rows: only the bond blocks and the identity
+    iface = F.PlanarInterface(np.array([0.0, 0.0, 5.0]), np.array([0.0, 0.0, 1.0]))
+    mat = F.TwoPhaseMaterial(1.0, 1.0, 1.0, 1.0, iface)
+    return S.assemble(S.build_grid(BOX, 1.0 / 16.0, 3.0, iface), mat)
+
+
+@pytest.fixture(scope="module")
+def oblique_operator():
+    return assemble_oblique()
+
+
 def matrix_scale(opr):
     return abs(opr.matrix).sum(axis=1).max()
 
@@ -69,11 +89,20 @@ class TestAssembly:
                 row = m.getrow(3 * c + i)
                 assert row.nnz == 1 and row[0, 3 * c + i] == 1.0
 
-    def test_constant_annihilation(self, flagship_operator, flagship_grid):
+    @pytest.mark.parametrize("name", ["flagship_operator", "oblique_operator"])
+    def test_constant_annihilation(self, name, request):
+        opr = request.getfixturevalue(name)
         cf, _ = F.make_manufactured("constant")
-        act = flagship_operator.action(cf.value(flagship_grid.points))
-        free = flagship_grid.tags != S.NodeTag.CONSTRAINT
-        assert np.abs(act[free]).max() <= 1e-10 * matrix_scale(flagship_operator)
+        act = opr.action(cf.value(opr.grid.points))
+        free = opr.grid.tags != S.NodeTag.CONSTRAINT
+        assert np.abs(act[free]).max() <= 1e-10 * matrix_scale(opr)
+
+    # a fresh matrix: a row sum on a shared one sorts its indices in place
+    @pytest.mark.parametrize("build", [assemble_oblique, assemble_bond_only])
+    def test_matrix_is_canonical(self, build):
+        m = build().matrix
+        assert m.has_sorted_indices and m.has_canonical_format
+        assert (m.data != 0).all()
 
     def test_linear_residual_homogeneous(self):
         grid = S.build_grid(BOX, 1.0 / 16.0, 3.0, F.INTERFACE_Z)
