@@ -18,6 +18,9 @@ Layers:
 * :mod:`peridyn.cli` -- the ``peridyn`` command.
 """
 
+# first, so a submodule can import it while the package initialises
+__version__ = "0.1.0"
+
 from .fields import (
     AnalyticScalarField,
     AnalyticVectorField,
@@ -71,5 +74,3 @@ from .quadrature import (
     third_moment,
 )
 from .tensor import contract_t3_mat, contract_t4_mat, outer, outer3, outer4
-
-__version__ = "0.1.0"

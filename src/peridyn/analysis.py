@@ -1,15 +1,15 @@
 """Study runners that turn point evaluations into theorem-level checks.
 
-Each study produces a :class:`ConvergenceReport`: a horizon series with
-per-point records, a fitted log-log rate, and (for the interface limit
-studies) a Richardson limit estimate under a first-order remainder model.
-Reports serialize to CSV (records) and JSON (everything) with
-round-trip-exact floating point formatting.
-
-Studies that evaluate at interface points build the quadrature rule split
-along the material interface, so integrands that are smooth per phase are
-integrated to machine precision; see
-:func:`peridyn.quadrature.build_split_ball_rule`.
+Every study takes one path: :func:`_series` evaluates its operator over the
+horizon x point grid, with one quadrature rule for the whole study and in a
+fixed horizon-major order whatever the thread count, and :func:`_report`
+fits the log-log rate and builds the :class:`ConvergenceReport`.  Interface
+studies split the rule along the material interface, so integrands smooth
+per phase are integrated to machine precision (see
+:func:`peridyn.quadrature.build_split_ball_rule`), and the limit studies add
+a Richardson limit estimate.  Reports serialize to CSV (records) and JSON
+(everything) with round-trip-exact floats; every JSON report records the
+versions that produced it.
 """
 
 from __future__ import annotations
@@ -19,10 +19,12 @@ import json
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dataclass_field
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
+import scipy
 
+from . import __version__
 from .fields import (
     Material,
     PiecewiseField,
@@ -32,13 +34,14 @@ from .fields import (
     traction_jump,
 )
 from .operators import (
+    Horizon,
     OperatorConfig,
     corrected_operator,
-    make_config,
     natural_condition_limit,
     state_operator,
 )
-from .quadrature import DEFAULT_ANGULAR_ORDER, DEFAULT_RADIAL_ORDER
+from .quadrature import (DEFAULT_ANGULAR_ORDER, DEFAULT_RADIAL_ORDER,
+                         build_ball_rule, build_split_ball_rule)
 
 DEFAULT_DELTAS = (0.1, 0.05, 0.025, 0.0125, 0.00625)
 
@@ -62,10 +65,16 @@ def write_table(path, header, rows) -> None:
                     for row in rows)
 
 
+_PROVENANCE = {"peridyn": __version__, "numpy": np.__version__,
+               "scipy": scipy.__version__}
+
+
 def write_json(path, payload) -> None:
-    """Write a JSON report with sorted keys and a final newline."""
+    """Write a JSON report with sorted keys and a final newline; the report
+    gains a ``provenance`` entry naming the versions that produced it."""
     with open(path, "w") as f:
-        json.dump(payload, f, indent=1, sort_keys=True)
+        json.dump({**payload, "provenance": _PROVENANCE}, f, indent=1,
+                  sort_keys=True)
         f.write("\n")
 
 
@@ -123,87 +132,49 @@ class ConvergenceReport:
     study: str
     params: dict
     deltas: list
-    point_ids: list
     values: np.ndarray  # (n_delta, n_points, 3)
     errors: np.ndarray  # (n_delta, n_points)
     norms: list  # per-delta aggregate discrete L^p of the errors
-    slope: Optional[float]
-    exact: bool = False
+    slope: Optional[float]  # None for a series exact to tolerance
     limit_estimate: Optional[np.ndarray] = None
     extra: dict = dataclass_field(default_factory=dict)
 
+    @property
+    def exact(self) -> bool:
+        return self.slope is None
+
+    @property
+    def point_ids(self) -> range:
+        return range(self.values.shape[1])
+
     def records(self):
         for i, d in enumerate(self.deltas):
-            for j, pid in enumerate(self.point_ids):
+            for j in self.point_ids:
                 yield {
                     "delta": float(d),
-                    "point_id": int(pid),
+                    "point_id": j,
                     "value": [float(v) for v in self.values[i, j]],
                     "err": float(self.errors[i, j]),
                 }
 
-    def to_json_dict(self) -> dict:
-        return {
+    def write_json(self, path) -> None:
+        write_json(path, {
             "study": self.study,
             "params": self.params,
             "deltas": [float(d) for d in self.deltas],
             "records": list(self.records()),
             "norms": [float(v) for v in self.norms],
-            "slope": None if self.slope is None or math.isnan(self.slope) else float(self.slope),
-            "exact": bool(self.exact),
+            "slope": None if self.slope is None else float(self.slope),
+            "exact": self.exact,
             "limit_estimate": (None if self.limit_estimate is None
                                else [float(v) for v in self.limit_estimate]),
             "extra": self.extra,
-        }
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "ConvergenceReport":
-        deltas = d["deltas"]
-        ids = sorted({r["point_id"] for r in d["records"]})
-        idx = {pid: j for j, pid in enumerate(ids)}
-        values = np.zeros((len(deltas), len(ids), 3))
-        errors = np.zeros((len(deltas), len(ids)))
-        didx = {float(dd): i for i, dd in enumerate(deltas)}
-        for r in d["records"]:
-            i, j = didx[float(r["delta"])], idx[r["point_id"]]
-            values[i, j] = r["value"]
-            errors[i, j] = r["err"]
-        limit = d.get("limit_estimate")
-        return cls(
-            study=d["study"], params=d.get("params", {}), deltas=list(deltas),
-            point_ids=ids, values=values, errors=errors,
-            norms=list(d.get("norms", [])),
-            slope=d.get("slope"), exact=bool(d.get("exact", False)),
-            limit_estimate=None if limit is None else np.asarray(limit, dtype=float),
-            extra=d.get("extra", {}),
-        )
-
-    def write_json(self, path) -> None:
-        write_json(path, self.to_json_dict())
-
-    @classmethod
-    def read_json(cls, path) -> "ConvergenceReport":
-        with open(path) as f:
-            return cls.from_json_dict(json.load(f))
+        })
 
     def write_csv(self, path) -> None:
         write_table(path, CSV_HEADER,
                     ([r["delta"], r["point_id"], *r["value"], r["err"]]
                      for r in self.records()))
-
-    @staticmethod
-    def read_csv_records(path):
-        out = []
-        with open(path, newline="") as f:
-            reader = csv.DictReader(f)
-            for row in reader:
-                out.append({
-                    "delta": float(row["delta"]),
-                    "point_id": int(row["point_id"]),
-                    "value": [float(row["vx"]), float(row["vy"]), float(row["vz"])],
-                    "err": float(row["err_p"]),
-                })
-        return out
 
 
 def default_sample_grid(count: int = 5, half_width: float = 0.45,
@@ -223,25 +194,45 @@ def _discrete_norm(errors: np.ndarray, p: float) -> float:
     return float(np.mean(errors**p) ** (1.0 / p))
 
 
-def _run_grid(task, n_delta: int, n_points: int, threads: int):
-    """Evaluate task(i_delta, i_point) over the full grid, deterministically."""
-    pairs = [(i, j) for i in range(n_delta) for j in range(n_points)]
+def _series(operator, material: Material, field: PiecewiseField, deltas, pts,
+            radial_order: int, angular_order: int, threads: int,
+            split_normal=None):
+    """``operator(config, material, field, x)`` over the horizon x point grid
+    as (n_delta, n_points, 3) values, and the report params of the run.
+
+    One rule serves every horizon.  The pairs run horizon-major; with
+    ``threads <= 1`` they run on the caller's thread."""
+    if split_normal is not None:
+        rule = build_split_ball_rule(split_normal, radial_order, angular_order)
+    else:
+        rule = build_ball_rule(radial_order, angular_order)
+    cfgs = [OperatorConfig(Horizon(float(d)), rule) for d in deltas]
+    pairs = [(cfg, x) for cfg in cfgs for x in pts]
+
+    def task(pair):
+        return operator(pair[0], material, field, pair[1])
+
     if threads <= 1:
-        return [task(i, j) for i, j in pairs]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(lambda ij: task(*ij), pairs))
+        flat = [task(pair) for pair in pairs]
+    else:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            flat = list(pool.map(task, pairs))
+    params = {"radial_order": rule.radial_order,
+              "angular_order": rule.angular_order, "nodes": len(rule),
+              "threads": threads}
+    return np.asarray(flat).reshape(len(cfgs), len(pts), 3), params
 
 
-def _configs(deltas, radial_order, angular_order, split_normal=None):
-    return [make_config(float(d), radial_order, angular_order,
-                        split_normal=split_normal)
-            for d in deltas]
-
-
-def _quad_params(cfgs: Sequence[OperatorConfig]) -> dict:
-    r = cfgs[0].rule
-    return {"radial_order": r.radial_order, "angular_order": r.angular_order,
-            "nodes": len(r)}
+def _report(study: str, params: dict, deltas, values, errors, norms,
+            slope: Optional[float] = None, **kw) -> ConvergenceReport:
+    """The study's report; the rate is fitted unless given, and a NaN rate
+    (a series exact to tolerance, or no fit) is recorded as no slope."""
+    if slope is None:
+        slope = fit_rate(deltas, norms)
+    return ConvergenceReport(
+        study=study, params=params, deltas=list(deltas), values=values,
+        errors=errors, norms=norms,
+        slope=None if math.isnan(slope) else slope, **kw)
 
 
 def _navier_refs(material: Material, field: PiecewiseField, pts) -> np.ndarray:
@@ -268,32 +259,40 @@ def converge_to_navier(material: Material, field: PiecewiseField, deltas,
         if np.any(dist < 2.0 * deltas.max()):
             raise ValueError("sample points must stay at least two largest "
                              "horizons away from the interface")
-    cfgs = _configs(deltas, radial_order, angular_order)
-    refs = _navier_refs(material, field, pts)
-
-    def task(i, j):
-        return state_operator(cfgs[i], material, field, pts[j]) - refs[j]
-
-    flat = _run_grid(task, len(deltas), len(pts), threads)
-    values = np.asarray(flat).reshape(len(deltas), len(pts), 3)
+    raw, params = _series(state_operator, material, field, deltas, pts,
+                          radial_order, angular_order, threads)
+    values = raw - _navier_refs(material, field, pts)
     errors = np.linalg.norm(values, axis=-1)
-    norms = [_discrete_norm(errors[i], p) for i in range(len(deltas))]
-    slope = fit_rate(deltas, norms)
-    return ConvergenceReport(
-        study="converge", params={"p": p, **_quad_params(cfgs)},
-        deltas=list(deltas), point_ids=list(range(len(pts))),
-        values=values, errors=errors, norms=norms,
-        slope=None if math.isnan(slope) else slope,
-        exact=math.isnan(slope),
-    )
+    norms = [_discrete_norm(e, p) for e in errors]
+    return _report("converge", {"p": p, **params}, deltas, values, errors,
+                   norms)
 
 
-def _require_on_interface(material: Material, x) -> TwoPhaseMaterial:
+def _interface_study(study: str, operator, material: Material,
+                     field: PiecewiseField, x, deltas, radial_order: int,
+                     angular_order: int, threads: int,
+                     target=None) -> ConvergenceReport:
+    """A horizon series at one interface point, on the rule split along the
+    interface.  With a ``target`` the values are horizon-scaled, the errors
+    are distances to it, and a Richardson limit estimate is added."""
+    x = np.asarray(x, dtype=float)
     if not isinstance(material, TwoPhaseMaterial):
         raise TypeError("interface studies require a two-phase material")
     if abs(material.interface.signed_distance(x)) > 1e-12:
         raise ValueError("study point is not on the material interface")
-    return material
+    deltas = as_delta_series(deltas)
+    values, params = _series(operator, material, field, deltas, x[None],
+                             radial_order, angular_order, threads,
+                             split_normal=material.interface.normal)
+    if target is None:
+        errors = np.linalg.norm(values, axis=-1)
+        return _report(study, params, deltas, values, errors,
+                       [float(e[0]) for e in errors])
+    values = deltas[:, None, None] * values
+    errors = np.linalg.norm(values - target, axis=-1)
+    return _report(study, {"target": [float(t) for t in target], **params},
+                   deltas, values, errors, [float(e[0]) for e in errors],
+                   limit_estimate=richardson_limit(deltas, values[:, 0, :]))
 
 
 def interface_blowup(material: Material, field: PiecewiseField, x, deltas,
@@ -302,50 +301,8 @@ def interface_blowup(material: Material, field: PiecewiseField, x, deltas,
                      threads: int = 1) -> ConvergenceReport:
     """Norm of the state operator at an interface point per horizon; the
     fitted log-log slope is -1 when the material jumps (no local limit)."""
-    x = np.asarray(x, dtype=float)
-    material = _require_on_interface(material, x)
-    deltas = as_delta_series(deltas)
-    cfgs = _configs(deltas, radial_order, angular_order,
-                    split_normal=material.interface.normal)
-
-    def task(i, _):
-        return state_operator(cfgs[i], material, field, x)
-
-    values = np.asarray(_run_grid(task, len(deltas), 1, threads)).reshape(len(deltas), 1, 3)
-    errors = np.linalg.norm(values, axis=-1)
-    norms = [float(e[0]) for e in errors]
-    slope = fit_rate(deltas, norms)
-    return ConvergenceReport(
-        study="blowup", params=_quad_params(cfgs),
-        deltas=list(deltas), point_ids=[0], values=values, errors=errors,
-        norms=norms, slope=None if math.isnan(slope) else slope,
-        exact=math.isnan(slope),
-    )
-
-
-def _scaled_limit_study(study, operator, target, material, field, x, deltas,
-                        radial_order, angular_order, threads) -> ConvergenceReport:
-    x = np.asarray(x, dtype=float)
-    material = _require_on_interface(material, x)
-    deltas = as_delta_series(deltas)
-    cfgs = _configs(deltas, radial_order, angular_order,
-                    split_normal=material.interface.normal)
-
-    def task(i, _):
-        return deltas[i] * operator(cfgs[i], material, field, x)
-
-    values = np.asarray(_run_grid(task, len(deltas), 1, threads)).reshape(len(deltas), 1, 3)
-    errors = np.linalg.norm(values - target, axis=-1)
-    norms = [float(e[0]) for e in errors]
-    slope = fit_rate(deltas, norms)
-    return ConvergenceReport(
-        study=study,
-        params={"target": [float(t) for t in target], **_quad_params(cfgs)},
-        deltas=list(deltas), point_ids=[0], values=values, errors=errors,
-        norms=norms, slope=None if math.isnan(slope) else slope,
-        exact=math.isnan(slope),
-        limit_estimate=richardson_limit(deltas, values[:, 0, :]),
-    )
+    return _interface_study("blowup", state_operator, material, field, x,
+                            deltas, radial_order, angular_order, threads)
 
 
 def natural_limit_check(material: Material, field: PiecewiseField, x, deltas,
@@ -355,9 +312,9 @@ def natural_limit_check(material: Material, field: PiecewiseField, x, deltas,
     """Horizon-scaled state operator at an interface point against the
     closed-form local limit of the unmodified operator."""
     target = natural_condition_limit(material, field, x)
-    return _scaled_limit_study("natural", state_operator, target, material,
-                               field, x, deltas, radial_order, angular_order,
-                               threads)
+    return _interface_study("natural", state_operator, material, field, x,
+                            deltas, radial_order, angular_order, threads,
+                            target)
 
 
 def star_limit_check(material: Material, field: PiecewiseField, x, deltas,
@@ -367,9 +324,9 @@ def star_limit_check(material: Material, field: PiecewiseField, x, deltas,
     """Horizon-scaled corrected operator at an interface point against
     45/32 times the traction jump."""
     target = (45.0 / 32.0) * traction_jump(material, field, x)
-    return _scaled_limit_study("star", corrected_operator, target, material,
-                               field, x, deltas, radial_order, angular_order,
-                               threads)
+    return _interface_study("star", corrected_operator, material, field, x,
+                            deltas, radial_order, angular_order, threads,
+                            target)
 
 
 def star_converges_offinterface(material: Material, field: PiecewiseField,
@@ -386,39 +343,28 @@ def star_converges_offinterface(material: Material, field: PiecewiseField,
     """
     deltas = as_delta_series(deltas)
     pts = np.asarray(sample_points, dtype=float).reshape(-1, 3)
-    cfgs = _configs(deltas, radial_order, angular_order)
-    refs = _navier_refs(material, field, pts)
+    star, params = _series(corrected_operator, material, field, deltas, pts,
+                           radial_order, angular_order, threads)
+    values = star - _navier_refs(material, field, pts)
+    errors = np.linalg.norm(values, axis=-1)
     sd = np.zeros(len(pts))
     if isinstance(material, TwoPhaseMaterial):
         sd = material.interface.signed_distance(pts)
-
-    def task(i, j):
-        return corrected_operator(cfgs[i], material, field, pts[j])
-
-    flat = _run_grid(task, len(deltas), len(pts), threads)
-    star = np.asarray(flat).reshape(len(deltas), len(pts), 3)
-    values = star - refs[None, :, :]
-    errors = np.linalg.norm(values, axis=-1)
 
     norms = []
     collar_sup = []
     for i, d in enumerate(deltas):
         off = np.abs(sd) >= d
         norms.append(_discrete_norm(errors[i, off], p) if off.any() else math.nan)
-        inside = ~off
         collar_sup.append(
-            float(d * np.max(np.linalg.norm(star[i, inside], axis=-1)))
-            if inside.any() else 0.0)
+            float(d * np.max(np.linalg.norm(star[i, ~off], axis=-1)))
+            if not off.all() else 0.0)
     try:
         slope = fit_rate(deltas, norms)
     except ValueError:
         slope = math.nan
-    return ConvergenceReport(
-        study="star_offinterface", params={"p": p, **_quad_params(cfgs)},
-        deltas=list(deltas), point_ids=list(range(len(pts))),
-        values=values, errors=errors, norms=norms,
-        slope=None if math.isnan(slope) else slope,
-        exact=math.isnan(slope),
-        extra={"collar_scaled_sup": collar_sup,
-               "off_counts": [int(np.sum(np.abs(sd) >= d)) for d in deltas]},
-    )
+    return _report("star_offinterface", {"p": p, **params}, deltas, values,
+                   errors, norms, slope=slope,
+                   extra={"collar_scaled_sup": collar_sup,
+                          "off_counts": [int(np.sum(np.abs(sd) >= d))
+                                         for d in deltas]})

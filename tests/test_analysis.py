@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import os
@@ -5,8 +6,10 @@ import os
 import jsonschema
 import numpy as np
 import pytest
+import scipy
 from numpy.testing import assert_allclose
 
+import peridyn
 from peridyn import analysis as A
 from peridyn import fields as F
 from peridyn import operators as O
@@ -279,19 +282,54 @@ class TestReportSerialization:
     def test_json_round_trip(self, report, tmp_path):
         path = tmp_path / "report.json"
         report.write_json(path)
-        back = A.ConvergenceReport.read_json(path)
-        assert back.study == report.study
-        assert back.deltas == [float(d) for d in report.deltas]
-        assert np.array_equal(back.values, report.values)
-        assert np.array_equal(back.errors, report.errors)
-        assert back.slope == report.slope
-        assert_allclose(back.limit_estimate, report.limit_estimate, rtol=0, atol=0)
+        with open(path) as f:
+            back = json.load(f)
+        assert back["study"] == report.study
+        assert back["deltas"] == [float(d) for d in report.deltas]
+        # records run horizon-major, one per point
+        assert [(r["delta"], r["point_id"]) for r in back["records"]] == \
+            [(float(d), j) for d in report.deltas for j in report.point_ids]
+        values = np.array([r["value"] for r in back["records"]])
+        errors = np.array([r["err"] for r in back["records"]])
+        assert np.array_equal(values, report.values.reshape(-1, 3))
+        assert np.array_equal(errors, report.errors.reshape(-1))
+        assert back["slope"] == report.slope
+        assert back["exact"] is report.exact
+        assert_allclose(back["limit_estimate"], report.limit_estimate, rtol=0, atol=0)
 
     def test_csv_round_trip(self, report, tmp_path):
+        # the 17-digit cells read back bit for bit
         path = tmp_path / "report.csv"
         report.write_csv(path)
-        records = A.ConvergenceReport.read_csv_records(path)
+        with open(path, newline="") as f:
+            records = [{"delta": float(row["delta"]),
+                        "point_id": int(row["point_id"]),
+                        "value": [float(row[k]) for k in ("vx", "vy", "vz")],
+                        "err": float(row["err_p"])}
+                       for row in csv.DictReader(f)]
         assert records == list(report.records())
+
+    def test_json_says_what_produced_it(self, report, tmp_path):
+        path = tmp_path / "report.json"
+        report.write_json(path)
+        with open(path) as f:
+            payload = json.load(f)
+        assert payload["provenance"] == {"peridyn": peridyn.__version__,
+                                         "numpy": np.__version__,
+                                         "scipy": scipy.__version__}
+        assert payload["params"]["threads"] == 1
+        assert payload["params"]["nodes"] == 2 * 6 * 8 * 16  # split rule
+        with open(os.path.join(os.path.dirname(__file__), "..", "docs",
+                               "report_schema.json")) as f:
+            schema = json.load(f)
+        jsonschema.validate(payload, schema)
+        for drop in (lambda p: p.pop("provenance"),
+                     lambda p: p["provenance"].pop("scipy"),
+                     lambda p: p["params"].pop("threads")):
+            broken = json.loads(json.dumps(payload))
+            drop(broken)
+            with pytest.raises(jsonschema.ValidationError):
+                jsonschema.validate(broken, schema)
 
     def test_csv_is_rfc4180(self, report, tmp_path):
         path = tmp_path / "report.csv"

@@ -6,7 +6,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from peridyn import solver
+from peridyn import cli, solver
 from peridyn.cli import _load_config, build_parser, main
 
 DOCS = os.path.join(os.path.dirname(__file__), "..", "docs")
@@ -94,6 +94,38 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: numerical refusal (FloatingPointError): ")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("series,message", [
+        ("0", "horizons must be positive"),
+        ("nan", "horizons must be finite"),
+        ("-1", "horizons must be positive"),
+        ("0.01,0.1,1", "delta series must be strictly decreasing"),
+    ], ids=["zero", "nan", "negative", "increasing"])
+    def test_kdelta_bad_horizons(self, series, message, tmp_path, capsys):
+        rc = main(["kdelta", "--quad", "2,2", f"--delta-series={series}",
+                   "--out", str(tmp_path)])
+        assert rc == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
+    @pytest.mark.parametrize("study,check,patched", [
+        ("kdelta", "closed_form", "half_ball_third_moment_numeric"),
+        ("moments", "fourth_moment", "fourth_moment"),
+        ("moments", "second_moment", "second_moment"),
+    ])
+    def test_nan_error_fails_its_check(self, study, check, patched, tmp_path,
+                                       capsys, monkeypatch):
+        # one NaN entry among finite ones: a plain max() drops it and passes
+        original = getattr(cli, patched)
+
+        def poisoned(*args):
+            out = np.array(original(*args))
+            out.flat[1] = np.nan
+            return out
+
+        monkeypatch.setattr(cli, patched, poisoned)
+        rc = main([study, *FAST, "--out", str(tmp_path)])
+        assert rc == 1
+        assert f"FAIL {study}/{check}: " in capsys.readouterr().out
 
     @pytest.mark.parametrize("argv", [
         ["star", "--field", "trig_smooth", "--delta-series", "0.1,0.05,0.025"],
@@ -249,6 +281,25 @@ class TestStudyOutputs:
         with pytest.raises(jsonschema.ValidationError):
             jsonschema.validate(payload, schema)
         del payload["timings"]["solve_s"], payload["timings"]["assemble_s"]
+        with pytest.raises(jsonschema.ValidationError):
+            jsonschema.validate(payload, schema)
+
+    @pytest.mark.parametrize("argv,report,schema", [
+        (["moments"], "moments.json", "oracle_study_schema.json"),
+        (["kdelta"], "kdelta.json", "oracle_study_schema.json"),
+        (["blowup", *FAST_DELTAS], "blowup.json", "report_schema.json"),
+        (["solve", "--field", "constant"], "solve_report.json",
+         "solve_report_schema.json"),
+    ], ids=["moments", "kdelta", "blowup", "solve"])
+    def test_report_without_provenance_fails_validation(self, argv, report,
+                                                        schema, tmp_path):
+        main([*argv, *FAST, "--out", str(tmp_path)])
+        with open(tmp_path / report) as f:
+            payload = json.load(f)
+        schema = load_schema(schema)
+        jsonschema.validate(payload, schema)
+        assert set(payload["provenance"]) == {"peridyn", "numpy", "scipy"}
+        del payload["provenance"]
         with pytest.raises(jsonschema.ValidationError):
             jsonschema.validate(payload, schema)
 

@@ -473,3 +473,103 @@ class TestOperatorProperties:
         assert_allclose(ref, [8.0, 0.0, 0.0], atol=1e-13)
         got = O.state_operator(cfg, mat, field, x)
         assert np.abs(got - ref).max() < 1e-9
+
+
+def _oblique_kink(rng, x0=None, n=None):
+    """A continuous piecewise-linear field kinked across an oblique plane
+    (x0, n), random unless given: ((c+, G+), (c-, G-), x0, n).
+
+    The plane passes near the origin and the field vanishes at x0, so the
+    rounding of positions and values stays at the operator's own scale."""
+    n = random_unit(rng) if n is None else n
+    x0 = 0.1 * rng.normal(size=3) if x0 is None else x0
+    g_minus = rng.normal(size=(3, 3))
+    g_plus = g_minus + np.outer(rng.normal(size=3), n)
+    return (-g_plus @ x0, g_plus), (-g_minus @ x0, g_minus), x0, n
+
+
+def _kinked(plus, minus, x0, n, moduli):
+    iface = F.PlanarInterface(x0, n)
+    field = F.PiecewiseField(F.linear_field(*plus), F.linear_field(*minus), iface)
+    return field, F.TwoPhaseMaterial(*moduli, iface)
+
+
+def _random_rotation(rng):
+    q, r = np.linalg.qr(rng.normal(size=(3, 3)))
+    q = q * np.sign(np.diag(r))
+    return q if np.linalg.det(q) > 0 else -q
+
+
+INVARIANCE_DELTA = 0.05
+
+
+def _invariance_cases():
+    """Seeded kinks and points on the plane and 0.02-0.03 off it on either
+    side, inside the slab at INVARIANCE_DELTA."""
+    rng = np.random.default_rng(7)
+    for _ in range(3):
+        plus, minus, x0, n = _oblique_kink(rng)
+        s = rng.uniform(0.02, 0.03)
+        for x in (x0, x0 + s * n, x0 - s * n):
+            yield rng, plus, minus, x0, n, x
+
+
+def _assert_close(got, want, moduli, *grads):
+    # relative to the operator's size at an interface point, |moduli| |G| / delta
+    scale = max(moduli) * max(np.abs(g).max() for g in grads) / INVARIANCE_DELTA
+    assert np.abs(got - want).max() <= 1e-12 * scale
+
+
+INVARIANCE_OPS = [("state", O.state_operator), ("corrected", O.corrected_operator)]
+INVARIANCE_MODULI = [(1.0, 1.0, 2.0, 2.0), (3.0, 1.0, 5.0, 2.0)]
+
+
+@pytest.mark.parametrize("moduli", INVARIANCE_MODULI,
+                         ids=["1122", "3152"])
+@pytest.mark.parametrize("name,op", INVARIANCE_OPS,
+                         ids=[n for n, _ in INVARIANCE_OPS])
+class TestObliqueKinkInvariances:
+    """Geometric invariances of the point operators on seeded oblique
+    kinks, at quadrature (4, 6), with the rule split along the interface."""
+
+    def test_rotation_equivariance(self, name, op, moduli):
+        # L[R u R^T; R n](R x) = R L[u; n](x)
+        for rng, plus, minus, x0, n, x in _invariance_cases():
+            rot = _random_rotation(rng)
+            field, mat = _kinked(plus, minus, x0, n, moduli)
+            turned, turned_mat = _kinked(
+                (rot @ plus[0], rot @ plus[1] @ rot.T),
+                (rot @ minus[0], rot @ minus[1] @ rot.T), rot @ x0, rot @ n, moduli)
+            want = rot @ op(O.make_config(INVARIANCE_DELTA, 4, 6, split_normal=n),
+                            mat, field, x)
+            got = op(O.make_config(INVARIANCE_DELTA, 4, 6, split_normal=rot @ n),
+                     turned_mat, turned, rot @ x)
+            _assert_close(got, want, moduli, plus[1], minus[1])
+
+    def test_linearity(self, name, op, moduli):
+        for rng, plus, minus, x0, n, x in _invariance_cases():
+            other_plus, other_minus, _, _ = _oblique_kink(rng, x0, n)
+            a, b = rng.normal(size=2)
+            field, mat = _kinked(plus, minus, x0, n, moduli)
+            other, _ = _kinked(other_plus, other_minus, x0, n, moduli)
+            combo, _ = _kinked(
+                (a * plus[0] + b * other_plus[0], a * plus[1] + b * other_plus[1]),
+                (a * minus[0] + b * other_minus[0], a * minus[1] + b * other_minus[1]),
+                x0, n, moduli)
+            cfg = O.make_config(INVARIANCE_DELTA, 4, 6, split_normal=n)
+            got = op(cfg, mat, combo, x)
+            want = a * op(cfg, mat, field, x) + b * op(cfg, mat, other, x)
+            _assert_close(got, want, moduli, a * plus[1], a * minus[1],
+                          b * other_plus[1], b * other_minus[1])
+
+    def test_translation_invariance(self, name, op, moduli):
+        # u(. - t) with the interface moved by t, evaluated at x + t
+        for rng, plus, minus, x0, n, x in _invariance_cases():
+            t = 0.3 * rng.normal(size=3)
+            cfg = O.make_config(INVARIANCE_DELTA, 4, 6, split_normal=n)
+            field, mat = _kinked(plus, minus, x0, n, moduli)
+            moved, moved_mat = _kinked((plus[0] - plus[1] @ t, plus[1]),
+                                       (minus[0] - minus[1] @ t, minus[1]),
+                                       x0 + t, n, moduli)
+            _assert_close(op(cfg, moved_mat, moved, x + t),
+                          op(cfg, mat, field, x), moduli, plus[1], minus[1])
