@@ -4,7 +4,8 @@ Nodes are lattice points of an axis-aligned box, each owning a cubic cell of
 volume h^3.  Integrals become midpoint sums over neighbor cells with a
 partial-volume factor for cells straddling the interaction sphere (computed
 once per lattice offset by 4^3 subsampling).  The composed double-integral
-terms are assembled as products of two single-integral sparse matrices.
+terms, dilatational and normal-projected, are each one sparse product of two
+direction stencils: the outer single integral's times the inner one's.
 
 Displacements are prescribed on a constraint collar of width at least two
 horizons (volume constraints standing in for boundary conditions); rows of
@@ -22,7 +23,7 @@ from typing import Callable, Optional
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import get_lapack_funcs, lu_factor, lu_solve
+from scipy.linalg import get_lapack_funcs, lu_factor, lu_solve, norm
 
 from .fields import Material, PlanarInterface, TwoPhaseMaterial
 from .quadrature import ball_volume
@@ -138,46 +139,54 @@ class DiscreteOperator:
         return (self.matrix @ np.asarray(nodal, dtype=float).reshape(-1)).reshape(-1, 3)
 
 
-def _block_coo(rows, cols, blocks, n_dofs):
-    """COO triplets for 3x3 blocks at (row, col) node pairs."""
-    nr = len(rows)
-    i = (3 * np.asarray(rows))[:, None, None] + np.arange(3)[None, :, None]
-    j = (3 * np.asarray(cols))[:, None, None] + np.arange(3)[None, None, :]
+def _block_coo(rows, cols, blocks, shape):
+    """COO matrix of p x q blocks placed at (row, col) block positions."""
+    blocks = np.asarray(blocks)
+    _, p, q = blocks.shape
+    i = (p * np.asarray(rows))[:, None, None] + np.arange(p)[None, :, None]
+    j = (q * np.asarray(cols))[:, None, None] + np.arange(q)[None, None, :]
     return sp.coo_matrix(
-        (np.asarray(blocks).reshape(-1), (np.broadcast_to(i, (nr, 3, 3)).reshape(-1),
-                                          np.broadcast_to(j, (nr, 3, 3)).reshape(-1))),
-        shape=(n_dofs, n_dofs))
+        (blocks.reshape(-1), (np.broadcast_to(i, blocks.shape).reshape(-1),
+                              np.broadcast_to(j, blocks.shape).reshape(-1))),
+        shape=shape)
 
 
 def assemble(grid: BoxGrid, material: Material) -> DiscreteOperator:
     """Assemble the corrected-operator collocation matrix.
 
     Interior rows carry the state operator, extended-interface rows add the
-    correction terms, constraint rows are identity.  The nested dilatational
-    and normal-projected terms are assembled as products of single-integral
-    matrices (inner divergence integral times outer kernel integral).
+    correction terms, constraint rows are identity.  Every term is one block
+    build, and the terms are added in a fixed order:
 
-    Each term is built once and the terms are added in a fixed order: the
-    bond blocks (state part on free rows, frozen-modulus correction on
-    extended rows, identity on constraint rows), then the dilatational term,
-    its extra quarter on extended rows, then the normal-projected term.  The
+    - the bond blocks, acting as differences: weight mu(x) + mu(y) on free
+      rows, and mu(y) alone on extended rows, where the frozen-modulus
+      correction removes mu(x);
+    - the dilatational term, (9/m^2) C(free, (1 + [ext]/4)(lambda - mu))
+      @ V(inner, 1), whose row factor carries the extended rows' extra
+      quarter;
+    - the normal-projected term on extended rows,
+      kron((45/4m^2) V(ext, mu) @ C(inner, 1), n n^T).
+
+    C and V are direction stencils, w_k (xi_k / |xi_k|^2) weight at
+    (x, x + k): C puts the vector component on the row index (3N x N) and V
+    on the column index (N x 3N).  Each nested term is the outer integral's
+    stencil times the inner divergence integral's, one sparse product.  The
     result is canonical CSR: sorted indices, no duplicates, no stored zeros.
     """
     n = grid.n_nodes
-    ndofs = 3 * n
     h, delta = grid.h, grid.delta
     m = ball_volume(delta)
-    pts = grid.points
-    lam, mu = material.lame_at(pts)
+    lam, mu = material.lame_at(grid.points)
     lam = np.broadcast_to(np.asarray(lam, dtype=float), (n,))
     mu = np.broadcast_to(np.asarray(mu, dtype=float), (n,))
 
     offs, frac = _offset_fractions(h, delta)
+    n_offs = len(offs)
     w_vol = frac * h**3
     xi = h * offs.astype(float)
     r2 = np.einsum("ki,ki->k", xi, xi)
     bond_kern = np.einsum("ki,kj->kij", xi, xi) / (r2**2)[:, None, None]
-    dir_kern = xi / r2[:, None]  # both the outer and inner single kernels
+    dir_kern = w_vol[:, None] * (xi / r2[:, None])  # both single integrals
 
     strides = np.array([grid.shape[1] * grid.shape[2], grid.shape[2], 1])
     idx3 = np.stack(np.meshgrid(*[np.arange(s) for s in grid.shape],
@@ -185,70 +194,51 @@ def assemble(grid: BoxGrid, material: Material) -> DiscreteOperator:
     off_flat = offs @ strides
 
     free = np.flatnonzero(grid.tags != NodeTag.CONSTRAINT)
-    ext = np.flatnonzero(grid.tags == NodeTag.EXTENDED_INTERFACE)
     cons = np.flatnonzero(grid.tags == NodeTag.CONSTRAINT)
+    on_ext = grid.tags[free] == NodeTag.EXTENDED_INTERFACE
     reach = _stencil_reach(h, delta)
     inner_ok = np.all((idx3 >= reach) & (idx3 <= np.array(grid.shape) - 1 - reach),
                       axis=1)
     inner_rows = np.flatnonzero(inner_ok)
-
-    # bond blocks (F, K, 3, 3) acting as differences: the state part with
-    # weight mu(x) + mu(y), and the correction with the frozen weight mu(x),
-    # negated, on extended rows (zero weight elsewhere)
-    wk = (15.0 / m) * w_vol
     cols = free[:, None] + off_flat[None, :]
-    state = (wk * (mu[free, None] + mu[cols]))[:, :, None, None] * bond_kern
-    frozen = np.where(grid.tags[free] == NodeTag.EXTENDED_INTERFACE, mu[free], 0.0)
-    corr = -(wk * frozen[:, None])[:, :, None, None] * bond_kern
+    if not np.all(inner_ok[cols]):
+        raise AssertionError("outer stencil references an incomplete inner row")
+
+    def stencil(rows, weight, component_on_row):
+        """w_k (xi_k / |xi_k|^2) weight at (x, x + k) for x in ``rows``, with
+        ``weight`` per (x, k) pair; 3N x N if ``component_on_row``, else
+        N x 3N."""
+        vals = np.broadcast_to(weight, (len(rows), n_offs))[:, :, None] * dir_kern
+        shape = (3 * n, n) if component_on_row else (n, 3 * n)
+        return _block_coo(np.repeat(rows, n_offs),
+                          (rows[:, None] + off_flat[None, :]).reshape(-1),
+                          vals.reshape((-1, 3, 1) if component_on_row else (-1, 1, 3)),
+                          shape).tocsr()
+
+    wk = (15.0 / m) * w_vol
+    # mu(x) + mu(y); the frozen-modulus correction removes mu(x) on extended rows
+    bond_w = wk * (np.where(on_ext, 0.0, mu[free])[:, None] + mu[cols])
+    bond = bond_w[:, :, None, None] * bond_kern
     diag = np.zeros((len(free), 3, 3))
-    for part in (state, corr):
-        for k in range(len(offs)):
-            diag -= part[:, k]
+    for k in range(n_offs):
+        diag -= bond[:, k]
     matrix = _block_coo(
-        np.concatenate([np.repeat(free, len(offs)), free, cons]),
+        np.concatenate([np.repeat(free, n_offs), free, cons]),
         np.concatenate([cols.reshape(-1), free, cons]),
-        np.concatenate([(state + corr).reshape(-1, 3, 3), diag,
+        np.concatenate([bond.reshape(-1, 3, 3), diag,
                         np.broadcast_to(np.eye(3), (len(cons), 3, 3))]),
-        ndofs).tocsr()
-
-    # inner divergence matrix: (N, 3N), rows where the full stencil exists
-    g_rows = np.repeat(inner_rows, len(offs))
-    g_cols = (inner_rows[:, None] + off_flat[None, :]).reshape(-1)
-    g_vals = np.broadcast_to(w_vol[None, :, None] * dir_kern[None, :, :],
-                             (len(inner_rows), len(offs), 3)).reshape(-1)
-    g_cols3 = (3 * g_cols[:, None] + np.arange(3)[None, :]).reshape(-1)
-    g_rows3 = np.repeat(g_rows, 3)
-    G = sp.coo_matrix((g_vals, (g_rows3, g_cols3)), shape=(n, ndofs)).tocsr()
-
-    # outer kernel matrices (3N, N): rows free / extended as needed
-    def outer_vector(rows, node_weight, scale=9.0 / m**2):
-        """D[3x+i, y] = scale w_k node_weight(y) dir_kern_k,i for y = x + k."""
-        cols = (rows[:, None] + off_flat[None, :]).reshape(-1)
-        if not np.all(inner_ok[cols]):
-            raise AssertionError("outer stencil references an incomplete inner row")
-        vals = (w_vol[None, :, None] * dir_kern[None, :, :]
-                * node_weight[cols].reshape(len(rows), len(offs))[:, :, None])
-        rows3 = (3 * np.repeat(rows, len(offs))[:, None]
-                 + np.arange(3)[None, :]).reshape(-1)
-        cols3 = np.repeat(cols, 3)
-        return sp.coo_matrix((scale * vals.reshape(-1), (rows3, cols3)),
-                             shape=(ndofs, n)).tocsr()
+        (3 * n, 3 * n)).tocsr()
 
     c_coef = lam - mu
     if np.any(c_coef != 0.0):
-        dil = outer_vector(free, c_coef) @ G
-        # extended rows carry an extra quarter of the dilatational term
-        quarter = np.repeat(np.where(grid.tags == NodeTag.EXTENDED_INTERFACE,
-                                     0.25, 0.0), 3)
-        matrix = matrix + dil + sp.diags(quarter) @ dil
+        row_factor = (9.0 / m**2) * np.where(on_ext, 1.25, 1.0)
+        matrix = matrix + (stencil(free, row_factor[:, None] * c_coef[cols], True)
+                           @ stencil(inner_rows, 1.0, False))
 
-    # normal-projected correction on extended rows:
-    # (5/4)(9/m^2) W[x, z] (n (x) n) with W = sum_axis Q_axis S_axis
-    if len(ext) and isinstance(material, TwoPhaseMaterial):
+    if on_ext.any() and isinstance(material, TwoPhaseMaterial):
         normal = material.interface.normal
-        q = outer_vector(ext, mu, scale=1.0)
-        w_scalar = sum(q[axis::3] @ G[:, axis::3] for axis in range(3))
-        w_scalar = (1.25 * 9.0 / m**2) * w_scalar
+        w_scalar = (stencil(free[on_ext], (45.0 / (4.0 * m**2)) * mu[cols[on_ext]], False)
+                    @ stencil(inner_rows, 1.0, True))
         matrix = matrix + sp.kron(w_scalar, np.outer(normal, normal))
 
     # a block build keeps exact zeros that a sparse sum would drop, and a sum
@@ -304,26 +294,25 @@ def solve_equilibrium(opr: DiscreteOperator, b, g,
     t0 = time.perf_counter()
     free = np.flatnonzero(grid.tags != NodeTag.CONSTRAINT)
     free3 = (3 * free[:, None] + np.arange(3)[None, :]).reshape(-1)
-    cons3 = np.setdiff1d(np.arange(3 * grid.n_nodes), free3)
+    # prescribed values on constraint dofs, zeros on free ones
+    u = rhs.copy()
+    u[free3] = 0.0
     a_f = opr.matrix[free3]
-    a_ff = a_f[:, free3].toarray()
-    rhs_f = rhs[free3] - a_f[:, cons3] @ rhs[cons3]
+    rhs_f = rhs[free3] - a_f @ u
+    a_ff = a_f[:, free3].toarray(order="F")
     t1 = time.perf_counter()
 
-    anorm = np.abs(a_ff).sum(axis=0).max()
-    lu, piv = lu_factor(a_ff)
-    gecon = get_lapack_funcs(("gecon",), (a_ff,))[0]
+    anorm = norm(a_ff, 1)
+    lu, piv = lu_factor(a_ff, overwrite_a=True)
+    gecon = get_lapack_funcs(("gecon",), (lu,))[0]
     rcond, info = gecon(lu, anorm, norm="1")
     if info != 0 or not np.isfinite(rcond) or rcond < rcond_floor:
         raise np.linalg.LinAlgError(
             f"collocation matrix is singular or ill-conditioned "
             f"(reciprocal condition estimate {rcond:.3e})")
-    u_f = lu_solve((lu, piv), rhs_f)
+    u[free3] = lu_solve((lu, piv), rhs_f)
     t2 = time.perf_counter()
 
-    u = np.empty(3 * grid.n_nodes)
-    u[free3] = u_f
-    u[cons3] = rhs[cons3]
     u = u.reshape(-1, 3)
     residuals = residual_check(opr, u, b, g)
     return SolveResult(u=u, residuals=residuals, rcond=float(rcond),

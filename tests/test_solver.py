@@ -5,6 +5,7 @@ from numpy.testing import assert_allclose
 from peridyn import fields as F
 from peridyn import operators as O
 from peridyn import solver as S
+from peridyn.quadrature import ball_volume
 
 BOX = (np.full(3, -0.5), np.full(3, 0.5))
 
@@ -48,6 +49,62 @@ def oblique_operator():
 
 def matrix_scale(opr):
     return abs(opr.matrix).sum(axis=1).max()
+
+
+def lattice_action(opr, nodal):
+    """Matrix-free reference of the lattice operator on an (N, 3) field.
+
+    Each term is applied straight from the midpoint-cell sums by shifting
+    nodal arrays on the lattice: first the inner sums g(y) = sum w (xi . v)
+    / |xi|^2 and M(y) = sum w xi (n . v) / |xi|^2, then the outer sums of
+    the bond, dilatational (an extra quarter on extended rows) and
+    normal-projected terms.  Shifts wrap at the box faces, which only
+    reaches rows the constraint collar keeps out of the free set.
+    """
+    grid, mat = opr.grid, opr.material
+    shape = grid.shape
+    m = ball_volume(grid.delta)
+    lam, mu = (np.broadcast_to(np.asarray(c, dtype=float), (grid.n_nodes,)).reshape(shape)
+               for c in mat.lame_at(grid.points))
+    v = np.asarray(nodal, dtype=float).reshape(*shape, 3)
+    ext = (grid.tags == S.NodeTag.EXTENDED_INTERFACE).reshape(shape)
+    normal = mat.interface.normal
+
+    def at(a, k):  # a(x + k h)
+        return np.roll(a, tuple(-k), axis=(0, 1, 2))
+
+    def stencil_terms():
+        for k, frac in zip(opr.offsets, opr.fractions):
+            xi = grid.h * k
+            r2 = xi @ xi
+            yield k, frac * grid.h**3, xi, r2
+
+    bond = np.zeros_like(v)
+    g = np.zeros(shape)
+    big_m = np.zeros_like(v)
+    for k, w, xi, r2 in stencil_terms():
+        beta = np.where(ext, 0.0, mu) + at(mu, k)
+        bond += (15.0 / m) * w * (beta * ((at(v, k) - v) @ xi) / r2**2)[..., None] * xi
+        g += w * (at(v, k) @ xi) / r2
+        big_m += w * at(v @ normal, k)[..., None] * xi / r2
+    dil = np.zeros_like(v)
+    proj = np.zeros(shape)
+    for k, w, xi, r2 in stencil_terms():
+        dil += w * at((lam - mu) * g, k)[..., None] * xi / r2
+        proj += w * (at(mu[..., None] * big_m, k) @ xi) / r2
+    out = (bond + (9.0 / m**2) * np.where(ext, 1.25, 1.0)[..., None] * dil
+           + (45.0 / (4.0 * m**2)) * np.where(ext, proj, 0.0)[..., None] * normal)
+    out = out.reshape(-1, 3)
+    cons = grid.tags == S.NodeTag.CONSTRAINT
+    out[cons] = v.reshape(-1, 3)[cons]
+    return out
+
+
+@pytest.fixture(scope="module")
+def e3_operator():
+    iface = F.PlanarInterface(np.zeros(3), np.array([0.0, 0.0, 1.0]))
+    mat = F.TwoPhaseMaterial(3.0, 1.0, 5.0, 2.0, iface)
+    return S.assemble(S.build_grid(BOX, 1.0 / 16.0, 3.0, iface), mat)
 
 
 class TestBuildGrid:
@@ -128,6 +185,44 @@ class TestAssembly:
         direct = O.state_operator(O.make_config(grid.delta), mat, tf,
                                   grid.points[node])
         assert np.abs(act - direct).max() <= 10.0 * h * h
+
+
+class TestLatticeReference:
+    @pytest.mark.parametrize("name", ["oblique_operator", "flagship_operator"])
+    def test_action_matches_matrix_free_reference(self, name, request, rng):
+        opr = request.getfixturevalue(name)
+        for _ in range(2):
+            v = rng.normal(size=(opr.grid.n_nodes, 3))
+            ref = lattice_action(opr, v)
+            assert np.abs(opr.action(v) - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+class TestLatticeSymmetry:
+    # lattice symmetries that keep the box, the e3 interface and both phases
+    # in place: (T v)(R x) = R v(x) must give A(T v) = T(A v)
+    SYMMETRIES = {
+        "reflect_x1": np.diag([-1.0, 1.0, 1.0]),
+        "swap_x1_x2": np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]]),
+        "quarter_turn_e3": np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]]),
+    }
+
+    @pytest.mark.parametrize("sym", list(SYMMETRIES))
+    def test_action_is_equivariant(self, sym, e3_operator, rng):
+        rot = self.SYMMETRIES[sym]
+        grid = e3_operator.grid
+        idx = np.rint((grid.points @ rot.T - grid.lo) / grid.h).astype(int)
+        image = np.ravel_multi_index(idx.T, grid.shape)
+        assert np.array_equal(grid.tags[image], grid.tags)
+
+        def transform(nodal):
+            out = np.empty_like(nodal)
+            out[image] = nodal @ rot.T
+            return out
+
+        v = rng.normal(size=(grid.n_nodes, 3))
+        av = e3_operator.action(v)
+        err = np.abs(e3_operator.action(transform(v)) - transform(av)).max()
+        assert err <= 1e-12 * np.abs(av).max()
 
 
 class TestSolve:
