@@ -24,7 +24,8 @@ print(f"grid {grid.shape}, {grid.n_nodes} nodes "
 
 operator = assemble(grid, material)
 result = solve_equilibrium(operator, None, lambda p: field.value(p))
-print(f"reciprocal condition estimate {result.rcond:.3e}")
+print(f"GMRES (Jacobi preconditioner): {result.iterations} iterations, "
+      f"final relative residual {result.residual_history[-1]:.3e}")
 for tag, res in result.residuals.items():
     print(f"  residual[{tag}]: max {res['max']:.3e}")
 

@@ -410,7 +410,8 @@ def _run_solve(cfg: StudyConfig) -> None:
     analysis.write_json(os.path.join(out, "solve_report.json"), {
         "study": "solve", "field": name, "h": cfg.h, "ratio": cfg.ratio,
         "n_nodes": int(grid.n_nodes), "n_free": int(free.sum()),
-        "residuals": result.residuals, "rcond": result.rcond,
+        "residuals": result.residuals, "iterations": result.iterations,
+        "residual_history": result.residual_history,
         "recovery_error": recovery,
         "timings": {"assemble_s": assemble_s, **result.timings},
         "checks": [list(c) for c in cfg.checks],

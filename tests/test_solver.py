@@ -1,5 +1,8 @@
+import dataclasses
+
 import numpy as np
 import pytest
+import scipy.linalg
 from numpy.testing import assert_allclose
 
 from peridyn import fields as F
@@ -315,7 +318,6 @@ class TestSolve:
         u_back = (p.T @ u_perm).reshape(-1, 3)
         assert np.abs(u_back - res.u).max() < 1e-9
 
-    @pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
     def test_singular_matrix_reported(self, flagship_grid, patch):
         _, mat = patch
         opr = S.assemble(flagship_grid, mat)
@@ -325,9 +327,56 @@ class TestSolve:
         bad_opr = S.DiscreteOperator(grid=flagship_grid, material=mat,
                                      matrix=bad.tocsr(), offsets=opr.offsets,
                                      fractions=opr.fractions)
-        with pytest.raises(np.linalg.LinAlgError, match="condition"):
+        with pytest.raises(np.linalg.LinAlgError, match="condition.*diagonal"):
             S.solve_equilibrium(bad_opr, None,
                                 lambda p: np.zeros(p.shape))
+
+    def test_non_finite_diagonal_refused(self, flagship_operator, flagship_grid):
+        free = np.flatnonzero(flagship_grid.tags != S.NodeTag.CONSTRAINT)
+        bad = flagship_operator.matrix.copy()
+        bad[3 * free[-1] + 2, 3 * free[-1] + 2] = np.inf
+        bad_opr = dataclasses.replace(flagship_operator, matrix=bad)
+        with pytest.raises(np.linalg.LinAlgError,
+                           match="singular or ill-conditioned .*diagonal"):
+            S.solve_equilibrium(bad_opr, None, lambda p: np.zeros(p.shape))
+
+    @pytest.mark.parametrize("name", ["oblique_operator", "flagship_operator"])
+    def test_matches_dense_reference_solve(self, name, request, rng):
+        # the free block densified and solved by LU, with the collar values
+        # moved to the right-hand side
+        opr = request.getfixturevalue(name)
+        n = opr.grid.n_nodes
+        g = rng.normal(size=(n, 3))
+        b = lambda p: np.tile([0.0, 0.0, 1.0], p.shape[:-1] + (1,))
+        free = np.flatnonzero(opr.grid.tags != S.NodeTag.CONSTRAINT)
+        free3 = (3 * free[:, None] + np.arange(3)).reshape(-1)
+        rhs = S.build_rhs(opr, b, g)
+        collar = rhs.copy()
+        collar[free3] = 0.0
+        a_ff = opr.matrix[free3][:, free3].toarray()
+        ref = collar.copy()
+        ref[free3] = scipy.linalg.solve(a_ff, rhs[free3] - opr.matrix[free3] @ collar)
+        res = S.solve_equilibrium(opr, b, g)
+        assert res.iterations == len(res.residual_history) > 0
+        assert np.abs(res.u - ref.reshape(-1, 3)).max() <= 1e-10
+
+    def test_non_convergence_refused(self):
+        # free row 3q+2 copied from row 3p makes the system singular and, with
+        # a body force along e3, inconsistent; every diagonal entry stays
+        # nonzero, so only GMRES can find it out
+        opr = assemble_bond_only()
+        grid = opr.grid
+        centre = np.flatnonzero(np.all(np.abs(grid.points) < 1e-12, axis=1))[0]
+        strides = np.array([grid.shape[1] * grid.shape[2], grid.shape[2], 1])
+        p, q = centre, centre + strides @ np.array([1, 0, 1])
+        assert grid.tags[p] == grid.tags[q] == S.NodeTag.INTERIOR
+        bad = opr.matrix.tolil()
+        bad[3 * q + 2] = opr.matrix[3 * p]
+        bad_opr = dataclasses.replace(opr, matrix=bad.tocsr())
+        assert np.all(bad_opr.matrix.diagonal() != 0.0)
+        b = lambda x: np.tile([0.0, 0.0, 1.0], x.shape[:-1] + (1,))
+        with pytest.raises(np.linalg.LinAlgError, match="singular or ill-conditioned"):
+            S.solve_equilibrium(bad_opr, b, lambda x: np.zeros(x.shape))
 
     def test_body_force_rows_receive_rhs(self, flagship_grid, patch):
         # interior rows get b, extended-interface rows stay homogeneous
