@@ -13,8 +13,8 @@ Layers:
   the closed-form interface limit formulas.
 * :mod:`peridyn.analysis` -- convergence/blow-up/limit studies with rate
   fits and serialization.
-* :mod:`peridyn.solver` -- meshfree collocation and direct solve of the
-  equilibrium interface system.
+* :mod:`peridyn.solver` -- meshfree collocation of the equilibrium interface
+  system, applied by FFT and solved by Krylov iteration.
 * :mod:`peridyn.cli` -- the ``peridyn`` command.
 """
 

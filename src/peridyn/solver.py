@@ -3,31 +3,32 @@
 Nodes are lattice points of an axis-aligned box, each owning a cubic cell of
 volume h^3.  Integrals become midpoint sums over neighbor cells with a
 partial-volume factor for cells straddling the interaction sphere (computed
-once per lattice offset by 4^3 subsampling).  The composed double-integral
-terms, dilatational and normal-projected, are each one sparse product of two
-direction stencils: the outer single integral's times the inner one's.
+once per lattice offset by 4^3 subsampling).  Each sum is a correlation with
+a fixed lattice stencil and the moduli enter as pointwise products, so the
+operator is applied by FFT (Jafarzadeh, Larios & Bobaru 2020); no matrix is
+assembled.
 
 Displacements are prescribed on a constraint collar of width at least two
 horizons (volume constraints standing in for boundary conditions); rows of
 extended-interface nodes carry the corrected operator with zero right-hand
 side, realizing the nonlocal interface condition.
 
-The free-node block stays sparse and is solved by restarted GMRES (Saad &
-Schultz 1986), preconditioned by the inverse of its diagonal (Jacobi).  A
-zero or non-finite diagonal entry, or a run that misses the residual target,
-is refused as singular or ill-conditioned.
+The free-node block is solved by restarted GMRES (Saad & Schultz 1986),
+preconditioned by the inverse of its closed-form diagonal (Jacobi).  A zero
+or non-finite diagonal entry, or a run that misses the residual target, is
+refused as singular or ill-conditioned.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import math
 import time
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.sparse.linalg import LinearOperator, gmres
 
 from .fields import Material, PlanarInterface, TwoPhaseMaterial
@@ -97,14 +98,10 @@ def build_grid(box, h: float, horizon_ratio: float,
         raise ValueError("constraint collar does not fit: box too small for "
                          f"a {collar:.4g} collar at h = {h:.4g}")
 
-    tags = np.full(pts.shape[0], NodeTag.CONSTRAINT, dtype=np.int8)
+    tags = np.where(free, NodeTag.INTERIOR, NodeTag.CONSTRAINT).astype(np.int8)
     if interface is not None:
-        sd = interface.signed_distance(pts)
-        ext = free & (np.abs(sd) < delta)
-        tags[free] = NodeTag.INTERIOR
-        tags[ext] = NodeTag.EXTENDED_INTERFACE
-    else:
-        tags[free] = NodeTag.INTERIOR
+        tags[free & (np.abs(interface.signed_distance(pts)) < delta)] = \
+            NodeTag.EXTENDED_INTERFACE
     return BoxGrid(lo=lo, hi=hi, h=h, shape=tuple(int(n) + 1 for n in n_axis),
                    points=pts, tags=tags, horizon_ratio=horizon_ratio,
                    interface=interface)
@@ -129,129 +126,131 @@ def _offset_fractions(h: float, delta: float):
     return offs[keep], frac[keep]
 
 
+def _fft_length(n: int) -> int:
+    """Smallest 2^a 3^b 5^c >= n, a length numpy.fft transforms fast."""
+    k = range(n.bit_length() + 1)
+    return min(m for m in (2**a * 3**b * 5**c for a in k for b in k for c in k) if m >= n)
+
+
 @dataclass(frozen=True)
 class DiscreteOperator:
-    """Sparse 3N x 3N system matrix plus the grid and assembly metadata."""
+    """The 3N x 3N collocation operator, applied matrix-free by FFT.
+
+    Its terms are correlations (S * f)(x) = sum_k S_k f(x + k) with the bond
+    stencil S_k = (15/m) w_k xi_k xi_k^T / |xi_k|^4 and the direction stencil
+    d_k = w_k xi_k / |xi_k|^2 (xi_k = h k, w_k = fraction_k h^3), each a
+    product of spectra on the lattice zero-padded to ``fft_shape``.  Free rows
+    read only nodes of the box (the collar is two stencil reaches wide), so
+    the transforms' wrap-around reaches no value a free row uses.
+    """
 
     grid: BoxGrid
     material: Material
-    matrix: sp.csr_matrix
     offsets: np.ndarray
     fractions: np.ndarray
+    lam: np.ndarray  # nodal moduli, on the lattice shape
+    mu: np.ndarray
+    fft_shape: tuple
+    bond_hat: np.ndarray  # (3, 3, *spectrum): S
+    dir_hat: np.ndarray  # (3, *spectrum): d
+    sq_hat: np.ndarray  # (3, *spectrum): d_i^2, for the diagonal
+
+    def _fft(self, f: np.ndarray) -> np.ndarray:
+        return np.fft.rfftn(f, s=self.fft_shape, axes=(-3, -2, -1))
+
+    def _ifft(self, spec: np.ndarray) -> np.ndarray:
+        s0, s1, s2 = self.grid.shape
+        return np.fft.irfftn(spec, s=self.fft_shape, axes=(-3, -2, -1))[..., :s0, :s1, :s2]
+
+    @functools.cached_property
+    def _rows(self):
+        """Row coefficients a, a sum S + S * mu, dil_w = (9/m^2)(1 + [ext]/4),
+        proj_w = (45/4m^2)[ext], and n (None without the normal-projected
+        term); a = mu, and 0 on extended rows, where the frozen-modulus
+        correction removes mu(x)."""
+        grid = self.grid
+        ext = (grid.tags == NodeTag.EXTENDED_INTERFACE).reshape(grid.shape)
+        m = ball_volume(grid.delta)
+        a = np.where(ext, 0.0, self.mu)
+        # the zero frequency of a stencil's spectrum is the sum of its values
+        bond_self = (a * self.bond_hat[..., :1, :1, :1].real
+                     + self._ifft(self.bond_hat * self._fft(self.mu)))
+        normal = None
+        if ext.any() and isinstance(self.material, TwoPhaseMaterial):
+            normal = self.material.interface.normal[:, None, None, None]
+        return (a, bond_self, (9.0 / m**2) * np.where(ext, 1.25, 1.0),
+                (45.0 / (4.0 * m**2)) * ext, normal)
 
     def action(self, nodal: np.ndarray) -> np.ndarray:
-        """Matrix action on a nodal (N, 3) field, as (N, 3)."""
-        return (self.matrix @ np.asarray(nodal, dtype=float).reshape(-1)).reshape(-1, 3)
+        """Action on a nodal (N, 3) field v, with c = lambda - mu:
+        a (S * v) + S * (mu v) - (a sum S + S * mu) v + dil_w d * (c (d . * v))
+        + proj_w n (d . * (mu d * (n . v)))."""
+        nodal = np.asarray(nodal, dtype=float).reshape(-1, 3)
+        v = np.moveaxis(nodal.reshape(*self.grid.shape, 3), -1, 0)
+        a, bond_self, dil_w, proj_w, normal = self._rows
+        v_hat = self._fft(v)
+        out = (a * self._ifft(np.einsum("ij...,j...->i...", self.bond_hat, v_hat))
+               + self._ifft(np.einsum("ij...,j...->i...", self.bond_hat,
+                                      self._fft(self.mu * v)))
+               - np.einsum("ij...,j...->i...", bond_self, v))
+        c = self.lam - self.mu
+        if c.any():
+            g = self._ifft(np.sum(self.dir_hat * v_hat, axis=0))
+            out += dil_w * self._ifft(self.dir_hat * self._fft(c * g))
+        if normal is not None:
+            big_m = self._ifft(self.dir_hat * np.sum(normal * v_hat, axis=0))
+            mu_m_hat = self._fft(self.mu * big_m)
+            out += proj_w * normal * self._ifft(np.sum(self.dir_hat * mu_m_hat, axis=0))
+        out = np.moveaxis(out, 0, -1).reshape(-1, 3)
+        cons = self.grid.tags == NodeTag.CONSTRAINT
+        out[cons] = nodal[cons]
+        return out
 
-
-def _block_coo(rows, cols, blocks, shape):
-    """COO matrix of p x q blocks placed at (row, col) block positions."""
-    blocks = np.asarray(blocks)
-    _, p, q = blocks.shape
-    i = (p * np.asarray(rows))[:, None, None] + np.arange(p)[None, :, None]
-    j = (q * np.asarray(cols))[:, None, None] + np.arange(q)[None, None, :]
-    return sp.coo_matrix(
-        (blocks.reshape(-1), (np.broadcast_to(i, blocks.shape).reshape(-1),
-                              np.broadcast_to(j, blocks.shape).reshape(-1))),
-        shape=shape)
+    def diagonal(self) -> np.ndarray:
+        """The diagonal as (N, 3), in closed form since d_{-k} = -d_k:
+        -(a sum S + S * mu)_ii - dil_w (d_i^2 * c) - proj_w n_i^2 (|d|^2 * mu),
+        and 1 on constraint rows."""
+        _, bond_self, dil_w, proj_w, normal = self._rows
+        diag = (-np.einsum("ii...->i...", bond_self)
+                - dil_w * self._ifft(self.sq_hat * self._fft(self.lam - self.mu)))
+        if normal is not None:
+            diag -= proj_w * normal**2 * self._ifft(self.sq_hat.sum(axis=0)
+                                                    * self._fft(self.mu))
+        out = np.moveaxis(diag, 0, -1).reshape(-1, 3)
+        out[self.grid.tags == NodeTag.CONSTRAINT] = 1.0
+        return out
 
 
 def assemble(grid: BoxGrid, material: Material) -> DiscreteOperator:
-    """Assemble the corrected-operator collocation matrix.
-
-    Interior rows carry the state operator, extended-interface rows add the
-    correction terms, constraint rows are identity.  Every term is one block
-    build, and the terms are added in a fixed order:
-
-    - the bond blocks, acting as differences: weight mu(x) + mu(y) on free
-      rows, and mu(y) alone on extended rows, where the frozen-modulus
-      correction removes mu(x);
-    - the dilatational term, (9/m^2) C(free, (1 + [ext]/4)(lambda - mu))
-      @ V(inner, 1), whose row factor carries the extended rows' extra
-      quarter;
-    - the normal-projected term on extended rows,
-      kron((45/4m^2) V(ext, mu) @ C(inner, 1), n n^T).
-
-    C and V are direction stencils, w_k (xi_k / |xi_k|^2) weight at
-    (x, x + k): C puts the vector component on the row index (3N x N) and V
-    on the column index (N x 3N).  Each nested term is the outer integral's
-    stencil times the inner divergence integral's, one sparse product.  The
-    result is canonical CSR: sorted indices, no duplicates, no stored zeros.
-    """
-    n = grid.n_nodes
+    """The collocation operator on ``grid``: the state operator on interior
+    rows, the corrected operator on extended-interface rows, identity on
+    constraint rows.  Nothing is assembled: the operator keeps the nodal
+    moduli and the stencils' spectra."""
     h, delta = grid.h, grid.delta
-    m = ball_volume(delta)
-    lam, mu = material.lame_at(grid.points)
-    lam = np.broadcast_to(np.asarray(lam, dtype=float), (n,))
-    mu = np.broadcast_to(np.asarray(mu, dtype=float), (n,))
-
+    free = np.argwhere((grid.tags != NodeTag.CONSTRAINT).reshape(grid.shape))
+    hops = 2 * _stencil_reach(h, delta)
+    if np.any(free < hops) or np.any(free >= np.array(grid.shape) - hops):
+        raise AssertionError("a free row reads beyond the lattice in two hops")
+    lam, mu = (np.broadcast_to(np.asarray(c, dtype=float), (grid.n_nodes,)).reshape(grid.shape)
+               for c in material.lame_at(grid.points))
     offs, frac = _offset_fractions(h, delta)
-    n_offs = len(offs)
     w_vol = frac * h**3
     xi = h * offs.astype(float)
     r2 = np.einsum("ki,ki->k", xi, xi)
-    bond_kern = np.einsum("ki,kj->kij", xi, xi) / (r2**2)[:, None, None]
-    dir_kern = w_vol[:, None] * (xi / r2[:, None])  # both single integrals
-
-    strides = np.array([grid.shape[1] * grid.shape[2], grid.shape[2], 1])
-    idx3 = np.stack(np.meshgrid(*[np.arange(s) for s in grid.shape],
-                                indexing="ij"), axis=-1).reshape(-1, 3)
-    off_flat = offs @ strides
-
-    free = np.flatnonzero(grid.tags != NodeTag.CONSTRAINT)
-    cons = np.flatnonzero(grid.tags == NodeTag.CONSTRAINT)
-    on_ext = grid.tags[free] == NodeTag.EXTENDED_INTERFACE
-    reach = _stencil_reach(h, delta)
-    inner_ok = np.all((idx3 >= reach) & (idx3 <= np.array(grid.shape) - 1 - reach),
-                      axis=1)
-    inner_rows = np.flatnonzero(inner_ok)
-    cols = free[:, None] + off_flat[None, :]
-    if not np.all(inner_ok[cols]):
-        raise AssertionError("outer stencil references an incomplete inner row")
-
-    def stencil(rows, weight, component_on_row):
-        """w_k (xi_k / |xi_k|^2) weight at (x, x + k) for x in ``rows``, with
-        ``weight`` per (x, k) pair; 3N x N if ``component_on_row``, else
-        N x 3N."""
-        vals = np.broadcast_to(weight, (len(rows), n_offs))[:, :, None] * dir_kern
-        shape = (3 * n, n) if component_on_row else (n, 3 * n)
-        return _block_coo(np.repeat(rows, n_offs),
-                          (rows[:, None] + off_flat[None, :]).reshape(-1),
-                          vals.reshape((-1, 3, 1) if component_on_row else (-1, 1, 3)),
-                          shape).tocsr()
-
-    wk = (15.0 / m) * w_vol
-    # mu(x) + mu(y); the frozen-modulus correction removes mu(x) on extended rows
-    bond_w = wk * (np.where(on_ext, 0.0, mu[free])[:, None] + mu[cols])
-    bond = bond_w[:, :, None, None] * bond_kern
-    diag = np.zeros((len(free), 3, 3))
-    for k in range(n_offs):
-        diag -= bond[:, k]
-    matrix = _block_coo(
-        np.concatenate([np.repeat(free, n_offs), free, cons]),
-        np.concatenate([cols.reshape(-1), free, cons]),
-        np.concatenate([bond.reshape(-1, 3, 3), diag,
-                        np.broadcast_to(np.eye(3), (len(cons), 3, 3))]),
-        (3 * n, 3 * n)).tocsr()
-
-    c_coef = lam - mu
-    if np.any(c_coef != 0.0):
-        row_factor = (9.0 / m**2) * np.where(on_ext, 1.25, 1.0)
-        matrix = matrix + (stencil(free, row_factor[:, None] * c_coef[cols], True)
-                           @ stencil(inner_rows, 1.0, False))
-
-    if on_ext.any() and isinstance(material, TwoPhaseMaterial):
-        normal = material.interface.normal
-        w_scalar = (stencil(free[on_ext], (45.0 / (4.0 * m**2)) * mu[cols[on_ext]], False)
-                    @ stencil(inner_rows, 1.0, True))
-        matrix = matrix + sp.kron(w_scalar, np.outer(normal, normal))
-
-    # a block build keeps exact zeros that a sparse sum would drop, and a sum
-    # with an unsorted product leaves its indices unsorted
-    matrix.eliminate_zeros()
-    matrix.sort_indices()
-    return DiscreteOperator(grid=grid, material=material, matrix=matrix,
-                            offsets=offs, fractions=frac)
+    bond = (((15.0 / ball_volume(delta)) * w_vol / r2**2)[:, None, None]
+            * np.einsum("ki,kj->kij", xi, xi))
+    dirs = w_vol[:, None] * (xi / r2[:, None])
+    # S, d and d_i^2 as 15 kernels: S_k sits at index (-k) mod n, so the
+    # inverse transform of its spectrum times a field's is sum_k S_k f(x + k)
+    fft_shape = tuple(_fft_length(n) for n in grid.shape)
+    kernels = np.zeros((15,) + fft_shape)
+    kernels[(slice(None), *(-offs % np.array(fft_shape)).T)] = np.concatenate(
+        [bond.reshape(-1, 9), dirs, dirs**2], axis=1).T
+    spectra = np.fft.rfftn(kernels, axes=(-3, -2, -1))
+    return DiscreteOperator(grid=grid, material=material, offsets=offs,
+                            fractions=frac, lam=lam, mu=mu, fft_shape=fft_shape,
+                            bond_hat=spectra[:9].reshape((3, 3) + spectra.shape[1:]),
+                            dir_hat=spectra[9:12], sq_hat=spectra[12:])
 
 
 # GMRES: relative residual target, restart length and restart cycles (at most
@@ -259,6 +258,11 @@ def assemble(grid: BoxGrid, material: Material) -> DiscreteOperator:
 _GMRES_RTOL = 1e-12
 _GMRES_RESTART = 200
 _GMRES_CYCLES = 5
+
+# estimated peak bytes per lattice node of a solve: the GMRES basis, restart
+# + 1 vectors of 3 doubles per node, and about 100 doubles per node for the
+# lattice arrays and the transforms' work arrays, their padding included
+SOLVE_BYTES_PER_NODE = 8 * (3 * (_GMRES_RESTART + 1) + 100)
 
 
 @dataclass
@@ -297,49 +301,49 @@ def build_rhs(opr: DiscreteOperator, b, g) -> np.ndarray:
 def solve_equilibrium(opr: DiscreteOperator, b, g) -> SolveResult:
     """Solve the collocation system by Jacobi-preconditioned GMRES.
 
-    Constraint values are eliminated first (their rows are identity), so
-    GMRES runs on the sparse free-node block; no dense block is formed and
-    nothing is factored.  The preconditioner divides by the block's diagonal.
-    GMRES restarts every 200 iterations, makes at most 1000, and stops when
-    the free residual is at most 1e-12 of the free right-hand side.
-    ``residual_history`` holds the relative residual GMRES reports after each
-    iteration: the preconditioned residual norm over the right-hand side's.
-
+    The constraint values, applied by the operator, move to the right-hand
+    side; GMRES runs on the free-node block through the operator's action,
+    restarts every 200 iterations, makes at most 1000, and stops at a free
+    residual of 1e-12 of the free right-hand side.  ``residual_history`` holds
+    the preconditioned residual norm over the right-hand side's, per iteration.
     Raises ``np.linalg.LinAlgError`` (singular or ill-conditioned) when a
     diagonal entry of the free block is zero or not finite, or when GMRES
     does not reach the target.
     """
-    grid = opr.grid
-    rhs = build_rhs(opr, b, g)
+    rhs = build_rhs(opr, b, g).reshape(-1, 3)
     t0 = time.perf_counter()
-    free = np.flatnonzero(grid.tags != NodeTag.CONSTRAINT)
-    free3 = (3 * free[:, None] + np.arange(3)[None, :]).reshape(-1)
-    # prescribed values on constraint dofs, zeros on free ones
+    free = opr.grid.tags != NodeTag.CONSTRAINT
+    # prescribed values on constraint nodes, zeros on free ones
     u = rhs.copy()
-    u[free3] = 0.0
-    a_f = opr.matrix[free3]
-    rhs_f = rhs[free3] - a_f @ u
-    a_ff = a_f[:, free3]
+    u[free] = 0.0
+    rhs_f = (rhs - opr.action(u))[free].reshape(-1)
     t1 = time.perf_counter()
 
-    diag = a_ff.diagonal()
+    diag = opr.diagonal()[free].reshape(-1)
     if not np.all(np.isfinite(diag) & (diag != 0.0)):
         raise np.linalg.LinAlgError(
             "collocation matrix is singular or ill-conditioned "
             "(zero or non-finite diagonal entry in the free block)")
-    jacobi = LinearOperator(a_ff.shape, matvec=lambda x: x / diag, dtype=float)
+
+    def free_action(x):
+        nodal = np.zeros_like(u)
+        nodal[free] = x.reshape(-1, 3)
+        return opr.action(nodal)[free].reshape(-1)
+
+    shape = (diag.size, diag.size)
+    jacobi = LinearOperator(shape, matvec=lambda x: x / diag, dtype=float)
     history = []
-    u_f, info = gmres(a_ff, rhs_f, rtol=_GMRES_RTOL, atol=0.0,
-                      restart=_GMRES_RESTART, maxiter=_GMRES_CYCLES, M=jacobi,
-                      callback=history.append, callback_type="pr_norm")
+    u_f, info = gmres(LinearOperator(shape, matvec=free_action, dtype=float),
+                      rhs_f, rtol=_GMRES_RTOL, atol=0.0, restart=_GMRES_RESTART,
+                      maxiter=_GMRES_CYCLES, M=jacobi, callback=history.append,
+                      callback_type="pr_norm")
     if info != 0:
         raise np.linalg.LinAlgError(
             f"collocation matrix is singular or ill-conditioned (GMRES info "
             f"{info}, {len(history)} iterations)")
-    u[free3] = u_f
+    u[free] = u_f.reshape(-1, 3)
     t2 = time.perf_counter()
 
-    u = u.reshape(-1, 3)
     residuals = residual_check(opr, u, b, g)
     return SolveResult(u=u, residuals=residuals, iterations=len(history),
                        residual_history=history,
@@ -349,15 +353,10 @@ def solve_equilibrium(opr: DiscreteOperator, b, g) -> SolveResult:
 def residual_check(opr: DiscreteOperator, u: np.ndarray, b, g) -> dict:
     """Residual norms of the full system split by node tag."""
     grid = opr.grid
-    r = (opr.matrix @ np.asarray(u, dtype=float).reshape(-1)
-         - build_rhs(opr, b, g)).reshape(-1, 3)
+    r = opr.action(u) - build_rhs(opr, b, g).reshape(-1, 3)
     out = {}
     for tag in NodeTag:
-        sel = grid.tags == tag
-        if not sel.any():
-            out[tag.name.lower()] = {"l2": 0.0, "max": 0.0}
-            continue
-        rn = np.linalg.norm(r[sel], axis=1)
-        out[tag.name.lower()] = {"l2": float(np.sqrt(np.mean(rn**2))),
-                                 "max": float(rn.max())}
+        rn = np.linalg.norm(r[grid.tags == tag], axis=1)
+        out[tag.name.lower()] = {"l2": float(np.sqrt(np.mean(rn**2))) if rn.size else 0.0,
+                                 "max": float(rn.max(initial=0.0))}
     return out

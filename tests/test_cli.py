@@ -1,11 +1,14 @@
-import dataclasses
 import json
 import os
+import subprocess
+import sys
 
 import jsonschema
 import numpy as np
 import pytest
 
+import peridyn
+from lattice_matrix import MatrixOperator, reference_matrix
 from peridyn import cli, solver
 from peridyn.cli import _load_config, build_parser, main
 
@@ -143,11 +146,10 @@ class TestExitCodes:
         assemble = solver.assemble
 
         def singular(grid, material):
-            opr = assemble(grid, material)
+            matrix = reference_matrix(assemble(grid, material)).tolil()
             free = np.flatnonzero(grid.tags != solver.NodeTag.CONSTRAINT)
-            matrix = opr.matrix.tolil()
             matrix[3 * free[0]] = 0.0
-            return dataclasses.replace(opr, matrix=matrix.tocsr())
+            return MatrixOperator(grid, matrix.tocsr())
 
         monkeypatch.setattr(solver, "assemble", singular)
         rc = main(["solve", "--field", "linear", "--out", str(tmp_path)])
@@ -156,6 +158,22 @@ class TestExitCodes:
         assert err.startswith("error: numerical refusal (LinAlgError): "
                               "collocation matrix is singular")
         assert err.count("\n") == 1
+
+    def test_solve_beyond_memory_refused_before_allocation(self, tmp_path, capsys,
+                                                           monkeypatch):
+        # 1601^3 nodes: refused from box and h alone, before build_grid
+        def allocate(*args):
+            raise AssertionError("build_grid called")
+
+        monkeypatch.setattr(solver, "build_grid", allocate)
+        cfg = tmp_path / "solve.json"
+        cfg.write_text(json.dumps({"study": "solve", "h": 0.0625,
+                                   "box": [[-50, -50, -50], [50, 50, 50]]}))
+        rc = main(["solve", "--config", str(cfg), "--out", str(tmp_path)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: box and h give a lattice of 4.1e+09 nodes")
+        assert err.endswith("of physical memory\n") and err.count("\n") == 1
 
     def test_failing_check_exits_one(self, tmp_path):
         # the order-(1, 1) rule is too coarse for the fourth moment, so that
@@ -356,3 +374,13 @@ class TestDeterminism:
         ns = build_parser().parse_args(["kdelta", "--out", str(tmp_path)])
         assert _load_config(ns).threads == 3
         assert main(["kdelta", "--out", str(tmp_path)]) == 0
+
+
+def test_import_leaves_the_solver_unloaded():
+    # only the solve study loads scipy.sparse.linalg, on first use
+    src = os.path.dirname(os.path.dirname(peridyn.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = "import sys, peridyn.cli; print('scipy.sparse.linalg' in sys.modules)"
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": path})
+    assert run.stdout == "False\n"

@@ -1,10 +1,11 @@
-import dataclasses
-
 import numpy as np
 import pytest
 import scipy.linalg
-from numpy.testing import assert_allclose
+import scipy.sparse as sp
+import scipy.sparse.linalg as spl
 
+from lattice_matrix import MatrixOperator, reference_matrix
+from peridyn import cli
 from peridyn import fields as F
 from peridyn import operators as O
 from peridyn import solver as S
@@ -45,13 +46,67 @@ def assemble_bond_only():
     return S.assemble(S.build_grid(BOX, 1.0 / 16.0, 3.0, iface), mat)
 
 
+def assemble_bench_box():
+    # the benchmark's lattice_solve problem: box +-0.75, e3 interface, moduli
+    # (3, 4.5, 2, 3), 6591 free dofs
+    iface = F.PlanarInterface(np.zeros(3), np.array([0.0, 0.0, 1.0]))
+    mat = F.TwoPhaseMaterial(3.0, 4.5, 2.0, 3.0, iface)
+    return S.assemble(S.build_grid((np.full(3, -0.75), np.full(3, 0.75)), 1.0 / 16.0,
+                                   3.0, iface), mat)
+
+
+def assemble_non_cubic():
+    # unequal axis lengths, one of them padded to a fast transform length
+    iface = F.PlanarInterface(np.array([0.0, 0.0, 0.03]), np.array([0.0, 0.0, 1.0]))
+    mat = F.TwoPhaseMaterial(3.0, 1.0, 5.0, 2.0, iface)
+    box = (np.array([-0.5, -0.625, -0.5625]), np.array([0.5625, 0.5, 0.5]))
+    return S.assemble(S.build_grid(box, 1.0 / 16.0, 3.0, iface), mat)
+
+
+def assemble_ratio_2_5():
+    # a non-integer ratio, where the collar is widened to the two-hop reach
+    iface = F.PlanarInterface(np.array([0.01, 0.0, 0.02]), np.array([0.6, 0.0, 0.8]))
+    mat = F.TwoPhaseMaterial(3.0, 1.0, 5.0, 2.0, iface)
+    return S.assemble(S.build_grid(BOX, 1.0 / 16.0, 2.5, iface), mat)
+
+
+def assemble_single_phase():
+    # smoothly varying moduli and extended rows, but no normal-projected term
+    _, mat = F.make_manufactured("smooth_material_trig")
+    return S.assemble(S.build_grid(BOX, 1.0 / 16.0, 3.0, F.INTERFACE_Z), mat)
+
+
+def assemble_flagship():
+    _, mat = F.make_manufactured("patch_jump_zero_traction")
+    return S.assemble(S.build_grid(BOX, 1.0 / 16.0, 3.0, mat.interface), mat)
+
+
+REFERENCE_CASES = {
+    "flagship": assemble_flagship,
+    "oblique": assemble_oblique,
+    "bond_only": assemble_bond_only,
+    "bench_box": assemble_bench_box,
+    "non_cubic": assemble_non_cubic,
+    "ratio_2_5": assemble_ratio_2_5,
+    "single_phase": assemble_single_phase,
+}
+
+
 @pytest.fixture(scope="module")
 def oblique_operator():
     return assemble_oblique()
 
 
+@pytest.fixture(scope="module", params=list(REFERENCE_CASES))
+def reference_case(request):
+    """An operator and its reference matrix, built once per case."""
+    opr = REFERENCE_CASES[request.param]()
+    return opr, reference_matrix(opr)
+
+
 def matrix_scale(opr):
-    return abs(opr.matrix).sum(axis=1).max()
+    """The max absolute row sum of the reference matrix."""
+    return abs(reference_matrix(opr)).sum(axis=1).max()
 
 
 def lattice_action(opr, nodal):
@@ -141,13 +196,11 @@ class TestBuildGrid:
 
 
 class TestAssembly:
-    def test_constraint_rows_are_identity(self, flagship_operator, flagship_grid):
-        cons = flagship_grid.nodes_with_tag(S.NodeTag.CONSTRAINT)[:50]
-        m = flagship_operator.matrix
-        for c in cons:
-            for i in range(3):
-                row = m.getrow(3 * c + i)
-                assert row.nnz == 1 and row[0, 3 * c + i] == 1.0
+    def test_constraint_rows_are_identity(self, flagship_operator, flagship_grid, rng):
+        cons = flagship_grid.tags == S.NodeTag.CONSTRAINT
+        v = rng.normal(size=(flagship_grid.n_nodes, 3))
+        assert np.array_equal(flagship_operator.action(v)[cons], v[cons])
+        assert np.all(flagship_operator.diagonal()[cons] == 1.0)
 
     @pytest.mark.parametrize("name", ["flagship_operator", "oblique_operator"])
     def test_constant_annihilation(self, name, request):
@@ -160,7 +213,7 @@ class TestAssembly:
     # a fresh matrix: a row sum on a shared one sorts its indices in place
     @pytest.mark.parametrize("build", [assemble_oblique, assemble_bond_only])
     def test_matrix_is_canonical(self, build):
-        m = build().matrix
+        m = reference_matrix(build())
         assert m.has_sorted_indices and m.has_canonical_format
         assert (m.data != 0).all()
 
@@ -191,6 +244,24 @@ class TestAssembly:
 
 
 class TestLatticeReference:
+    def test_action_matches_reference_matrix(self, reference_case, rng):
+        opr, matrix = reference_case
+        v = rng.normal(size=(opr.grid.n_nodes, 3))
+        ref = (matrix @ v.reshape(-1)).reshape(-1, 3)
+        scale = abs(matrix).sum(axis=1).max() * np.abs(v).max()
+        assert np.abs(opr.action(v) - ref).max() <= 1e-12 * scale
+
+    def test_diagonal_matches_reference_matrix(self, reference_case):
+        opr, matrix = reference_case
+        ref = matrix.diagonal().reshape(-1, 3)
+        assert np.abs(opr.diagonal() - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    def test_cli_residual_scale_within_row_sums(self, reference_case):
+        # the CLI's residual gate scales by max (lambda + 2 mu) / h^2, which
+        # must not exceed the scale of the operator it gates
+        opr, matrix = reference_case
+        assert cli._residual_scale(opr) <= abs(matrix).sum(axis=1).max()
+
     @pytest.mark.parametrize("name", ["oblique_operator", "flagship_operator"])
     def test_action_matches_matrix_free_reference(self, name, request, rng):
         opr = request.getfixturevalue(name)
@@ -306,36 +377,28 @@ class TestSolve:
         res = S.solve_equilibrium(flagship_operator, None, lambda p: field.value(p))
         ndofs = 3 * flagship_grid.n_nodes
         perm = rng.permutation(ndofs)
-        import scipy.sparse as sp
-
         p = sp.csr_matrix((np.ones(ndofs), (np.arange(ndofs), perm)),
                           shape=(ndofs, ndofs))
-        a_perm = (p @ flagship_operator.matrix @ p.T).tocsr()
+        a_perm = (p @ reference_matrix(flagship_operator) @ p.T).tocsr()
         rhs = S.build_rhs(flagship_operator, None, lambda q: field.value(q))
-        import scipy.sparse.linalg as spl
-
         u_perm = spl.spsolve(a_perm.tocsc(), p @ rhs)
         u_back = (p.T @ u_perm).reshape(-1, 3)
         assert np.abs(u_back - res.u).max() < 1e-9
 
-    def test_singular_matrix_reported(self, flagship_grid, patch):
-        _, mat = patch
-        opr = S.assemble(flagship_grid, mat)
-        bad = opr.matrix.tolil()
+    def test_singular_matrix_reported(self, flagship_operator, flagship_grid):
+        bad = reference_matrix(flagship_operator).tolil()
         free = np.flatnonzero(flagship_grid.tags != S.NodeTag.CONSTRAINT)
         bad[3 * free[0]] = 0.0
-        bad_opr = S.DiscreteOperator(grid=flagship_grid, material=mat,
-                                     matrix=bad.tocsr(), offsets=opr.offsets,
-                                     fractions=opr.fractions)
+        bad_opr = MatrixOperator(flagship_grid, bad.tocsr())
         with pytest.raises(np.linalg.LinAlgError, match="condition.*diagonal"):
             S.solve_equilibrium(bad_opr, None,
                                 lambda p: np.zeros(p.shape))
 
     def test_non_finite_diagonal_refused(self, flagship_operator, flagship_grid):
         free = np.flatnonzero(flagship_grid.tags != S.NodeTag.CONSTRAINT)
-        bad = flagship_operator.matrix.copy()
+        bad = reference_matrix(flagship_operator)
         bad[3 * free[-1] + 2, 3 * free[-1] + 2] = np.inf
-        bad_opr = dataclasses.replace(flagship_operator, matrix=bad)
+        bad_opr = MatrixOperator(flagship_grid, bad)
         with pytest.raises(np.linalg.LinAlgError,
                            match="singular or ill-conditioned .*diagonal"):
             S.solve_equilibrium(bad_opr, None, lambda p: np.zeros(p.shape))
@@ -353,9 +416,10 @@ class TestSolve:
         rhs = S.build_rhs(opr, b, g)
         collar = rhs.copy()
         collar[free3] = 0.0
-        a_ff = opr.matrix[free3][:, free3].toarray()
+        matrix = reference_matrix(opr)
+        a_ff = matrix[free3][:, free3].toarray()
         ref = collar.copy()
-        ref[free3] = scipy.linalg.solve(a_ff, rhs[free3] - opr.matrix[free3] @ collar)
+        ref[free3] = scipy.linalg.solve(a_ff, rhs[free3] - matrix[free3] @ collar)
         res = S.solve_equilibrium(opr, b, g)
         assert res.iterations == len(res.residual_history) > 0
         assert np.abs(res.u - ref.reshape(-1, 3)).max() <= 1e-10
@@ -370,10 +434,11 @@ class TestSolve:
         strides = np.array([grid.shape[1] * grid.shape[2], grid.shape[2], 1])
         p, q = centre, centre + strides @ np.array([1, 0, 1])
         assert grid.tags[p] == grid.tags[q] == S.NodeTag.INTERIOR
-        bad = opr.matrix.tolil()
-        bad[3 * q + 2] = opr.matrix[3 * p]
-        bad_opr = dataclasses.replace(opr, matrix=bad.tocsr())
-        assert np.all(bad_opr.matrix.diagonal() != 0.0)
+        matrix = reference_matrix(opr)
+        bad = matrix.tolil()
+        bad[3 * q + 2] = matrix[3 * p]
+        bad_opr = MatrixOperator(grid, bad.tocsr())
+        assert np.all(bad_opr.diagonal() != 0.0)
         b = lambda x: np.tile([0.0, 0.0, 1.0], x.shape[:-1] + (1,))
         with pytest.raises(np.linalg.LinAlgError, match="singular or ill-conditioned"):
             S.solve_equilibrium(bad_opr, b, lambda x: np.zeros(x.shape))
