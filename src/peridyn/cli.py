@@ -28,10 +28,11 @@ from .fields import (
     TwoPhaseMaterial,
     make_manufactured,
 )
-from .operators import half_ball_moment_tensor
+from .operators import half_ball_moment_tensor, nested_pass_points
 from .quadrature import (
     DEFAULT_ANGULAR_ORDER,
     DEFAULT_RADIAL_ORDER,
+    ball_rule_size,
     ball_volume,
     build_ball_rule,
     build_half_ball_rule,
@@ -179,6 +180,24 @@ def _field_material(cfg: StudyConfig, default_field: str):
     return name, field, material
 
 
+# Field points one nested pass may evaluate, checked before the rule is
+# built.  One pass is the cost of one operator evaluation; the largest rule
+# the studies are run at, (12, 16) on the split rule of a kinked field, needs
+# 1.5e8 points.
+NESTED_POINT_BUDGET = 2 * 10**8
+
+
+def _check_quad_budget(cfg: StudyConfig, field, split: bool) -> None:
+    """Refuse a ``quad`` whose nested pass on ``field`` exceeds the budget."""
+    n = ball_rule_size(*cfg.quad, split=split)
+    points = nested_pass_points(n, field)
+    if points > NESTED_POINT_BUDGET:
+        raise ConfigError(
+            f"quad {cfg.quad[0]},{cfg.quad[1]} gives a {n}-node rule whose "
+            f"nested pass evaluates {points:.3g} field points, more than the "
+            f"budget of {NESTED_POINT_BUDGET:.3g}")
+
+
 def _deltas(cfg: StudyConfig, default):
     if cfg.deltas is not None:
         return analysis.as_delta_series(cfg.deltas)
@@ -291,6 +310,7 @@ def _report_outputs(cfg: StudyConfig, report: analysis.ConvergenceReport) -> Non
 
 def _run_converge(cfg: StudyConfig) -> None:
     name, field, material = _field_material(cfg, "trig_smooth")
+    _check_quad_budget(cfg, field, split=False)
     deltas = _deltas(cfg, analysis.DEFAULT_DELTAS)
     iface = material.interface if isinstance(material, TwoPhaseMaterial) else None
     pts = analysis.default_sample_grid(cfg.sample_count, 0.45, iface,
@@ -317,10 +337,12 @@ def _material_jumps(material) -> bool:
 
 
 def _two_phase(cfg: StudyConfig, default_field: str):
-    """Field and material of an interface study, which needs two phases."""
+    """Field and material of an interface study, which needs two phases and
+    runs on the split rule."""
     name, field, material = _field_material(cfg, default_field)
     if not isinstance(material, TwoPhaseMaterial):
         raise ConfigError(f"{cfg.study} study needs a two-phase material")
+    _check_quad_budget(cfg, field, split=True)
     return name, field, material
 
 

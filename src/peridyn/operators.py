@@ -17,8 +17,10 @@ misses 45/32 times the traction jump by about 1.04.
 
 All evaluators are pure functions of (config, material, field, point).  The
 nested double integrals reuse one reference ball rule for the inner and outer
-integral and are evaluated in fixed node order, so results are reproducible
-bit for bit.
+integral.  Their inner points are symmetric in the pair of nodes, so each
+nested pass evaluates the field once per unordered pair of node tiles and
+adds the values into both tiles' sums.  The tiles and their order are fixed,
+so results are reproducible bit for bit.
 """
 
 from __future__ import annotations
@@ -173,14 +175,50 @@ def bond_correction_term(config: OperatorConfig, material: Material,
 # nested (composition-type) evaluations
 # ---------------------------------------------------------------------------
 
-# Outer-chunk size bound, in field points.  It is small so that each chunk's
-# temporaries (points, both sides' values, the side mask, the selection) stay
-# cache-sized, and the allocator reuses them from chunk to chunk instead of
-# faulting about 48 MB of fresh pages in per chunk, as a bound of 2,000,000
-# did.  A sweep from 4096 to 2,000,000 on one core of a 2-core x86 machine
-# was fastest at 8192, on the two-sided (4608-node rule) and the smooth
-# (768-node rule) path alike.  Each outer node's sums do not depend on it.
-_NESTED_CHUNK_ENTRIES = 8192
+# Tile width of the nested pass, in rule nodes.  The width fixes the order in
+# which each node's sums are accumulated, so it is a constant and not a
+# setting: results are reproducible bit for bit.  At 64 a tile's arrays of
+# 64 x 64 points stay below 100 kB, which the allocator reuses from tile to
+# tile, so the pass adds no measurable peak RSS.  On one core of a shared
+# 2-core x86 machine one pass at 64 took 17 ms on the 768-node rule and
+# 1.05 s on the 4608-node rule; widths 96 to 192 were up to 17% faster but
+# added 0.4 to 3.5 MiB to the peak RSS, and 32 and 48 were 20-75% slower.
+_NESTED_TILE = 64
+
+
+def _nested_tiles(n: int):
+    """The tiles of the nested pass over an n-node rule, in a fixed order:
+    each row block J of the node index with the column blocks K at or after
+    it.  A rule of at most ``_NESTED_TILE`` nodes is one diagonal tile."""
+    blocks = [slice(a, min(a + _NESTED_TILE, n)) for a in range(0, n, _NESTED_TILE)]
+    for i, rows in enumerate(blocks):
+        yield rows, blocks[i:]
+
+
+def _two_sided(field: PiecewiseField) -> bool:
+    """Whether the nested pass evaluates both sides' closed forms: a field
+    with a kink across its interface."""
+    return not (field.interface is None or field.plus_side is field.minus_side)
+
+
+def nested_pass_points(n: int, field: PiecewiseField) -> int:
+    """Field points one nested pass over an n-node rule evaluates on
+    ``field``: each tile of :func:`_nested_tiles` once, and once per side
+    for a field with a kink.  Closed form, so it also counts passes too
+    large to enumerate."""
+    full, rest = divmod(n, _NESTED_TILE)
+    diagonal = full * _NESTED_TILE**2 + rest**2  # the diagonal tiles' points
+    return (2 if _two_sided(field) else 1) * (n * n + diagonal) // 2
+
+
+def _by_side(plus, moments, up, um):
+    """``moments`` of the plus values where ``plus`` holds, else of the
+    minus values; ``plus`` is a mask over the leading axis of the result."""
+    if plus.all():
+        return moments(up)
+    if not plus.any():
+        return moments(um)
+    return np.where(plus[:, None, None], moments(up), moments(um))
 
 
 def _nested_moments(config: OperatorConfig, field: PiecewiseField, x):
@@ -198,6 +236,13 @@ def _nested_moments(config: OperatorConfig, field: PiecewiseField, x):
       interface), also where the inner ball reaches across the interface.
       Its horizon-scaled limit is then the shear-weighted jump formula of
       :func:`normal_correction_limit`.
+
+    The inner point of the pair (j, k) is x + (delta z_j + delta z_k), the
+    same point, bit for bit, as that of (k, j).  So the pass visits square
+    tiles (J, K) of the node index with J at or before K (see
+    :func:`_nested_tiles`) and evaluates the field once per tile: the rows J
+    take the moments summed over K, and off the diagonal the rows K take the
+    mirrored moments summed over J, from the same values.
     """
     z = config.rule.points
     w = config.rule.weights
@@ -205,41 +250,77 @@ def _nested_moments(config: OperatorConfig, field: PiecewiseField, x):
     r2 = np.einsum("qi,qi->q", z, z)
     bw = (w / r2)[:, None] * z
     a = z / r2[:, None]
-    y = x + config.delta * z
+    dz = config.delta * z
+    # a tile's arrays are laid out (rows, 3 * columns), so that each
+    # elementwise step runs along a contiguous row of the tile
+    tile = min(_NESTED_TILE, n)
+    dz_flat = dz.reshape(-1)
+    x_flat = np.tile(x, tile)
     iface = field.interface
-    if iface is None or field.plus_side is field.minus_side:
-        groups = ((np.arange(n), None),)  # smooth: both channels agree
-    else:
-        # outer nodes run grouped by phase, so the p channel reads its own
-        # side's evaluation directly; the signed distance of an inner point
-        # splits as sd(y_j) + delta z_k . n
-        sd_y = iface.signed_distance(y)
-        sd_z = config.delta * (z @ iface.normal)
-        groups = ((np.flatnonzero(sd_y >= 0.0), SideTag.PLUS),
-                  (np.flatnonzero(sd_y < 0.0), SideTag.MINUS))
+    two_sided = _two_sided(field)
+    if two_sided:
+        # the signed distance of an inner point splits symmetrically as
+        # sd(x) + (s_j + s_k), so its side does not depend on the order
+        s = dz @ iface.normal
+        sd_x = float(iface.signed_distance(x))
+        outer_plus = iface.signed_distance(x + dz) >= 0.0
 
-    g = np.empty(n)
-    p = np.empty((n, 3))
-    chunk = max(1, _NESTED_CHUNK_ENTRIES // n)
-    bwt = np.ascontiguousarray(bw.T)
-    for nodes, side in groups:
-        for start in range(0, len(nodes), chunk):
-            idx = nodes[start:start + chunk]
-            pts = y[idx, None, :] + config.delta * z[None, :, :]
-            if side is None:
-                u_inner = u_outer = field.value(pts)  # (B, n, 3)
+    g = np.zeros(n)
+    p = np.zeros((n, 3))
+
+    def add(nodes, m_inner, m_outer):
+        """Adds moments M of the nodes read through each inner point's
+        phase (to g) and through the outer node's phase (to p)."""
+        g[nodes] += np.trace(m_inner, axis1=1, axis2=2)
+        p[nodes] += np.einsum("bil,bi->bl", m_outer, a[nodes])
+
+    for rows, col_blocks in _nested_tiles(n):
+        n_rows = rows.stop - rows.start
+        dz_rows = np.tile(dz[rows], (1, tile))
+        bwt_rows = bw[rows].T
+        for cols in col_blocks:
+            flat = slice(3 * cols.start, 3 * cols.stop)
+            width = flat.stop - flat.start
+            mirror = rows.start != cols.start
+            # row moments as one GEMM: (u @ b)[j, 3i + l] = sum_k bw[k, i] u[j, k, l]
+            b = np.zeros((width // 3, 3, 3, 3))
+            for l in range(3):
+                b[:, l, :, l] = bw[cols]
+            b = b.reshape(width, 9)
+
+            def row_moments(u):  # (T_J, 3, 3): summed over the columns
+                return (u @ b).reshape(n_rows, 3, 3)
+
+            def col_moments(u):  # (T_K, 3, 3): summed over the rows
+                m = bwt_rows @ u
+                return m.reshape(3, -1, 3).transpose(1, 0, 2)
+
+            pts = dz_rows[:, :width] + dz_flat[flat]
+            pts += x_flat[:width]
+            pts = pts.reshape(n_rows, -1, 3)
+            if not two_sided:
+                u = field.value(pts).reshape(n_rows, width)
+                m = row_moments(u)
+                add(rows, m, m)
+                if mirror:
+                    m = col_moments(u)
+                    add(cols, m, m)
+                continue
+            # one evaluation per side; g selects by the inner point's phase
+            up = field.value_on(pts, SideTag.PLUS).reshape(n_rows, width)
+            um = field.value_on(pts, SideTag.MINUS).reshape(n_rows, width)
+            inner_plus = sd_x + (s[rows, None] + np.repeat(s[cols], 3)) >= 0.0
+            if inner_plus.all():
+                u_inner = up
+            elif not inner_plus.any():
+                u_inner = um
             else:
-                # one evaluation per side; g selects by inner point's phase
-                up = field.value_on(pts, SideTag.PLUS)
-                um = field.value_on(pts, SideTag.MINUS)
-                inner_plus = sd_y[idx, None] + sd_z[None, :] >= 0.0
-                u_inner = np.where(inner_plus[..., None], up, um)
-                u_outer = up if side is SideTag.PLUS else um
-            m = np.matmul(bwt[None, :, :], u_inner)  # (B, 3, 3), batched GEMM
-            g[idx] = np.trace(m, axis1=1, axis2=2)
-            if u_outer is not u_inner:
-                m = np.matmul(bwt[None, :, :], u_outer)
-            p[idx] = np.einsum("bil,bi->bl", m, a[idx])
+                u_inner = np.where(inner_plus, up, um)
+            add(rows, row_moments(u_inner),
+                _by_side(outer_plus[rows], row_moments, up, um))
+            if mirror:
+                add(cols, col_moments(u_inner),
+                    _by_side(outer_plus[cols], col_moments, up, um))
     _require_finite(g)  # non-finite field values propagate through the sums
     _require_finite(p)
     return g, p

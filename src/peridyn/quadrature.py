@@ -120,6 +120,13 @@ class HalfBallQuadrature:
         return self.points @ rot  # row form of R^T z
 
 
+def ball_rule_size(radial_order: int, angular_order: int,
+                   split: bool = False) -> int:
+    """Node count of :func:`build_ball_rule`, or with ``split`` of
+    :func:`build_split_ball_rule`, without building the rule."""
+    return (2 if split else 1) * 2 * radial_order * angular_order**2
+
+
 def build_ball_rule(radial_order: int = DEFAULT_RADIAL_ORDER,
                     angular_order: int = DEFAULT_ANGULAR_ORDER) -> BallQuadrature:
     points, weights = _spherical_product_nodes(radial_order, angular_order, -1.0, 1.0)

@@ -80,7 +80,9 @@ def build_grid(box, h: float, horizon_ratio: float,
     """
     lo = np.asarray(box[0], dtype=float)
     hi = np.asarray(box[1], dtype=float)
-    if horizon_ratio <= 1:
+    if not (np.isfinite(h) and h > 0):
+        raise ValueError(f"grid spacing h must be positive and finite, got {h!r}")
+    if not horizon_ratio > 1:  # also refuses NaN
         raise ValueError("horizon must exceed the grid spacing (ratio > 1)")
     counts = (hi - lo) / h
     n_axis = np.rint(counts).astype(int)

@@ -1,0 +1,49 @@
+"""The nested pass without tiles: the test reference.
+
+``reference_moments`` computes the two channels that
+``operators._nested_moments`` returns straight from their definitions, one
+outer node at a time over every inner node, so it visits all n^2 ordered node
+pairs and shares no tile, layout or side test with the tiled pass.
+"""
+
+import numpy as np
+
+from peridyn.fields import SideTag
+
+
+def reference_moments(config, field, x):
+    """(g, p) of the nested pass at x, from the n^2 ordered node pairs.
+
+    ``g[j]`` reads every inner point in its own phase (the plus side on the
+    interface); ``p[j]`` reads the closed form of the phase of the outer node
+    y_j."""
+    z = config.rule.points
+    r2 = np.einsum("qi,qi->q", z, z)
+    bw = (config.rule.weights / r2)[:, None] * z
+    y = x + config.delta * z
+    g = np.empty(len(z))
+    p = np.empty((len(z), 3))
+    for j, y_j in enumerate(y):
+        inner = y_j + config.delta * z
+        g[j] = np.sum(bw * field.value(inner))
+        if field.interface is None:
+            outer = field.value(inner)
+        else:
+            side = (SideTag.PLUS if field.interface.signed_distance(y_j) >= 0.0
+                    else SideTag.MINUS)
+            outer = field.value_on(inner, side)
+        p[j] = (bw.T @ outer).T @ (z[j] / r2[j])
+    return g, p
+
+
+def moment_scale(config, field, x) -> float:
+    """A bound on the sum of the magnitudes of the terms of any ``g[j]``:
+    sum_k |w_k z_k / |z_k|^2|_1 times the largest |u| component of either
+    side's closed form on the inner points.  The ``p`` channel's terms carry
+    a further factor of at most max_j |z_j / |z_j|^2|_1."""
+    z = config.rule.points
+    r2 = np.einsum("qi,qi->q", z, z)
+    bw = (config.rule.weights / r2)[:, None] * z
+    inner = x + config.delta * (z[:, None, :] + z[None, :, :])
+    u_max = max(np.abs(field.value_on(inner, side)).max() for side in SideTag)
+    return float(np.abs(bw).sum() * u_max)

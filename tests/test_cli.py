@@ -9,10 +9,14 @@ import pytest
 
 import peridyn
 from lattice_matrix import MatrixOperator, reference_matrix
-from peridyn import cli, solver
+from peridyn import analysis, cli, solver
+from peridyn.fields import make_manufactured
 from peridyn.cli import _load_config, build_parser, main
 
 DOCS = os.path.join(os.path.dirname(__file__), "..", "docs")
+# PYTHONPATH for a subprocess that imports this checkout's peridyn
+_SRC_PATH = os.pathsep.join(filter(None, [
+    os.path.dirname(os.path.dirname(peridyn.__file__)), os.environ.get("PYTHONPATH")]))
 
 FAST = ["--quad", "4,6"]
 FAST_DELTAS = ["--delta-series", "0.04,0.02,0.01"]
@@ -174,6 +178,41 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: box and h give a lattice of 4.1e+09 nodes")
         assert err.endswith("of physical memory\n") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("h", ["0", "-0.0625", "NaN", "Infinity"])
+    def test_solve_bad_spacing_one_error_line(self, h, tmp_path):
+        # refused before any arithmetic on h, so numpy prints no warning
+        cfg = tmp_path / "solve.json"
+        cfg.write_text('{"study": "solve", "h": %s}' % h)
+        run = subprocess.run(
+            [sys.executable, "-m", "peridyn.cli", "solve", "--config", str(cfg),
+             "--out", str(tmp_path)],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": _SRC_PATH})
+        assert run.returncode == 2
+        assert run.stderr.startswith("error: grid spacing h must be positive and finite")
+        assert run.stderr.count("\n") == 1
+
+    @pytest.mark.parametrize("argv,nodes", [
+        (["star", "--quad", "16,16"], 16384),  # split rule, kinked field
+        (["converge", "--quad", "24,24"], 27648),  # ball rule, smooth field
+    ])
+    def test_quad_beyond_budget_refused_before_the_rule(self, argv, nodes, tmp_path,
+                                                        capsys, monkeypatch):
+        def build(*args):
+            raise AssertionError("rule built")
+
+        monkeypatch.setattr(analysis, "build_ball_rule", build)
+        monkeypatch.setattr(analysis, "build_split_ball_rule", build)
+        rc = main([*argv, "--out", str(tmp_path)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: quad {argv[2]} gives a {nodes}-node rule")
+        assert err.endswith("budget of 2e+08\n") and err.count("\n") == 1
+
+    def test_quad_budget_admits_12_16_on_the_split_rule(self):
+        ns = build_parser().parse_args(["star", "--quad", "12,16"])
+        field, _ = make_manufactured("gradient_jump")  # star's default, kinked
+        cli._check_quad_budget(_load_config(ns), field, split=True)
 
     def test_failing_check_exits_one(self, tmp_path):
         # the order-(1, 1) rule is too coarse for the fourth moment, so that
@@ -378,9 +417,7 @@ class TestDeterminism:
 
 def test_import_leaves_the_solver_unloaded():
     # only the solve study loads scipy.sparse.linalg, on first use
-    src = os.path.dirname(os.path.dirname(peridyn.__file__))
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     code = "import sys, peridyn.cli; print('scipy.sparse.linalg' in sys.modules)"
     run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         check=True, env={**os.environ, "PYTHONPATH": path})
+                         check=True, env={**os.environ, "PYTHONPATH": _SRC_PATH})
     assert run.stdout == "False\n"

@@ -6,6 +6,7 @@ from numpy.polynomial.legendre import leggauss
 from peridyn import fields as F
 from peridyn import operators as O
 from peridyn.tensor import contract_t3_mat
+from nested_reference import moment_scale, reference_moments
 
 EZ = np.array([0.0, 0.0, 1.0])
 X0 = np.zeros(3)
@@ -364,21 +365,87 @@ class TestFusedNestedPass:
 
             monkeypatch.setattr(F.PiecewiseField, name, counted)
         O.corrected_operator(cfg, mat, field, x)
-        # the pass evaluates both sides at n^2 inner points; the bond sum
-        # and the bond correction each read the n outer nodes and x
-        assert count[0] == 2 * n * n + 2 * (n + 1)
+        # the pass evaluates both sides once per tile: 45 tiles of 64 x 64
+        # on the 576-node rule; the bond sum and the bond correction each
+        # read the n outer nodes and x
+        assert O._NESTED_TILE == 64
+        assert count[0] == 2 * 45 * 64 * 64 + 2 * (n + 1) == 369_794
+        assert count[0] == O.nested_pass_points(n, field) + 2 * (n + 1)
 
-    @pytest.mark.parametrize("name", ["patch_jump_zero_traction", "trig_smooth"])
-    def test_moments_do_not_depend_on_chunk_size(self, name, monkeypatch):
-        field, _ = F.make_manufactured(name)
-        cfg = O.make_config(0.1, 4, 6, split_normal=EZ)
-        x = np.array([0.01, 0.02, 0.03])
-        results = []
-        for entries in (1, 10**9):
-            monkeypatch.setattr(O, "_NESTED_CHUNK_ENTRIES", entries)
-            results.append(O._nested_moments(cfg, field, x))
-        assert_array_equal(results[0][0], results[1][0])
-        assert_array_equal(results[0][1], results[1][1])
+
+def _tiled_cases():
+    """(name, field, config, point) for the tiled pass against its untiled
+    reference: 150 and 200 nodes, so tile widths of 7, 64 and 96 leave a
+    ragged last block."""
+    trig, _ = F.make_manufactured("trig_smooth")
+    patch, _ = F.make_manufactured("patch_jump_zero_traction")
+    _, oblique, mat, x = FUSED_CASES[3]
+    return [
+        ("trig_smooth", trig, O.make_config(0.1, 3, 5), np.array([0.01, 0.02, 0.03])),
+        ("e3_kink_on_plane", patch, O.make_config(0.1, 2, 5, split_normal=EZ), X0),
+        ("e3_kink_in_slab", patch, O.make_config(0.1, 2, 5, split_normal=EZ),
+         np.array([0.01, -0.02, 0.03])),
+        ("oblique_kink", oblique,
+         O.make_config(0.1, 2, 5, split_normal=mat.interface.normal), x),
+    ]
+
+
+TILED_CASES = _tiled_cases()
+
+
+class TestTiledNestedPass:
+    """The nested pass evaluates each unordered pair of node tiles once and
+    matches the untiled n^2 reference to rounding at every tile width."""
+
+    @pytest.mark.parametrize("width", [1, 7, 64, 96, 10**6])
+    @pytest.mark.parametrize("name,field,cfg,x", TILED_CASES,
+                             ids=[c[0] for c in TILED_CASES])
+    def test_matches_untiled_reference(self, name, field, cfg, x, width,
+                                       monkeypatch):
+        monkeypatch.setattr(O, "_NESTED_TILE", width)
+        g, p = O._nested_moments(cfg, field, x)
+        g_ref, p_ref = reference_moments(cfg, field, x)
+        scale = moment_scale(cfg, field, x)
+        z = cfg.rule.points
+        a_max = np.abs(z / np.einsum("qi,qi->q", z, z)[:, None]).sum(axis=1).max()
+        assert np.abs(g - g_ref).max() <= 1e-14 * scale
+        assert np.abs(p - p_ref).max() <= 1e-14 * scale * a_max
+
+    @pytest.mark.parametrize("name,field,cfg,x", TILED_CASES,
+                             ids=[c[0] for c in TILED_CASES])
+    def test_two_calls_agree_bit_for_bit(self, name, field, cfg, x):
+        first = O._nested_moments(cfg, field, x)
+        second = O._nested_moments(cfg, field, x)
+        assert_array_equal(first[0], second[0])
+        assert_array_equal(first[1], second[1])
+
+    def test_operator_lam_ne_mu_matches_reference_pass(self, monkeypatch):
+        # lambda != mu on both sides, so g feeds the dilatational part and
+        # p the normal-projected term
+        _, field, mat, x = FUSED_CASES[1]
+        cfg = O.make_config(0.1, 4, 6, split_normal=mat.interface.normal)
+        got = O.corrected_operator(cfg, mat, field, x)
+        monkeypatch.setattr(O, "_nested_moments", reference_moments)
+        want = O.corrected_operator(cfg, mat, field, x)
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+    @pytest.mark.parametrize("width", [1, 7, 64, 96])
+    def test_point_count_is_the_tiles(self, width, monkeypatch):
+        monkeypatch.setattr(O, "_NESTED_TILE", width)
+        smooth = F.PiecewiseField.smooth(F.constant_field(np.zeros(3)))
+        kinked = TILED_CASES[1][1]
+        for n in [*range(1, 30), 95, 96, 97, 191, 192, 193, 250]:
+            tiles = sum((rows.stop - rows.start) * (cols.stop - cols.start)
+                        for rows, col_blocks in O._nested_tiles(n)
+                        for cols in col_blocks)
+            assert O.nested_pass_points(n, smooth) == tiles
+            assert O.nested_pass_points(n, kinked) == 2 * tiles
+
+    def test_small_rule_is_one_diagonal_tile(self):
+        n = O._NESTED_TILE
+        assert [(rows, cols) for rows, cols in O._nested_tiles(n)] == [
+            (slice(0, n), [slice(0, n)])]
+
 
 class TestClosedFormLimits:
     def test_natural_condition_patch_value(self, patch):

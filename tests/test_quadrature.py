@@ -34,6 +34,12 @@ class TestRuleInvariants:
         npts = len(split_rule_z) // 2
         assert_allclose(split_rule_z.points[npts:], -split_rule_z.points[:npts])
 
+    @pytest.mark.parametrize("orders", [(1, 1), (2, 3), (8, 12)])
+    def test_rule_size_without_building(self, orders):
+        assert quad.ball_rule_size(*orders) == len(quad.build_ball_rule(*orders))
+        split = quad.build_split_ball_rule(np.array([0.0, 0.6, 0.8]), *orders)
+        assert quad.ball_rule_size(*orders, split=True) == len(split)
+
     def test_orders_validated(self):
         with pytest.raises(ValueError):
             quad.build_ball_rule(0, 4)
