@@ -38,6 +38,7 @@ from .operators import (
     OperatorConfig,
     corrected_operator,
     natural_condition_limit,
+    nested_pass_points,
     state_operator,
 )
 from .quadrature import (DEFAULT_ANGULAR_ORDER, DEFAULT_RADIAL_ORDER,
@@ -198,7 +199,9 @@ def _series(operator, material: Material, field: PiecewiseField, deltas, pts,
             radial_order: int, angular_order: int, threads: int,
             split_normal=None):
     """``operator(config, material, field, x)`` over the horizon x point grid
-    as (n_delta, n_points, 3) values, and the report params of the run.
+    as (n_delta, n_points, 3) values, and the report params of the run: the
+    rule, the threads, and the field points of one nested pass on this rule
+    and field.
 
     One rule serves every horizon.  The pairs run horizon-major; with
     ``threads <= 1`` they run on the caller's thread."""
@@ -219,6 +222,7 @@ def _series(operator, material: Material, field: PiecewiseField, deltas, pts,
             flat = list(pool.map(task, pairs))
     params = {"radial_order": rule.radial_order,
               "angular_order": rule.angular_order, "nodes": len(rule),
+              "nested_points": nested_pass_points(len(rule), field),
               "threads": threads}
     return np.asarray(flat).reshape(len(cfgs), len(pts), 3), params
 

@@ -181,9 +181,11 @@ def _field_material(cfg: StudyConfig, default_field: str):
 
 
 # Field points one nested pass may evaluate, checked before the rule is
-# built.  One pass is the cost of one operator evaluation; the largest rule
-# the studies are run at, (12, 16) on the split rule of a kinked field, needs
-# 1.5e8 points.
+# built.  One pass is the cost of one operator evaluation.  On an affine
+# field, as every manufactured interface configuration is, it evaluates each
+# rule node once per side; on any other field about n^2/2 points per side,
+# so the split rule at (16, 16) needs 1.3e8 points on the smooth quadratic
+# field and (18, 18) 2.7e8.
 NESTED_POINT_BUDGET = 2 * 10**8
 
 

@@ -12,6 +12,7 @@ region together with the interface itself) take the plus-side values.
 
 from __future__ import annotations
 
+import dataclasses
 import enum
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -63,17 +64,25 @@ INTERFACE_Z = PlanarInterface(np.zeros(3), E3)
 
 @dataclass(frozen=True)
 class AnalyticVectorField:
-    """Closed-form vector field with supplied first and second derivatives."""
+    """Closed-form vector field with supplied first and second derivatives.
+
+    ``constant_grad`` is the field's gradient where the field is affine and
+    declared so, else None; the nested operators then integrate it in closed
+    form instead of evaluating it at every inner point.
+    """
 
     value: Callable[[np.ndarray], np.ndarray]
     grad: Callable[[np.ndarray], np.ndarray]
     hessian: Callable[[np.ndarray], np.ndarray]
+    constant_grad: Optional[np.ndarray] = dataclasses.field(default=None, compare=False)
 
     def __add__(self, other: "AnalyticVectorField") -> "AnalyticVectorField":
+        both = self.constant_grad is not None and other.constant_grad is not None
         return AnalyticVectorField(
             value=lambda p: self.value(p) + other.value(p),
             grad=lambda p: self.grad(p) + other.grad(p),
             hessian=lambda p: self.hessian(p) + other.hessian(p),
+            constant_grad=self.constant_grad + other.constant_grad if both else None,
         )
 
     def __mul__(self, a: float) -> "AnalyticVectorField":
@@ -82,6 +91,7 @@ class AnalyticVectorField:
             value=lambda p: a * self.value(p),
             grad=lambda p: a * self.grad(p),
             hessian=lambda p: a * self.hessian(p),
+            constant_grad=None if self.constant_grad is None else a * self.constant_grad,
         )
 
     __rmul__ = __mul__
@@ -318,6 +328,7 @@ def constant_field(c) -> AnalyticVectorField:
         value=value,
         grad=lambda p: np.zeros(p.shape[:-1] + (3, 3)),
         hessian=lambda p: np.zeros(p.shape[:-1] + (3, 3, 3)),
+        constant_grad=np.zeros((3, 3)),
     )
 
 
@@ -334,6 +345,7 @@ def linear_field(c, g) -> AnalyticVectorField:
         value=lambda p: c + p @ g.T,
         grad=grad,
         hessian=lambda p: np.zeros(p.shape[:-1] + (3, 3, 3)),
+        constant_grad=g,
     )
 
 

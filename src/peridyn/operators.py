@@ -17,10 +17,14 @@ misses 45/32 times the traction jump by about 1.04.
 
 All evaluators are pure functions of (config, material, field, point).  The
 nested double integrals reuse one reference ball rule for the inner and outer
-integral.  Their inner points are symmetric in the pair of nodes, so each
-nested pass evaluates the field once per unordered pair of node tiles and
-adds the values into both tiles' sums.  The tiles and their order are fixed,
-so results are reproducible bit for bit.
+integral.  A field whose closed forms are affine, as every manufactured
+interface configuration is, is integrated from the rule's moments: the pass
+reads the n outer nodes once per side and sorts the nodes once, O(n log n)
+work.  Any other field is read at the n^2 inner points; these are symmetric
+in the pair of nodes, so the pass evaluates the field once per unordered pair
+of node tiles and adds the values into both tiles' sums.  The tiles, the
+sort and every summation order are fixed, so results are reproducible bit
+for bit.
 """
 
 from __future__ import annotations
@@ -201,14 +205,25 @@ def _two_sided(field: PiecewiseField) -> bool:
     return not (field.interface is None or field.plus_side is field.minus_side)
 
 
+def _affine(field: PiecewiseField) -> bool:
+    """Whether every closed form the nested pass reads declares a constant
+    gradient, so that the pass integrates it from rule moments."""
+    sides = (field.plus_side, field.minus_side) if _two_sided(field) else (field.plus_side,)
+    return all(side.constant_grad is not None for side in sides)
+
+
 def nested_pass_points(n: int, field: PiecewiseField) -> int:
     """Field points one nested pass over an n-node rule evaluates on
-    ``field``: each tile of :func:`_nested_tiles` once, and once per side
-    for a field with a kink.  Closed form, so it also counts passes too
+    ``field``, once per side for a field with a kink: the n outer nodes for
+    an affine field (see :func:`_affine_moments`), else each tile of
+    :func:`_nested_tiles` once.  Closed form, so it also counts passes too
     large to enumerate."""
+    sides = 2 if _two_sided(field) else 1
+    if _affine(field):
+        return sides * n
     full, rest = divmod(n, _NESTED_TILE)
     diagonal = full * _NESTED_TILE**2 + rest**2  # the diagonal tiles' points
-    return (2 if _two_sided(field) else 1) * (n * n + diagonal) // 2
+    return sides * (n * n + diagonal) // 2
 
 
 def _by_side(plus, moments, up, um):
@@ -228,7 +243,9 @@ def _nested_moments(config: OperatorConfig, field: PiecewiseField, x):
 
     * ``g[j] = sum_k (w_k/|z_k|^2) z_k . u(y_j + delta z_k)`` -- the scalar
       divergence channel; the physical inner integral is delta^2 g.  Each
-      inner point takes its own phase (the plus side on the interface).
+      inner point takes its own phase (the plus side on the interface): the
+      side of x + (delta z_j + delta z_k), read from its signed distance
+      sd(x) + (s_j + s_k) with s = delta z . n.
     * ``p[j] = M_j^T (z_j/|z_j|^2)`` with
       ``M_j = sum_k (w_k/|z_k|^2) z_k (x) u_j(y_j + delta z_k)`` -- the
       normal-projection channel; the physical value is delta p.  Here u_j is
@@ -237,6 +254,125 @@ def _nested_moments(config: OperatorConfig, field: PiecewiseField, x):
       Its horizon-scaled limit is then the shear-weighted jump formula of
       :func:`normal_correction_limit`.
 
+    A field whose closed forms are all affine is integrated from rule moments
+    with n field points per side (:func:`_affine_moments`); any other field
+    is evaluated at the n^2 inner points by pair-symmetric tiles
+    (:func:`_tiled_moments`).  Both agree to rounding on an affine field.
+    """
+    if _affine(field):
+        g, p = _affine_moments(config, field, x)
+    else:
+        g, p = _tiled_moments(config, field, x)
+    _require_finite(g)  # non-finite field values propagate through the sums
+    _require_finite(p)
+    return g, p
+
+
+def _nested_weights(config: OperatorConfig):
+    """(bw, a, delta z) of the rule: bw_k = (w_k/|z_k|^2) z_k weighs the
+    inner nodes, a_j = z_j/|z_j|^2 the outer ones."""
+    z = config.rule.points
+    r2 = np.einsum("qi,qi->q", z, z)
+    return (config.rule.weights / r2)[:, None] * z, z / r2[:, None], config.delta * z
+
+
+def _minus_counts(s, sd_x: float) -> np.ndarray:
+    """For each outer node j, how many inner nodes k put the inner point on
+    the minus side: those where ``sd_x + (s_j + s_k) >= 0`` fails.
+
+    Rounding is monotone, so the predicate is monotone in s_k bit for bit,
+    and these nodes come first in ascending order of s.  ``searchsorted`` on
+    the distinct values of s finds each boundary to rounding; the predicate
+    itself then moves it, by a few distinct values at most, to where it
+    holds exactly.
+    """
+    values, counts = np.unique(s, return_counts=True)
+    last = len(values) - 1
+
+    def minus(i):
+        return ~(sd_x + (s + values[i]) >= 0.0)
+
+    m = np.searchsorted(values, -sd_x - s)
+    while True:
+        down = (m > 0) & ~minus(np.maximum(m - 1, 0))
+        up = (m <= last) & minus(np.minimum(m, last))
+        if not (down.any() or up.any()):
+            break
+        m = m - down + up
+    return np.concatenate(([0], np.cumsum(counts)))[m]
+
+
+def _prefix_sums(v) -> np.ndarray:
+    """The sums of the first i rows of v, i = 0..len(v), compensated: the
+    rounding error of each step of the running sum is recovered exactly
+    (Knuth's TwoSum) and the errors are added back, so each sum is good to
+    about one rounding however many rows it adds."""
+    run = np.cumsum(v, axis=0)
+    before, step, after = run[:-1], v[1:], run[1:]
+    back = after - before
+    err = (before - (after - back)) + (step - back)
+    out = np.zeros((len(v) + 1,) + v.shape[1:])
+    out[1:] = run
+    out[2:] += np.cumsum(err, axis=0)
+    return out
+
+
+def _affine_moments(config: OperatorConfig, field: PiecewiseField, x):
+    """The channels of :func:`_nested_moments` for a field whose closed forms
+    u_s are affine with gradients G_s, from n field points per side.
+
+    Since u_s(y_j + delta z_k) = u_s(y_j) + G_s delta z_k, the rule moments
+    B0 = sum_k bw_k and B1 = sum_k bw_k (x) delta z_k give the ``p`` channel
+    p_j = (B0 . a_j) u_s(y_j) + G_s (B1^T a_j), with s the phase of y_j, and
+    the ``g`` channel g_j = B0 . u(y_j) + G : B1 of a field with one closed
+    form, where G : B1 = sum_il G_il (B1)_il.  With a kink, g_j starts from
+    the plus side and switches j's minus-side inner nodes over:
+
+        g_j = B0 . u_+(y_j) + G_+ : B1
+              + sum_{k minus} bw_k . (u_-(y_j) - u_+(y_j) + (G_- - G_+) delta z_k)
+
+    Those nodes are a prefix of the nodes in ascending order of s_k
+    (:func:`_minus_counts`), so the last sum is two prefix sums.  Every sum
+    is compensated (:func:`_prefix_sums`), and the prefix sums weigh only the
+    jump between the sides, which is small near the interface of a
+    continuous field.
+    """
+    bw, a, dz = _nested_weights(config)
+    y = x + dz
+    b0 = _prefix_sums(bw)[-1]
+    b1 = np.stack([_prefix_sums(bw * dz[:, l, None])[-1] for l in range(3)], axis=1)
+    grad_plus = field.plus_side.constant_grad
+
+    def p_channel(u, grad):
+        return (a @ b0)[:, None] * u + (a @ b1) @ grad.T
+
+    if not _two_sided(field):
+        u = field.value(y)
+        return u @ b0 + np.sum(grad_plus * b1), p_channel(u, grad_plus)
+    iface = field.interface
+    grad_minus = field.minus_side.constant_grad
+    u_plus = field.value_on(y, SideTag.PLUS)
+    u_minus = field.value_on(y, SideTag.MINUS)
+    s = dz @ iface.normal
+    minus = _minus_counts(s, float(iface.signed_distance(x)))
+    order = np.argsort(s, kind="stable")
+
+    def prefix(v):  # sums of v over each outer node's minus-side inner nodes
+        return _prefix_sums(v[order])[minus]
+
+    jump = np.einsum("ki,ki->k", bw, dz @ (grad_minus - grad_plus).T)
+    g = (u_plus @ b0 + np.sum(grad_plus * b1)
+         + np.einsum("ji,ji->j", prefix(bw), u_minus - u_plus) + prefix(jump))
+    outer_plus = (iface.signed_distance(y) >= 0.0)[:, None]
+    p = np.where(outer_plus, p_channel(u_plus, grad_plus),
+                 p_channel(u_minus, grad_minus))
+    return g, p
+
+
+def _tiled_moments(config: OperatorConfig, field: PiecewiseField, x):
+    """The channels of :func:`_nested_moments` from the field's values at
+    all n^2 inner points.
+
     The inner point of the pair (j, k) is x + (delta z_j + delta z_k), the
     same point, bit for bit, as that of (k, j).  So the pass visits square
     tiles (J, K) of the node index with J at or before K (see
@@ -244,13 +380,8 @@ def _nested_moments(config: OperatorConfig, field: PiecewiseField, x):
     take the moments summed over K, and off the diagonal the rows K take the
     mirrored moments summed over J, from the same values.
     """
-    z = config.rule.points
-    w = config.rule.weights
-    n = z.shape[0]
-    r2 = np.einsum("qi,qi->q", z, z)
-    bw = (w / r2)[:, None] * z
-    a = z / r2[:, None]
-    dz = config.delta * z
+    bw, a, dz = _nested_weights(config)
+    n = dz.shape[0]
     # a tile's arrays are laid out (rows, 3 * columns), so that each
     # elementwise step runs along a contiguous row of the tile
     tile = min(_NESTED_TILE, n)
@@ -321,8 +452,6 @@ def _nested_moments(config: OperatorConfig, field: PiecewiseField, x):
             if mirror:
                 add(cols, col_moments(u_inner),
                     _by_side(outer_plus[cols], col_moments, up, um))
-    _require_finite(g)  # non-finite field values propagate through the sums
-    _require_finite(p)
     return g, p
 
 

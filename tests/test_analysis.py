@@ -319,17 +319,31 @@ class TestReportSerialization:
                                          "scipy": scipy.__version__}
         assert payload["params"]["threads"] == 1
         assert payload["params"]["nodes"] == 2 * 6 * 8 * 16  # split rule
+        # what one nested pass cost: the affine ramp reads each node per side
+        assert payload["params"]["nested_points"] == 2 * 2 * 6 * 8 * 16
         with open(os.path.join(os.path.dirname(__file__), "..", "docs",
                                "report_schema.json")) as f:
             schema = json.load(f)
         jsonschema.validate(payload, schema)
         for drop in (lambda p: p.pop("provenance"),
                      lambda p: p["provenance"].pop("scipy"),
-                     lambda p: p["params"].pop("threads")):
+                     lambda p: p["params"].pop("threads"),
+                     lambda p: p["params"].pop("nested_points")):
             broken = json.loads(json.dumps(payload))
             drop(broken)
             with pytest.raises(jsonschema.ValidationError):
                 jsonschema.validate(broken, schema)
+
+    def test_nested_points_is_the_pass_of_the_study(self):
+        # a field without a declared gradient is read at the tiled n^2 points
+        field, _ = F.make_manufactured("quadratic")
+        field = F.PiecewiseField(field.plus_side, field.plus_side, F.INTERFACE_Z)
+        mat = F.TwoPhaseMaterial(1.0, 1.0, 1.0, 1.0, F.INTERFACE_Z)
+        rep = A.star_converges_offinterface(mat, field, (0.1,),
+                                            np.array([[0.3, 0.0, 0.4]]), **FAST_QUAD)
+        nodes = rep.params["nodes"]
+        assert rep.params["nested_points"] == O.nested_pass_points(nodes, field)
+        assert rep.params["nested_points"] > nodes * nodes // 2
 
     def test_csv_is_rfc4180(self, report, tmp_path):
         path = tmp_path / "report.csv"

@@ -11,6 +11,7 @@ import peridyn
 from lattice_matrix import MatrixOperator, reference_matrix
 from peridyn import analysis, cli, solver
 from peridyn.fields import make_manufactured
+from peridyn.operators import nested_pass_points
 from peridyn.cli import _load_config, build_parser, main
 
 DOCS = os.path.join(os.path.dirname(__file__), "..", "docs")
@@ -193,7 +194,9 @@ class TestExitCodes:
         assert run.stderr.count("\n") == 1
 
     @pytest.mark.parametrize("argv,nodes", [
-        (["star", "--quad", "16,16"], 16384),  # split rule, kinked field
+        # split rule, a smooth field that is not affine
+        (["star", "--quad", "18,18", "--field", "quadratic",
+          "--material", "two-phase:3,1,5,2"], 23328),
         (["converge", "--quad", "24,24"], 27648),  # ball rule, smooth field
     ])
     def test_quad_beyond_budget_refused_before_the_rule(self, argv, nodes, tmp_path,
@@ -212,6 +215,14 @@ class TestExitCodes:
     def test_quad_budget_admits_12_16_on_the_split_rule(self):
         ns = build_parser().parse_args(["star", "--quad", "12,16"])
         field, _ = make_manufactured("gradient_jump")  # star's default, kinked
+        cli._check_quad_budget(_load_config(ns), field, split=True)
+
+    def test_quad_budget_admits_16_16_on_an_affine_field(self):
+        # star's default field is affine on each side, so its pass reads
+        # each of the 16384 nodes once per side
+        ns = build_parser().parse_args(["star", "--quad", "16,16"])
+        field, _ = make_manufactured("gradient_jump")
+        assert nested_pass_points(16384, field) == 2 * 16384
         cli._check_quad_budget(_load_config(ns), field, split=True)
 
     def test_failing_check_exits_one(self, tmp_path):

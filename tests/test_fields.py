@@ -204,3 +204,39 @@ class TestManufactured:
         jump, _ = F.make_manufactured("patch_jump_zero_traction")
         with pytest.raises(ValueError):
             smooth + jump
+
+
+class TestConstantGradient:
+    """Affine closed forms declare their gradient, and field arithmetic
+    keeps it only while every operand declares one."""
+
+    def test_affine_builders_declare_it(self, rng):
+        g = rng.normal(size=(3, 3))
+        assert_allclose(F.linear_field(rng.normal(size=3), g).constant_grad, g)
+        assert_allclose(F.constant_field([1.0, 2.0, 3.0]).constant_grad, 0.0)
+        trig, _ = F.make_manufactured("trig_smooth")
+        assert trig.plus_side.constant_grad is None
+
+    def test_survives_sum_and_scaling(self, rng):
+        g1, g2 = rng.normal(size=(2, 3, 3))
+        f1 = F.linear_field(rng.normal(size=3), g1)
+        f2 = F.linear_field(rng.normal(size=3), g2)
+        combo = 2.0 * f1 + f2 * (-0.5) + F.constant_field([1.0, 0.0, -1.0])
+        assert_allclose(combo.constant_grad, 2.0 * g1 - 0.5 * g2)
+        x = rng.normal(size=(4, 3))
+        assert_allclose(combo.grad(x), np.broadcast_to(combo.constant_grad, (4, 3, 3)))
+        jump, _ = F.make_manufactured("patch_jump_zero_traction")
+        doubled = jump * 2.0 + jump
+        assert_allclose(doubled.plus_side.constant_grad,
+                        3.0 * jump.plus_side.constant_grad)
+        assert_allclose(doubled.minus_side.constant_grad,
+                        3.0 * jump.minus_side.constant_grad)
+
+    def test_dropped_when_an_operand_lacks_it(self, rng):
+        affine = F.linear_field(rng.normal(size=3), rng.normal(size=(3, 3)))
+        trig, _ = F.make_manufactured("trig_smooth")
+        assert (affine + trig.plus_side).constant_grad is None
+        assert (trig.plus_side + affine).constant_grad is None
+        assert (3.0 * trig.plus_side).constant_grad is None
+        linear, _ = F.make_manufactured("linear")
+        assert (linear + trig).plus_side.constant_grad is None

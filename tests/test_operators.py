@@ -309,6 +309,17 @@ class TestCorrectedOperator:
 
 
 
+def without_gradient(field):
+    """A twin of ``field`` whose closed forms declare no gradient, so the
+    nested pass evaluates them at every inner point."""
+    def twin(side):
+        return F.AnalyticVectorField(lambda p: side.value(p), side.grad, side.hessian)
+
+    plus = twin(field.plus_side)
+    minus = plus if field.minus_side is field.plus_side else twin(field.minus_side)
+    return F.PiecewiseField(plus, minus, field.interface)
+
+
 def _fused_cases():
     """(name, field, material, slab point) for the fusion pins."""
     patch_field, _ = F.make_manufactured("patch_jump_zero_traction")
@@ -352,7 +363,8 @@ class TestFusedNestedPass:
                            + O.interface_correction(cfg, mat, field, x))
 
     def test_one_pass_per_evaluation(self, monkeypatch):
-        _, field, mat, x = FUSED_CASES[0]
+        _, affine, mat, x = FUSED_CASES[0]
+        kinked = without_gradient(affine)
         cfg = O.make_config(0.1, 4, 6, split_normal=EZ)
         n = len(cfg.rule)
         count = [0]
@@ -364,13 +376,18 @@ class TestFusedNestedPass:
                 return _original(self, pts, *args)
 
             monkeypatch.setattr(F.PiecewiseField, name, counted)
-        O.corrected_operator(cfg, mat, field, x)
-        # the pass evaluates both sides once per tile: 45 tiles of 64 x 64
-        # on the 576-node rule; the bond sum and the bond correction each
-        # read the n outer nodes and x
+        O.corrected_operator(cfg, mat, kinked, x)
+        # a field that declares no gradient: the pass evaluates both sides
+        # once per tile, 45 tiles of 64 x 64 on the 576-node rule; the bond
+        # sum and the bond correction each read the n outer nodes and x
         assert O._NESTED_TILE == 64
         assert count[0] == 2 * 45 * 64 * 64 + 2 * (n + 1) == 369_794
-        assert count[0] == O.nested_pass_points(n, field) + 2 * (n + 1)
+        assert count[0] == O.nested_pass_points(n, kinked) + 2 * (n + 1)
+        # the same field, affine: the pass reads the n outer nodes per side
+        count[0] = 0
+        O.corrected_operator(cfg, mat, affine, x)
+        assert count[0] == 2 * n + 2 * (n + 1) == 2306
+        assert count[0] == O.nested_pass_points(n, affine) + 2 * (n + 1)
 
 
 def _tiled_cases():
@@ -393,8 +410,19 @@ def _tiled_cases():
 TILED_CASES = _tiled_cases()
 
 
+def _assert_matches_reference(got, cfg, field, x):
+    """``got`` = (g, p) of a nested pass at x against the untiled n^2
+    reference, relative to the sum of the magnitudes of the terms."""
+    g_ref, p_ref = reference_moments(cfg, field, x)
+    scale = moment_scale(cfg, field, x)
+    z = cfg.rule.points
+    a_max = np.abs(z / np.einsum("qi,qi->q", z, z)[:, None]).sum(axis=1).max()
+    assert np.abs(got[0] - g_ref).max() <= 1e-14 * scale
+    assert np.abs(got[1] - p_ref).max() <= 1e-14 * scale * a_max
+
+
 class TestTiledNestedPass:
-    """The nested pass evaluates each unordered pair of node tiles once and
+    """The tiled pass evaluates each unordered pair of node tiles once and
     matches the untiled n^2 reference to rounding at every tile width."""
 
     @pytest.mark.parametrize("width", [1, 7, 64, 96, 10**6])
@@ -403,19 +431,13 @@ class TestTiledNestedPass:
     def test_matches_untiled_reference(self, name, field, cfg, x, width,
                                        monkeypatch):
         monkeypatch.setattr(O, "_NESTED_TILE", width)
-        g, p = O._nested_moments(cfg, field, x)
-        g_ref, p_ref = reference_moments(cfg, field, x)
-        scale = moment_scale(cfg, field, x)
-        z = cfg.rule.points
-        a_max = np.abs(z / np.einsum("qi,qi->q", z, z)[:, None]).sum(axis=1).max()
-        assert np.abs(g - g_ref).max() <= 1e-14 * scale
-        assert np.abs(p - p_ref).max() <= 1e-14 * scale * a_max
+        _assert_matches_reference(O._tiled_moments(cfg, field, x), cfg, field, x)
 
     @pytest.mark.parametrize("name,field,cfg,x", TILED_CASES,
                              ids=[c[0] for c in TILED_CASES])
     def test_two_calls_agree_bit_for_bit(self, name, field, cfg, x):
-        first = O._nested_moments(cfg, field, x)
-        second = O._nested_moments(cfg, field, x)
+        first = O._tiled_moments(cfg, field, x)
+        second = O._tiled_moments(cfg, field, x)
         assert_array_equal(first[0], second[0])
         assert_array_equal(first[1], second[1])
 
@@ -423,6 +445,7 @@ class TestTiledNestedPass:
         # lambda != mu on both sides, so g feeds the dilatational part and
         # p the normal-projected term
         _, field, mat, x = FUSED_CASES[1]
+        field = without_gradient(field)
         cfg = O.make_config(0.1, 4, 6, split_normal=mat.interface.normal)
         got = O.corrected_operator(cfg, mat, field, x)
         monkeypatch.setattr(O, "_nested_moments", reference_moments)
@@ -432,8 +455,8 @@ class TestTiledNestedPass:
     @pytest.mark.parametrize("width", [1, 7, 64, 96])
     def test_point_count_is_the_tiles(self, width, monkeypatch):
         monkeypatch.setattr(O, "_NESTED_TILE", width)
-        smooth = F.PiecewiseField.smooth(F.constant_field(np.zeros(3)))
-        kinked = TILED_CASES[1][1]
+        smooth, _ = F.make_manufactured("trig_smooth")
+        kinked = without_gradient(TILED_CASES[1][1])
         for n in [*range(1, 30), 95, 96, 97, 191, 192, 193, 250]:
             tiles = sum((rows.stop - rows.start) * (cols.stop - cols.start)
                         for rows, col_blocks in O._nested_tiles(n)
@@ -445,6 +468,98 @@ class TestTiledNestedPass:
         n = O._NESTED_TILE
         assert [(rows, cols) for rows, cols in O._nested_tiles(n)] == [
             (slice(0, n), [slice(0, n)])]
+
+
+def _affine_cases():
+    """(name, field, config, point) for the closed-form pass: kinked fields
+    on their split rule at an interface point and 0.03-0.04 off the plane,
+    and affine fields with one closed form on a ball rule."""
+    patch, _ = F.make_manufactured("patch_jump_zero_traction")
+    ramp, _ = F.make_manufactured("gradient_jump")
+    linear, _ = F.make_manufactured("linear")
+    _, oblique, mat, x = FUSED_CASES[3]
+    n = mat.interface.normal
+    split = O.make_config(0.1, 2, 5, split_normal=EZ)
+    oblique_split = O.make_config(0.1, 2, 5, split_normal=n)
+    ball = O.make_config(0.1, 3, 5)
+    slab = np.array([0.01, -0.02, 0.03])
+    return [
+        ("patch_on_plane", patch, split, X0),
+        ("patch_in_slab", patch, split, slab),
+        ("gradient_jump_on_plane", ramp, split, X0),
+        ("gradient_jump_in_slab", ramp, split, -slab),
+        ("oblique_on_plane", oblique, oblique_split, mat.interface.point),
+        ("oblique_in_slab", oblique, oblique_split, x),
+        ("linear_one_sided", linear, ball, slab),
+        ("linear_fictitious_interface",
+         F.PiecewiseField(linear.plus_side, linear.plus_side, F.INTERFACE_Z),
+         split, slab),
+    ]
+
+
+AFFINE_CASES = _affine_cases()
+
+
+class TestAffineNestedPass:
+    """A field whose closed forms are affine is integrated from rule moments
+    and matches the untiled n^2 reference to rounding."""
+
+    @pytest.mark.parametrize("name,field,cfg,x", AFFINE_CASES,
+                             ids=[c[0] for c in AFFINE_CASES])
+    def test_matches_untiled_reference(self, name, field, cfg, x):
+        assert O._affine(field)
+        _assert_matches_reference(O._nested_moments(cfg, field, x), cfg, field, x)
+
+    @pytest.mark.parametrize("name,field,cfg,x", AFFINE_CASES,
+                             ids=[c[0] for c in AFFINE_CASES])
+    def test_two_calls_agree_bit_for_bit(self, name, field, cfg, x):
+        first = O._nested_moments(cfg, field, x)
+        second = O._nested_moments(cfg, field, x)
+        assert_array_equal(first[0], second[0])
+        assert_array_equal(first[1], second[1])
+
+    @pytest.mark.parametrize("normal", [EZ, FUSED_CASES[3][2].interface.normal],
+                             ids=["e3", "oblique"])
+    def test_minus_counts_are_the_predicate_count(self, normal):
+        cfg = O.make_config(0.1, 4, 6, split_normal=normal)
+        s = cfg.delta * cfg.rule.points @ normal
+        order = np.argsort(s, kind="stable")
+        values, counts = np.unique(s, return_counts=True)
+        ends = np.concatenate(([0], np.cumsum(counts)))
+        # x on the plane, and offsets that put the inner points of some node
+        # pairs on the plane to rounding
+        rng = np.random.default_rng(11)
+        offsets = [0.0, *(-(s[a] + s[b]) for a, b in rng.integers(0, len(s), (40, 2)))]
+        moved = 0
+        for sd_x in offsets:
+            minus = ~(sd_x + (s[:, None] + s[None, order]) >= 0.0)
+            got = O._minus_counts(s, sd_x)
+            assert_array_equal(got, minus.sum(axis=1))
+            # the minus-side nodes are a prefix in ascending order of s
+            assert all(row[:m].all() for row, m in zip(minus, got))
+            moved += np.count_nonzero(ends[np.searchsorted(values, -sd_x - s)] != got)
+        if normal is EZ:  # on the plane, s_j + s_k = 0 ties occur
+            assert (s[:, None] + s[None, :] == 0.0).any()
+        assert moved > 0  # the exact fix-up moved some boundaries
+
+    @pytest.mark.parametrize("name,field,mat,x", FUSED_CASES,
+                             ids=[c[0] for c in FUSED_CASES])
+    def test_twin_without_gradient_takes_the_tiled_pass(self, name, field, mat, x,
+                                                        monkeypatch):
+        cfg = O.make_config(0.1, 4, 6, split_normal=mat.interface.normal)
+        calls = []
+        tiled = O._tiled_moments
+
+        def spy(*args):
+            calls.append(args[1])
+            return tiled(*args)
+
+        monkeypatch.setattr(O, "_tiled_moments", spy)
+        want = O.corrected_operator(cfg, mat, field, x)
+        twin = without_gradient(field)
+        got = O.corrected_operator(cfg, mat, twin, x)
+        assert len(calls) == 1 and calls[0] is twin
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
 class TestClosedFormLimits:
