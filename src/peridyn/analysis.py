@@ -36,6 +36,7 @@ from .fields import (
 from .operators import (
     Horizon,
     OperatorConfig,
+    _makes_nested_pass,
     corrected_operator,
     natural_condition_limit,
     nested_pass_points,
@@ -195,16 +196,17 @@ def _discrete_norm(errors: np.ndarray, p: float) -> float:
     return float(np.mean(errors**p) ** (1.0 / p))
 
 
-def _series(operator, material: Material, field: PiecewiseField, deltas, pts,
-            radial_order: int, angular_order: int, threads: int,
+def _series(corrected: bool, material: Material, field: PiecewiseField, deltas,
+            pts, radial_order: int, angular_order: int, threads: int,
             split_normal=None):
-    """``operator(config, material, field, x)`` over the horizon x point grid
-    as (n_delta, n_points, 3) values, and the report params of the run: the
-    rule, the threads, and the field points of one nested pass on this rule
-    and field.
+    """The state operator, or the corrected operator if ``corrected``, over
+    the horizon x point grid as (n_delta, n_points, 3) values, and the report
+    params of the run: the rule, the threads, and the field points of one
+    nested pass on this rule and field, 0 if no evaluation made one.
 
     One rule serves every horizon.  The pairs run horizon-major; with
     ``threads <= 1`` they run on the caller's thread."""
+    operator = corrected_operator if corrected else state_operator
     if split_normal is not None:
         rule = build_split_ball_rule(split_normal, radial_order, angular_order)
     else:
@@ -220,9 +222,10 @@ def _series(operator, material: Material, field: PiecewiseField, deltas, pts,
     else:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             flat = list(pool.map(task, pairs))
+    passes = any(_makes_nested_pass(cfg, material, x, corrected) for cfg, x in pairs)
     params = {"radial_order": rule.radial_order,
               "angular_order": rule.angular_order, "nodes": len(rule),
-              "nested_points": nested_pass_points(len(rule), field),
+              "nested_points": nested_pass_points(len(rule), field) if passes else 0,
               "threads": threads}
     return np.asarray(flat).reshape(len(cfgs), len(pts), 3), params
 
@@ -263,7 +266,7 @@ def converge_to_navier(material: Material, field: PiecewiseField, deltas,
         if np.any(dist < 2.0 * deltas.max()):
             raise ValueError("sample points must stay at least two largest "
                              "horizons away from the interface")
-    raw, params = _series(state_operator, material, field, deltas, pts,
+    raw, params = _series(False, material, field, deltas, pts,
                           radial_order, angular_order, threads)
     values = raw - _navier_refs(material, field, pts)
     errors = np.linalg.norm(values, axis=-1)
@@ -272,11 +275,12 @@ def converge_to_navier(material: Material, field: PiecewiseField, deltas,
                    norms)
 
 
-def _interface_study(study: str, operator, material: Material,
+def _interface_study(study: str, corrected: bool, material: Material,
                      field: PiecewiseField, x, deltas, radial_order: int,
                      angular_order: int, threads: int,
                      target=None) -> ConvergenceReport:
-    """A horizon series at one interface point, on the rule split along the
+    """A horizon series of the state operator, or the corrected operator if
+    ``corrected``, at one interface point, on the rule split along the
     interface.  With a ``target`` the values are horizon-scaled, the errors
     are distances to it, and a Richardson limit estimate is added."""
     x = np.asarray(x, dtype=float)
@@ -285,7 +289,7 @@ def _interface_study(study: str, operator, material: Material,
     if abs(material.interface.signed_distance(x)) > 1e-12:
         raise ValueError("study point is not on the material interface")
     deltas = as_delta_series(deltas)
-    values, params = _series(operator, material, field, deltas, x[None],
+    values, params = _series(corrected, material, field, deltas, x[None],
                              radial_order, angular_order, threads,
                              split_normal=material.interface.normal)
     if target is None:
@@ -305,7 +309,7 @@ def interface_blowup(material: Material, field: PiecewiseField, x, deltas,
                      threads: int = 1) -> ConvergenceReport:
     """Norm of the state operator at an interface point per horizon; the
     fitted log-log slope is -1 when the material jumps (no local limit)."""
-    return _interface_study("blowup", state_operator, material, field, x,
+    return _interface_study("blowup", False, material, field, x,
                             deltas, radial_order, angular_order, threads)
 
 
@@ -316,7 +320,7 @@ def natural_limit_check(material: Material, field: PiecewiseField, x, deltas,
     """Horizon-scaled state operator at an interface point against the
     closed-form local limit of the unmodified operator."""
     target = natural_condition_limit(material, field, x)
-    return _interface_study("natural", state_operator, material, field, x,
+    return _interface_study("natural", False, material, field, x,
                             deltas, radial_order, angular_order, threads,
                             target)
 
@@ -328,7 +332,7 @@ def star_limit_check(material: Material, field: PiecewiseField, x, deltas,
     """Horizon-scaled corrected operator at an interface point against
     45/32 times the traction jump."""
     target = (45.0 / 32.0) * traction_jump(material, field, x)
-    return _interface_study("star", corrected_operator, material, field, x,
+    return _interface_study("star", True, material, field, x,
                             deltas, radial_order, angular_order, threads,
                             target)
 
@@ -347,7 +351,7 @@ def star_converges_offinterface(material: Material, field: PiecewiseField,
     """
     deltas = as_delta_series(deltas)
     pts = np.asarray(sample_points, dtype=float).reshape(-1, 3)
-    star, params = _series(corrected_operator, material, field, deltas, pts,
+    star, params = _series(True, material, field, deltas, pts,
                            radial_order, angular_order, threads)
     values = star - _navier_refs(material, field, pts)
     errors = np.linalg.norm(values, axis=-1)

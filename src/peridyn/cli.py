@@ -28,7 +28,11 @@ from .fields import (
     TwoPhaseMaterial,
     make_manufactured,
 )
-from .operators import half_ball_moment_tensor, nested_pass_points
+from .operators import (
+    EVALUATION_BYTES_PER_NODE,
+    half_ball_moment_tensor,
+    nested_pass_points,
+)
 from .quadrature import (
     DEFAULT_ANGULAR_ORDER,
     DEFAULT_RADIAL_ORDER,
@@ -185,12 +189,20 @@ def _field_material(cfg: StudyConfig, default_field: str):
 # field, as every manufactured interface configuration is, it evaluates each
 # rule node once per side; on any other field about n^2/2 points per side,
 # so the split rule at (16, 16) needs 1.3e8 points on the smooth quadratic
-# field and (18, 18) 2.7e8.
+# field and (18, 18) 2.7e8.  An affine field's pass is bounded by memory
+# instead: each worker's evaluation holds about
+# ``operators.EVALUATION_BYTES_PER_NODE`` per rule node.
 NESTED_POINT_BUDGET = 2 * 10**8
 
 
+def _physical_memory() -> int:
+    """The machine's physical memory in bytes."""
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
 def _check_quad_budget(cfg: StudyConfig, field, split: bool) -> None:
-    """Refuse a ``quad`` whose nested pass on ``field`` exceeds the budget."""
+    """Refuse a ``quad`` whose nested pass on ``field`` exceeds the budget,
+    or whose evaluations would need more than the physical memory."""
     n = ball_rule_size(*cfg.quad, split=split)
     points = nested_pass_points(n, field)
     if points > NESTED_POINT_BUDGET:
@@ -198,6 +210,13 @@ def _check_quad_budget(cfg: StudyConfig, field, split: bool) -> None:
             f"quad {cfg.quad[0]},{cfg.quad[1]} gives a {n}-node rule whose "
             f"nested pass evaluates {points:.3g} field points, more than the "
             f"budget of {NESTED_POINT_BUDGET:.3g}")
+    need = n * EVALUATION_BYTES_PER_NODE * cfg.threads
+    memory = _physical_memory()
+    if need > memory:
+        raise ConfigError(
+            f"quad {cfg.quad[0]},{cfg.quad[1]} gives a {n}-node rule whose "
+            f"evaluations need about {need / 2**30:.3g} GiB, more than the "
+            f"{memory / 2**30:.3g} GiB of physical memory")
 
 
 def _deltas(cfg: StudyConfig, default):
@@ -405,7 +424,7 @@ def _run_solve(cfg: StudyConfig) -> None:
     if cfg.h > 0 and np.all(hi > lo):  # anything else is for build_grid to refuse
         nodes = float(np.prod(np.rint((hi - lo) / cfg.h) + 1.0))
         need = nodes * solver.SOLVE_BYTES_PER_NODE
-        memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+        memory = _physical_memory()
         if need > memory:
             raise ConfigError(
                 f"box and h give a lattice of {nodes:.3g} nodes, which needs "

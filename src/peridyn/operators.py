@@ -190,6 +190,13 @@ def bond_correction_term(config: OperatorConfig, material: Material,
 _NESTED_TILE = 64
 
 
+# Estimated peak bytes per rule node of one operator evaluation, the rule
+# included: the rule holds 32 and the closed-form pass of an affine two-sided
+# field about 350 (measured with tracemalloc on split rules of 4608 to
+# 131,072 nodes); the tiled pass holds about 100 per node beside its tiles.
+EVALUATION_BYTES_PER_NODE = 8 * 48
+
+
 def _nested_tiles(n: int):
     """The tiles of the nested pass over an n-node rule, in a fixed order:
     each row block J of the node index with the column blocks K at or after
@@ -455,6 +462,25 @@ def _tiled_moments(config: OperatorConfig, field: PiecewiseField, x):
     return g, p
 
 
+def _dilatation_weights(config: OperatorConfig, material: Material, x) -> np.ndarray:
+    """lambda - mu at the outer nodes x + delta z_j, one value per node."""
+    lam_y, mu_y = material.lame_at(x + config.delta * config.rule.points)
+    return np.broadcast_to(np.asarray(lam_y - mu_y, dtype=float), (len(config.rule),))
+
+
+def _makes_nested_pass(config: OperatorConfig, material: Material, x,
+                       corrected: bool) -> bool:
+    """Whether the state operator at x, or the corrected operator if
+    ``corrected``, makes a nested pass: the corrected operator does in the
+    interface slab, and either does where lambda - mu is nonzero at an outer
+    node (see :func:`_dilatation`)."""
+    x = np.asarray(x, dtype=float)
+    if (corrected and isinstance(material, TwoPhaseMaterial)
+            and _in_slab(config, material, x)):
+        return True
+    return bool(_dilatation_weights(config, material, x).any())
+
+
 def _dilatation(config: OperatorConfig, material: Material,
                 field: PiecewiseField, x, g=None) -> Vec3:
     """The dilatational part at x from the inner divergence integrals ``g``
@@ -466,8 +492,7 @@ def _dilatation(config: OperatorConfig, material: Material,
     z = config.rule.points
     w = config.rule.weights
     delta = config.delta
-    lam_y, mu_y = material.lame_at(x + delta * z)
-    c_y = np.broadcast_to(np.asarray(lam_y - mu_y, dtype=float), (len(z),))
+    c_y = _dilatation_weights(config, material, x)
     if not c_y.any():
         return np.zeros(3)
     if g is None:

@@ -335,15 +335,36 @@ class TestReportSerialization:
                 jsonschema.validate(broken, schema)
 
     def test_nested_points_is_the_pass_of_the_study(self):
-        # a field without a declared gradient is read at the tiled n^2 points
+        # a field without a declared gradient is read at the tiled n^2 points;
+        # lambda != mu, so the point off the slab makes a pass
         field, _ = F.make_manufactured("quadratic")
         field = F.PiecewiseField(field.plus_side, field.plus_side, F.INTERFACE_Z)
-        mat = F.TwoPhaseMaterial(1.0, 1.0, 1.0, 1.0, F.INTERFACE_Z)
+        mat = F.TwoPhaseMaterial(3.0, 1.0, 3.0, 1.0, F.INTERFACE_Z)
         rep = A.star_converges_offinterface(mat, field, (0.1,),
                                             np.array([[0.3, 0.0, 0.4]]), **FAST_QUAD)
         nodes = rep.params["nodes"]
         assert rep.params["nested_points"] == O.nested_pass_points(nodes, field)
         assert rep.params["nested_points"] > nodes * nodes // 2
+
+    def test_nested_points_counts_only_passes_made(self, report, tmp_path):
+        # gradient_jump's material has lambda = mu on both sides, so the
+        # state operator makes no nested pass there; the corrected one makes
+        # one in the slab, and the state operator does once lambda != mu
+        field, mat = F.make_manufactured("gradient_jump")
+        blowup = A.interface_blowup(mat, field, X0, SHORT_DELTAS, **FAST_QUAD)
+        assert blowup.params["nested_points"] == 0
+        assert report.params["nested_points"] == O.nested_pass_points(
+            report.params["nodes"], field)
+        lam_ne_mu = F.TwoPhaseMaterial(3.0, 1.0, 5.0, 2.0, F.INTERFACE_Z)
+        blowup_dil = A.interface_blowup(lam_ne_mu, field, X0, SHORT_DELTAS, **FAST_QUAD)
+        assert blowup_dil.params["nested_points"] == report.params["nested_points"]
+        path = tmp_path / "report.json"
+        blowup.write_json(path)
+        with open(path) as f:
+            payload = json.load(f)
+        with open(os.path.join(os.path.dirname(__file__), "..", "docs",
+                               "report_schema.json")) as f:
+            jsonschema.validate(payload, json.load(f))
 
     def test_csv_is_rfc4180(self, report, tmp_path):
         path = tmp_path / "report.csv"

@@ -225,6 +225,23 @@ class TestExitCodes:
         assert nested_pass_points(16384, field) == 2 * 16384
         cli._check_quad_budget(_load_config(ns), field, split=True)
 
+    def test_affine_rule_beyond_memory_refused_before_the_rule(self, tmp_path, capsys,
+                                                              monkeypatch):
+        # star's default field is affine: the 90M-node rule passes the point
+        # budget at 1.8e8 points, but its evaluation needs about 32 GiB; the
+        # memory is fixed so that the refusal does not depend on the host
+        def build(*args):
+            raise AssertionError("rule built")
+
+        monkeypatch.setattr(analysis, "build_split_ball_rule", build)
+        monkeypatch.setattr(cli, "_physical_memory", lambda: 16 * 2**30)
+        rc = main(["star", "--quad", "250,300", "--out", str(tmp_path)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: quad 250,300 gives a 90000000-node rule whose "
+                              "evaluations need about 32.2 GiB, more than the 16 GiB")
+        assert err.endswith("of physical memory\n") and err.count("\n") == 1
+
     def test_failing_check_exits_one(self, tmp_path):
         # the order-(1, 1) rule is too coarse for the fourth moment, so that
         # check fails and the run exits 1
