@@ -185,13 +185,15 @@ def _field_material(cfg: StudyConfig, default_field: str):
 
 
 # Field points one nested pass may evaluate, checked before the rule is
-# built.  One pass is the cost of one operator evaluation.  On an affine
-# field, as every manufactured interface configuration is, it evaluates each
-# rule node once per side; on any other field about n^2/2 points per side,
-# so the split rule at (16, 16) needs 1.3e8 points on the smooth quadratic
-# field and (18, 18) 2.7e8.  An affine field's pass is bounded by memory
-# instead: each worker's evaluation holds about
-# ``operators.EVALUATION_BYTES_PER_NODE`` per rule node.
+# built.  One pass is the cost of one operator evaluation.  Every
+# manufactured field is read at O(n) points: an affine field, as every
+# interface configuration is, at each rule node once per side, and the
+# smooth trig and quadratic fields, which declare a split, at 2n points.  So
+# the budget refuses those only beyond 1e8 nodes; a field that declares
+# neither is read at about n^2/2 points per side and refused beyond about
+# 20,000 nodes.  Below that the pass is bounded by memory: each worker's
+# evaluation holds about ``operators.EVALUATION_BYTES_PER_NODE`` per rule
+# node.
 NESTED_POINT_BUDGET = 2 * 10**8
 
 

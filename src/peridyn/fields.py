@@ -66,32 +66,55 @@ INTERFACE_Z = PlanarInterface(np.zeros(3), E3)
 class AnalyticVectorField:
     """Closed-form vector field with supplied first and second derivatives.
 
-    ``constant_grad`` is the field's gradient where the field is affine and
-    declared so, else None; the nested operators then integrate it in closed
-    form instead of evaluating it at every inner point.
+    Two optional declarations let the nested operators integrate the field
+    from rule sums instead of evaluating it at every inner point; a field
+    that declares neither is read at the n^2 inner points (see
+    :mod:`peridyn.operators`).
+
+    * ``constant_grad`` is the field's gradient where the field is affine
+      and declared so, else None.
+    * ``split`` is a pair ``(outer, inner)`` of callables that separate a
+      shifted value into m products, else None:
+      ``u(y + d)[..., i] = sum_m outer(y)[..., m, i] * inner(d)[..., m, i]``,
+      with ``outer`` and ``inner`` mapping points (..., 3) to (..., m, 3).
+
+    ``+`` keeps a declaration only when both operands make it (a split
+    concatenates the terms) and ``*`` scales it.
     """
 
     value: Callable[[np.ndarray], np.ndarray]
     grad: Callable[[np.ndarray], np.ndarray]
     hessian: Callable[[np.ndarray], np.ndarray]
     constant_grad: Optional[np.ndarray] = dataclasses.field(default=None, compare=False)
+    split: Optional[tuple[Callable, Callable]] = dataclasses.field(default=None, compare=False)
 
     def __add__(self, other: "AnalyticVectorField") -> "AnalyticVectorField":
         both = self.constant_grad is not None and other.constant_grad is not None
+        split = None
+        if self.split is not None and other.split is not None:
+            (outer1, inner1), (outer2, inner2) = self.split, other.split
+            split = (lambda y: np.concatenate([outer1(y), outer2(y)], axis=-2),
+                     lambda d: np.concatenate([inner1(d), inner2(d)], axis=-2))
         return AnalyticVectorField(
             value=lambda p: self.value(p) + other.value(p),
             grad=lambda p: self.grad(p) + other.grad(p),
             hessian=lambda p: self.hessian(p) + other.hessian(p),
             constant_grad=self.constant_grad + other.constant_grad if both else None,
+            split=split,
         )
 
     def __mul__(self, a: float) -> "AnalyticVectorField":
         a = float(a)
+        split = None
+        if self.split is not None:
+            outer, inner = self.split
+            split = (lambda y: a * outer(y), inner)
         return AnalyticVectorField(
             value=lambda p: a * self.value(p),
             grad=lambda p: a * self.grad(p),
             hessian=lambda p: a * self.hessian(p),
             constant_grad=None if self.constant_grad is None else a * self.constant_grad,
+            split=split,
         )
 
     __rmul__ = __mul__
@@ -366,7 +389,22 @@ def _quadratic_x1_field() -> AnalyticVectorField:
         out[..., 0, 0, 0] = 2.0
         return out
 
-    return AnalyticVectorField(value, grad, hessian)
+    # (y_1 + d_1)^2 = y_1^2 * 1 + 2 y_1 * d_1 + 1 * d_1^2 on component 0
+    def outer(y):
+        out = np.zeros(y.shape[:-1] + (3, 3))
+        out[..., 0, 0] = y[..., 0] ** 2
+        out[..., 1, 0] = 2.0 * y[..., 0]
+        out[..., 2, 0] = 1.0
+        return out
+
+    def inner(d):
+        out = np.empty(d.shape[:-1] + (3, 3))
+        out[..., 0, :] = 1.0
+        out[..., 1, :] = d[..., 0, None]
+        out[..., 2, :] = d[..., 0, None] ** 2
+        return out
+
+    return AnalyticVectorField(value, grad, hessian, split=(outer, inner))
 
 
 def _trig_field() -> AnalyticVectorField:
@@ -392,7 +430,16 @@ def _trig_field() -> AnalyticVectorField:
         out[..., 2, 0, 0] = -np.sin(p[..., 0])
         return out
 
-    return AnalyticVectorField(value, grad, hessian)
+    # with q = (y_2, y_3, y_1): sin(q + q_d) = sin q cos q_d + cos q sin q_d
+    def outer(y):
+        q = y[..., [1, 2, 0]]
+        return np.stack([np.sin(q), np.cos(q)], axis=-2)
+
+    def inner(d):
+        q = d[..., [1, 2, 0]]
+        return np.stack([np.cos(q), np.sin(q)], axis=-2)
+
+    return AnalyticVectorField(value, grad, hessian, split=(outer, inner))
 
 
 def _axial_ramp_field(slope: float) -> AnalyticVectorField:

@@ -17,14 +17,23 @@ misses 45/32 times the traction jump by about 1.04.
 
 All evaluators are pure functions of (config, material, field, point).  The
 nested double integrals reuse one reference ball rule for the inner and outer
-integral.  A field whose closed forms are affine, as every manufactured
-interface configuration is, is integrated from the rule's moments: the pass
-reads the n outer nodes once per side and sorts the nodes once, O(n log n)
-work.  Any other field is read at the n^2 inner points; these are symmetric
-in the pair of nodes, so the pass evaluates the field once per unordered pair
-of node tiles and adds the values into both tiles' sums.  The tiles, the
-sort and every summation order are fixed, so results are reproducible bit
-for bit.
+integral, and one nested pass computes both inner integrals at every outer
+node.  There are three passes, chosen by what the field declares:
+
+* A field whose closed forms are affine, as every manufactured interface
+  configuration is, is integrated from the rule's moments: the pass reads
+  the n outer nodes once per side and sorts the nodes once, O(n log n) work.
+* A field with one closed form that declares a split of u(y + d) into
+  products of factors of y and of d, as the manufactured trig and quadratic
+  fields do, is integrated from rule sums of the inner factors: the pass
+  reads the outer factors at the n outer nodes and the inner factors at the
+  n offsets, O(n m) work for m products.
+* Any other field is read at the n^2 inner points; these are symmetric in
+  the pair of nodes, so the pass evaluates the field once per unordered pair
+  of node tiles and adds the values into both tiles' sums.
+
+The tiles, the sort and every summation order are fixed, so results are
+reproducible bit for bit.
 """
 
 from __future__ import annotations
@@ -193,7 +202,10 @@ _NESTED_TILE = 64
 # Estimated peak bytes per rule node of one operator evaluation, the rule
 # included: the rule holds 32 and the closed-form pass of an affine two-sided
 # field about 350 (measured with tracemalloc on split rules of 4608 to
-# 131,072 nodes); the tiled pass holds about 100 per node beside its tiles.
+# 131,072 nodes).  A state operator evaluation on a declared split peaks at
+# 288-323 for the trig field (2 products) and 360-366 for the quadratic one
+# (3 products), on ball rules of 768 to 131,072 nodes.  The tiled pass holds
+# about 100 per node beside its tiles.
 EVALUATION_BYTES_PER_NODE = 8 * 48
 
 
@@ -219,15 +231,25 @@ def _affine(field: PiecewiseField) -> bool:
     return all(side.constant_grad is not None for side in sides)
 
 
+def _separable(field: PiecewiseField) -> bool:
+    """Whether the field has one closed form and it declares a split, so
+    that the pass integrates it from rule sums."""
+    return not _two_sided(field) and field.plus_side.split is not None
+
+
 def nested_pass_points(n: int, field: PiecewiseField) -> int:
     """Field points one nested pass over an n-node rule evaluates on
     ``field``, once per side for a field with a kink: the n outer nodes for
-    an affine field (see :func:`_affine_moments`), else each tile of
+    an affine field (see :func:`_affine_moments`), the outer factors at the
+    n outer nodes and the inner factors at the n offsets for a declared
+    split (see :func:`_split_moments`), else each tile of
     :func:`_nested_tiles` once.  Closed form, so it also counts passes too
     large to enumerate."""
     sides = 2 if _two_sided(field) else 1
     if _affine(field):
         return sides * n
+    if _separable(field):
+        return 2 * n
     full, rest = divmod(n, _NESTED_TILE)
     diagonal = full * _NESTED_TILE**2 + rest**2  # the diagonal tiles' points
     return sides * (n * n + diagonal) // 2
@@ -261,13 +283,22 @@ def _nested_moments(config: OperatorConfig, field: PiecewiseField, x):
       Its horizon-scaled limit is then the shear-weighted jump formula of
       :func:`normal_correction_limit`.
 
-    A field whose closed forms are all affine is integrated from rule moments
-    with n field points per side (:func:`_affine_moments`); any other field
-    is evaluated at the n^2 inner points by pair-symmetric tiles
-    (:func:`_tiled_moments`).  Both agree to rounding on an affine field.
+    Three passes compute these, tried in order:
+
+    * a field whose closed forms are all affine is integrated from rule
+      moments with n field points per side (:func:`_affine_moments`);
+    * a field with one closed form that declares a split is integrated from
+      rule sums of its inner factors, with its outer factors read at the n
+      outer nodes (:func:`_split_moments`);
+    * any other field is evaluated at the n^2 inner points by pair-symmetric
+      tiles (:func:`_tiled_moments`).
+
+    All three agree to rounding on the fields the first two accept.
     """
     if _affine(field):
         g, p = _affine_moments(config, field, x)
+    elif _separable(field):
+        g, p = _split_moments(config, field, x)
     else:
         g, p = _tiled_moments(config, field, x)
     _require_finite(g)  # non-finite field values propagate through the sums
@@ -374,6 +405,29 @@ def _affine_moments(config: OperatorConfig, field: PiecewiseField, x):
     p = np.where(outer_plus, p_channel(u_plus, grad_plus),
                  p_channel(u_minus, grad_minus))
     return g, p
+
+
+def _split_moments(config: OperatorConfig, field: PiecewiseField, x):
+    """The channels of :func:`_nested_moments` for a field with one closed
+    form that declares a split u(y + d)_i = sum_m U(y)_mi V(d)_mi, from the
+    outer factors U at the n outer nodes and the inner factors V at the n
+    offsets delta z_k.
+
+    With Q[i, m, l] = sum_k bw_ki V(delta z_k)_ml and B[m, i] = Q[i, m, i],
+    g_j = sum_mi U(y_j)_mi B[m, i] and p_j[l] = sum_m U(y_j)_ml (a_j^T Q)[m, l]:
+    O(n m) work, each sum one matrix product.
+    """
+    bw, a, dz = _nested_weights(config)
+    outer, inner = field.plus_side.split
+    u = outer(x + dz)  # (n, m, 3)
+    v = inner(dz)
+    n, m = v.shape[:2]
+    q = bw.T @ v.reshape(n, 3 * m)  # q[i, 3m + l] = Q[i, m, l]
+    b = np.einsum("imi->mi", q.reshape(3, m, 3))
+    g = u.reshape(n, 3 * m) @ b.ravel()
+    p = (a @ q).reshape(n, m, 3)
+    p *= u  # in place: one (n, m, 3) array fewer at the peak
+    return g, p.sum(axis=1)
 
 
 def _tiled_moments(config: OperatorConfig, field: PiecewiseField, x):

@@ -335,10 +335,12 @@ class TestReportSerialization:
                 jsonschema.validate(broken, schema)
 
     def test_nested_points_is_the_pass_of_the_study(self):
-        # a field without a declared gradient is read at the tiled n^2 points;
-        # lambda != mu, so the point off the slab makes a pass
-        field, _ = F.make_manufactured("quadratic")
-        field = F.PiecewiseField(field.plus_side, field.plus_side, F.INTERFACE_Z)
+        # a field that declares neither a gradient nor a split is read at the
+        # tiled n^2 points; lambda != mu, so the point off the slab makes a pass
+        quadratic, _ = F.make_manufactured("quadratic")
+        side = quadratic.plus_side
+        undeclared = F.AnalyticVectorField(side.value, side.grad, side.hessian)
+        field = F.PiecewiseField(undeclared, undeclared, F.INTERFACE_Z)
         mat = F.TwoPhaseMaterial(3.0, 1.0, 3.0, 1.0, F.INTERFACE_Z)
         rep = A.star_converges_offinterface(mat, field, (0.1,),
                                             np.array([[0.3, 0.0, 0.4]]), **FAST_QUAD)

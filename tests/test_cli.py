@@ -194,10 +194,11 @@ class TestExitCodes:
         assert run.stderr.count("\n") == 1
 
     @pytest.mark.parametrize("argv,nodes", [
-        # split rule, a smooth field that is not affine
-        (["star", "--quad", "18,18", "--field", "quadratic",
-          "--material", "two-phase:3,1,5,2"], 23328),
-        (["converge", "--quad", "24,24"], 27648),  # ball rule, smooth field
+        # smooth fields that declare a split, so a pass reads 2n points:
+        # 2.16e8 on this split rule and 2.56e8 on this ball rule
+        (["star", "--quad", "300,300", "--field", "quadratic",
+          "--material", "two-phase:3,1,5,2"], 108_000_000),
+        (["converge", "--quad", "400,400"], 128_000_000),
     ])
     def test_quad_beyond_budget_refused_before_the_rule(self, argv, nodes, tmp_path,
                                                         capsys, monkeypatch):

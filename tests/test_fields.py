@@ -240,3 +240,60 @@ class TestConstantGradient:
         assert (3.0 * trig.plus_side).constant_grad is None
         linear, _ = F.make_manufactured("linear")
         assert (linear + trig).plus_side.constant_grad is None
+
+
+class TestSplit:
+    """Non-affine closed forms declare how a shifted value separates into
+    products, and field arithmetic keeps the split only while every operand
+    declares one."""
+
+    @staticmethod
+    def _declared():
+        trig, _ = F.make_manufactured("trig_smooth")
+        material_trig, _ = F.make_manufactured("smooth_material_trig")
+        quadratic, _ = F.make_manufactured("quadratic")
+        return {
+            "trig_smooth": trig.plus_side,
+            "smooth_material_trig": material_trig.plus_side,
+            "quadratic": quadratic.plus_side,
+            "trig_scaled": (2.5 * trig).plus_side,
+            "trig_plus_quadratic": (trig + quadratic * -0.5).plus_side,
+        }
+
+    def test_products_are_the_shifted_value(self, rng):
+        y = rng.uniform(-1.0, 1.0, size=(200, 3))
+        d = rng.uniform(-0.2, 0.2, size=(200, 3))
+        for name, field in self._declared().items():
+            outer, inner = field.split
+            got = np.sum(outer(y) * inner(d), axis=-2)
+            assert_allclose(got, field.value(y + d), rtol=0, atol=1e-15, err_msg=name)
+
+    def test_manufactured_non_affine_fields_declare_it(self):
+        for name in F.MANUFACTURED_NAMES:
+            field, _ = F.make_manufactured(name)
+            for side in (field.plus_side, field.minus_side):
+                assert (side.split is None) == (side.constant_grad is not None), name
+
+    def test_survives_sum_and_scaling(self, rng):
+        trig, _ = F.make_manufactured("trig_smooth")
+        quadratic, _ = F.make_manufactured("quadratic")
+        combo = 2.0 * trig + quadratic * -0.5 + trig
+        outer, inner = combo.plus_side.split
+        y = rng.normal(size=(5, 3))
+        assert outer(y).shape == inner(y).shape == (5, 2 + 3 + 2, 3)
+        d = 0.1 * rng.normal(size=(5, 3))
+        assert_allclose(np.sum(outer(y) * inner(d), axis=-2),
+                        3.0 * trig.value(y + d) - 0.5 * quadratic.value(y + d),
+                        rtol=0, atol=1e-14)
+
+    def test_dropped_when_an_operand_lacks_it(self, rng):
+        trig, _ = F.make_manufactured("trig_smooth")
+        affine = F.linear_field(rng.normal(size=3), rng.normal(size=(3, 3)))
+        undeclared = F.AnalyticVectorField(trig.plus_side.value, trig.plus_side.grad,
+                                           trig.plus_side.hessian)
+        assert (affine + trig.plus_side).split is None
+        assert (trig.plus_side + affine).split is None
+        assert (trig.plus_side + undeclared).split is None
+        assert (3.0 * undeclared).split is None
+        linear, _ = F.make_manufactured("linear")
+        assert (linear + trig).plus_side.split is None

@@ -310,8 +310,8 @@ class TestCorrectedOperator:
 
 
 def without_gradient(field):
-    """A twin of ``field`` whose closed forms declare no gradient, so the
-    nested pass evaluates them at every inner point."""
+    """A twin of ``field`` whose closed forms declare neither a gradient nor
+    a split, so the nested pass evaluates them at every inner point."""
     def twin(side):
         return F.AnalyticVectorField(lambda p: side.value(p), side.grad, side.hessian)
 
@@ -455,7 +455,7 @@ class TestTiledNestedPass:
     @pytest.mark.parametrize("width", [1, 7, 64, 96])
     def test_point_count_is_the_tiles(self, width, monkeypatch):
         monkeypatch.setattr(O, "_NESTED_TILE", width)
-        smooth, _ = F.make_manufactured("trig_smooth")
+        smooth = without_gradient(TILED_CASES[0][1])
         kinked = without_gradient(TILED_CASES[1][1])
         for n in [*range(1, 30), 95, 96, 97, 191, 192, 193, 250]:
             tiles = sum((rows.stop - rows.start) * (cols.stop - cols.start)
@@ -560,6 +560,93 @@ class TestAffineNestedPass:
         got = O.corrected_operator(cfg, mat, twin, x)
         assert len(calls) == 1 and calls[0] is twin
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+def _split_cases():
+    """(name, field, material) for the declared pass: every manufactured
+    field that declares a split, and a scaled and a summed one; each
+    material has lambda != mu, so the state operator makes a pass."""
+    trig, _ = F.make_manufactured("trig_smooth")
+    material_trig, trig_material = F.make_manufactured("smooth_material_trig")
+    quadratic, _ = F.make_manufactured("quadratic")
+    lam_ne_mu = F.constant_material(3.0, 1.0)
+    return [
+        ("trig_smooth", trig, lam_ne_mu),
+        ("smooth_material_trig", material_trig, trig_material),
+        ("quadratic", quadratic, lam_ne_mu),
+        ("trig_scaled", 2.5 * trig, lam_ne_mu),
+        ("trig_plus_trig", trig + trig, trig_material),
+    ]
+
+
+SPLIT_CASES = _split_cases()
+SPLIT_POINTS = [np.array([0.3, -0.2, 0.45]), np.array([-0.7, 0.55, 1.1])]
+
+
+class TestSplitNestedPass:
+    """A field with one closed form that declares a split is integrated from
+    rule sums and matches the untiled n^2 reference to rounding."""
+
+    @pytest.mark.parametrize("delta", [0.1, 0.00625])
+    @pytest.mark.parametrize("name,field,mat", SPLIT_CASES,
+                             ids=[c[0] for c in SPLIT_CASES])
+    def test_matches_untiled_reference(self, name, field, mat, delta):
+        assert O._separable(field) and not O._affine(field)
+        cfg = O.make_config(delta, 3, 5)
+        for x in SPLIT_POINTS:
+            _assert_matches_reference(O._split_moments(cfg, field, x), cfg, field, x)
+
+    @pytest.mark.parametrize("name,field,mat", SPLIT_CASES,
+                             ids=[c[0] for c in SPLIT_CASES])
+    def test_two_calls_agree_bit_for_bit(self, name, field, mat):
+        cfg = O.make_config(0.1, 4, 6)
+        first = O._nested_moments(cfg, field, SPLIT_POINTS[0])
+        second = O._nested_moments(cfg, field, SPLIT_POINTS[0])
+        assert_array_equal(first[0], second[0])
+        assert_array_equal(first[1], second[1])
+
+    @pytest.mark.parametrize("name,field,mat", SPLIT_CASES,
+                             ids=[c[0] for c in SPLIT_CASES])
+    def test_undeclared_twin_takes_the_tiled_pass(self, name, field, mat, monkeypatch):
+        cfg = O.make_config(0.1, 4, 6)
+        x = SPLIT_POINTS[1]
+        calls = []
+        tiled = O._tiled_moments
+
+        def spy(*args):
+            calls.append(args[1])
+            return tiled(*args)
+
+        monkeypatch.setattr(O, "_tiled_moments", spy)
+        want = O.state_operator(cfg, mat, field, x)
+        twin = without_gradient(field)
+        got = O.state_operator(cfg, mat, twin, x)
+        assert len(calls) == 1 and calls[0] is twin
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+    def test_point_count_is_the_factors(self):
+        # the outer factors at the n outer nodes and the inner factors at the
+        # n offsets, however many terms the split has
+        trig, _ = F.make_manufactured("trig_smooth")
+        quadratic, _ = F.make_manufactured("quadratic")
+        count = [0]
+
+        def counted(fn):
+            def wrapped(pts):
+                count[0] += int(np.prod(np.shape(pts)[:-1]))
+                return fn(pts)
+            return wrapped
+
+        cfg = O.make_config(0.1, 4, 6)
+        n = len(cfg.rule)
+        for side in (trig.plus_side, (trig + quadratic).plus_side):
+            outer, inner = side.split
+            declared = F.PiecewiseField.smooth(F.AnalyticVectorField(
+                side.value, side.grad, side.hessian,
+                split=(counted(outer), counted(inner))))
+            count[0] = 0
+            O._nested_moments(cfg, declared, SPLIT_POINTS[0])
+            assert count[0] == O.nested_pass_points(n, declared) == 2 * n == 576
 
 
 class TestClosedFormLimits:
