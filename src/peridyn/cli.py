@@ -21,7 +21,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import analysis
+from . import analysis, solver
 from .fields import (
     MANUFACTURED_NAMES,
     PlanarInterface,
@@ -290,9 +290,14 @@ def _run_moments(cfg: StudyConfig) -> None:
 def _run_kdelta(cfg: StudyConfig) -> None:
     out = _outdir(cfg)
     n = np.asarray(cfg.normal, dtype=float)
-    nrm = np.linalg.norm(n)
+    if not np.all(np.isfinite(n)):
+        raise ConfigError("normal must be finite")
+    with np.errstate(over="ignore"):  # refused below, without a warning
+        nrm = np.linalg.norm(n)
     if nrm == 0:
         raise ConfigError("normal must be nonzero")
+    if not np.isfinite(nrm):
+        raise ConfigError("normal is too long: its length overflows")
     n = n / nrm
     rule = build_half_ball_rule(*cfg.quad)
     closed = half_ball_moment_tensor(n)
@@ -419,11 +424,9 @@ def _residual_scale(opr) -> float:
 
 
 def _run_solve(cfg: StudyConfig) -> None:
-    # imported here, so the other studies do not load scipy.sparse.linalg
-    from . import solver
-
     lo, hi = (np.asarray(c, dtype=float) for c in cfg.box)
-    if cfg.h > 0 and np.all(hi > lo):  # anything else is for build_grid to refuse
+    # anything else is for build_grid to refuse
+    if cfg.h > 0 and np.all(np.isfinite(lo) & np.isfinite(hi) & (hi > lo)):
         nodes = float(np.prod(np.rint((hi - lo) / cfg.h) + 1.0))
         need = nodes * solver.SOLVE_BYTES_PER_NODE
         memory = _physical_memory()

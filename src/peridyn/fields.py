@@ -209,6 +209,9 @@ class TwoPhaseMaterial:
     interface: PlanarInterface
 
     def __post_init__(self):
+        moduli = (self.lambda_plus, self.mu_plus, self.lambda_minus, self.mu_minus)
+        if not np.all(np.isfinite(moduli)):
+            raise ValueError("lambda and mu must be finite")
         if self.mu_plus <= 0 or self.mu_minus <= 0:
             raise ValueError("shear moduli must be positive")
 

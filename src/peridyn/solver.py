@@ -16,7 +16,9 @@ side, realizing the nonlocal interface condition.
 The free-node block is solved by restarted GMRES (Saad & Schultz 1986),
 preconditioned by the inverse of its closed-form diagonal (Jacobi).  A zero
 or non-finite diagonal entry, or a run that misses the residual target, is
-refused as singular or ill-conditioned.
+refused as singular or ill-conditioned.  scipy's sparse stack, which GMRES
+comes from, is loaded on the first solve, so importing this module costs no
+more than numpy.
 """
 
 from __future__ import annotations
@@ -29,7 +31,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.sparse.linalg import LinearOperator, gmres
 
 from .fields import Material, PlanarInterface, TwoPhaseMaterial
 from .quadrature import ball_volume
@@ -80,6 +81,8 @@ def build_grid(box, h: float, horizon_ratio: float,
     """
     lo = np.asarray(box[0], dtype=float)
     hi = np.asarray(box[1], dtype=float)
+    if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
+        raise ValueError("box corners must be finite")
     if not (np.isfinite(h) and h > 0):
         raise ValueError(f"grid spacing h must be positive and finite, got {h!r}")
     if not horizon_ratio > 1:  # also refuses NaN
@@ -312,6 +315,9 @@ def solve_equilibrium(opr: DiscreteOperator, b, g) -> SolveResult:
     diagonal entry of the free block is zero or not finite, or when GMRES
     does not reach the target.
     """
+    # loaded on the first solve, outside the timings
+    from scipy.sparse.linalg import LinearOperator, gmres
+
     rhs = build_rhs(opr, b, g).reshape(-1, 3)
     t0 = time.perf_counter()
     free = opr.grid.tags != NodeTag.CONSTRAINT
