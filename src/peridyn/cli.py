@@ -294,6 +294,10 @@ def _run_kdelta(cfg: StudyConfig) -> None:
         raise ConfigError("normal must be finite")
     with np.errstate(over="ignore"):  # refused below, without a warning
         nrm = np.linalg.norm(n)
+    if nrm == 0 and np.any(n != 0):
+        # the squares underflow: scale by the largest component first
+        n = n / np.abs(n).max()
+        nrm = np.linalg.norm(n)
     if nrm == 0:
         raise ConfigError("normal must be nonzero")
     if not np.isfinite(nrm):
@@ -480,6 +484,9 @@ def _run_solve(cfg: StudyConfig) -> None:
         "residuals": result.residuals, "iterations": result.iterations,
         "residual_history": result.residual_history,
         "recovery_error": recovery,
+        # the transforms of the lattice (extraction, residuals, diagonal) and
+        # of the free window (every GMRES iteration)
+        "fft_shape": list(opr.fft_shape), "free_fft_shape": list(opr.window.fft_shape),
         "timings": {"assemble_s": assemble_s, **result.timings},
         "checks": [list(c) for c in cfg.checks],
     })

@@ -14,9 +14,12 @@ extended-interface nodes carry the corrected operator with zero right-hand
 side, realizing the nonlocal interface condition.
 
 The free-node block is solved by restarted GMRES (Saad & Schultz 1986),
-preconditioned by the inverse of its closed-form diagonal (Jacobi).  A zero
-or non-finite diagonal entry, or a run that misses the residual target, is
-refused as singular or ill-conditioned.  scipy's sparse stack, which GMRES
+preconditioned by the inverse of its closed-form diagonal (Jacobi).  GMRES
+applies the block on a window, the free nodes' bounding box widened by one
+stencil reach, whose transforms are shorter than the lattice's; the window is
+wide enough that no free row sees a wrapped value (``DiscreteOperator``).  A
+zero or non-finite diagonal entry, or a run that misses the residual target,
+is refused as singular or ill-conditioned.  scipy's sparse stack, which GMRES
 comes from, is loaded on the first solve, so importing this module costs no
 more than numpy.
 """
@@ -147,6 +150,20 @@ class DiscreteOperator:
     product of spectra on the lattice zero-padded to ``fft_shape``.  Free rows
     read only nodes of the box (the collar is two stencil reaches wide), so
     the transforms' wrap-around reaches no value a free row uses.
+
+    ``free_action`` applies the free block alone on a smaller lattice, the
+    ``window``: the free nodes' bounding box widened on each side by the
+    stencil's reach r, with the moduli sliced to it and zero-padded to fast
+    transform lengths of its own.  No value a free row uses is aliased.
+    With F free nodes along an axis, the window has F + 2r, and a free row
+    reads the field and the moduli at most r nodes away: inside the window,
+    with no wrap-around.  A two-hop term's intermediate (the inner sum) is
+    read only on the window, where it is multiplied by the sliced moduli;
+    outside the window it meets zero-padded moduli.  On the window it reads
+    the field up to r nodes beyond it, and a transform length L >= F + 2r
+    wraps those positions onto the padding or the window's rim, outside the
+    free box, where the field is zero as it is at the positions they stand
+    for.
     """
 
     grid: BoxGrid
@@ -178,8 +195,8 @@ class DiscreteOperator:
         m = ball_volume(grid.delta)
         a = np.where(ext, 0.0, self.mu)
         # the zero frequency of a stencil's spectrum is the sum of its values
-        bond_self = (a * self.bond_hat[..., :1, :1, :1].real
-                     + self._ifft(self.bond_hat * self._fft(self.mu)))
+        bond_self = self._ifft(self.bond_hat * self._fft(self.mu))
+        bond_self += a * self.bond_hat[..., :1, :1, :1].real
         normal = None
         if ext.any() and isinstance(self.material, TwoPhaseMaterial):
             normal = self.material.interface.normal[:, None, None, None]
@@ -211,6 +228,48 @@ class DiscreteOperator:
         out[cons] = nodal[cons]
         return out
 
+    @functools.cached_property
+    def window(self) -> "DiscreteOperator":
+        """The operator on the free nodes' bounding box widened by the
+        stencil's reach, on transform lengths of its own (see the class
+        docstring); its free nodes are this operator's, in the same order."""
+        return self._on_free_box(widen=int(np.abs(self.offsets).max()))
+
+    def _on_free_box(self, widen: int) -> "DiscreteOperator":
+        """The operator on the free nodes' bounding box widened by ``widen``
+        nodes on each side, zero-padded to fast transform lengths."""
+        grid = self.grid
+        free = np.argwhere((grid.tags != NodeTag.CONSTRAINT).reshape(grid.shape))
+        lo, hi = free.min(axis=0) - widen, free.max(axis=0) + widen + 1
+        shape = tuple(int(n) for n in hi - lo)
+        fft_shape = tuple(_fft_length(n) for n in shape)
+        if (np.any(lo < 0) or np.any(hi > np.array(grid.shape))
+                or np.any(np.array(fft_shape) < np.ptp(free, axis=0) + 1 + 2 * widen)):
+            raise AssertionError("the free window leaves the lattice or its "
+                                 "transforms are shorter than F + 2r")
+        box = tuple(slice(a, b) for a, b in zip(lo, hi))
+        points, tags = (a.reshape(grid.shape + a.shape[1:])[box].reshape(
+            (-1,) + a.shape[1:]) for a in (grid.points, grid.tags))
+        window = BoxGrid(lo=points[0], hi=points[-1], h=grid.h, shape=shape,
+                         points=points, tags=tags, horizon_ratio=grid.horizon_ratio,
+                         interface=grid.interface)
+        bond_hat, dir_hat, sq_hat = _spectra(self.offsets, self.fractions, grid.h,
+                                             grid.delta, fft_shape)
+        return DiscreteOperator(grid=window, material=self.material,
+                                offsets=self.offsets, fractions=self.fractions,
+                                lam=self.lam[box], mu=self.mu[box], fft_shape=fft_shape,
+                                bond_hat=bond_hat, dir_hat=dir_hat, sq_hat=sq_hat)
+
+    def free_action(self, x: np.ndarray) -> np.ndarray:
+        """The free block's action on free values ``x``, ordered like
+        ``u[free]``, as (n_free, 3): ``action`` on the window of a field that
+        is ``x`` on the free nodes and zero on the collar."""
+        window = self.window
+        free = window.grid.tags != NodeTag.CONSTRAINT
+        nodal = np.zeros((window.grid.n_nodes, 3))
+        nodal[free] = np.asarray(x, dtype=float).reshape(-1, 3)
+        return window.action(nodal)[free]
+
     def diagonal(self) -> np.ndarray:
         """The diagonal as (N, 3), in closed form since d_{-k} = -d_k:
         -(a sum S + S * mu)_ii - dil_w (d_i^2 * c) - proj_w n_i^2 (|d|^2 * mu),
@@ -226,6 +285,29 @@ class DiscreteOperator:
         return out
 
 
+def _spectra(offsets, fractions, h: float, delta: float, fft_shape: tuple):
+    """Spectra of the bond stencil S (3, 3, ...), the direction stencil d
+    (3, ...) and its squares d_i^2 (3, ...), each zero-padded to
+    ``fft_shape``."""
+    w_vol = fractions * h**3
+    xi = h * offsets.astype(float)
+    r2 = np.einsum("ki,ki->k", xi, xi)
+    bond = (((15.0 / ball_volume(delta)) * w_vol / r2**2)[:, None, None]
+            * np.einsum("ki,kj->kij", xi, xi))
+    dirs = w_vol[:, None] * (xi / r2[:, None])
+    # S, d and d_i^2 as 15 kernels: S_k sits at index (-k) mod n, so the
+    # inverse transform of its spectrum times a field's is sum_k S_k f(x + k).
+    # One kernel at a time, so the transform's work arrays are one kernel's.
+    kernel = np.zeros(fft_shape)
+    at = tuple((-offsets % np.array(fft_shape)).T)
+    spectra = np.empty((15, *fft_shape[:-1], fft_shape[-1] // 2 + 1), dtype=complex)
+    for spectrum, values in zip(spectra, np.concatenate(
+            [bond.reshape(-1, 9), dirs, dirs**2], axis=1).T):
+        kernel[at] = values
+        spectrum[...] = np.fft.rfftn(kernel)
+    return spectra[:9].reshape((3, 3) + spectra.shape[1:]), spectra[9:12], spectra[12:]
+
+
 def assemble(grid: BoxGrid, material: Material) -> DiscreteOperator:
     """The collocation operator on ``grid``: the state operator on interior
     rows, the corrected operator on extended-interface rows, identity on
@@ -236,26 +318,17 @@ def assemble(grid: BoxGrid, material: Material) -> DiscreteOperator:
     hops = 2 * _stencil_reach(h, delta)
     if np.any(free < hops) or np.any(free >= np.array(grid.shape) - hops):
         raise AssertionError("a free row reads beyond the lattice in two hops")
+    # the free window (DiscreteOperator.window) widens the free box by one
+    # reach, so the check above keeps it inside the lattice; its own check
+    # asserts transforms of at least F + 2r, for which it does not alias
     lam, mu = (np.broadcast_to(np.asarray(c, dtype=float), (grid.n_nodes,)).reshape(grid.shape)
                for c in material.lame_at(grid.points))
     offs, frac = _offset_fractions(h, delta)
-    w_vol = frac * h**3
-    xi = h * offs.astype(float)
-    r2 = np.einsum("ki,ki->k", xi, xi)
-    bond = (((15.0 / ball_volume(delta)) * w_vol / r2**2)[:, None, None]
-            * np.einsum("ki,kj->kij", xi, xi))
-    dirs = w_vol[:, None] * (xi / r2[:, None])
-    # S, d and d_i^2 as 15 kernels: S_k sits at index (-k) mod n, so the
-    # inverse transform of its spectrum times a field's is sum_k S_k f(x + k)
     fft_shape = tuple(_fft_length(n) for n in grid.shape)
-    kernels = np.zeros((15,) + fft_shape)
-    kernels[(slice(None), *(-offs % np.array(fft_shape)).T)] = np.concatenate(
-        [bond.reshape(-1, 9), dirs, dirs**2], axis=1).T
-    spectra = np.fft.rfftn(kernels, axes=(-3, -2, -1))
+    bond_hat, dir_hat, sq_hat = _spectra(offs, frac, h, delta, fft_shape)
     return DiscreteOperator(grid=grid, material=material, offsets=offs,
                             fractions=frac, lam=lam, mu=mu, fft_shape=fft_shape,
-                            bond_hat=spectra[:9].reshape((3, 3) + spectra.shape[1:]),
-                            dir_hat=spectra[9:12], sq_hat=spectra[12:])
+                            bond_hat=bond_hat, dir_hat=dir_hat, sq_hat=sq_hat)
 
 
 # GMRES: relative residual target, restart length and restart cycles (at most
@@ -333,18 +406,14 @@ def solve_equilibrium(opr: DiscreteOperator, b, g) -> SolveResult:
             "collocation matrix is singular or ill-conditioned "
             "(zero or non-finite diagonal entry in the free block)")
 
-    def free_action(x):
-        nodal = np.zeros_like(u)
-        nodal[free] = x.reshape(-1, 3)
-        return opr.action(nodal)[free].reshape(-1)
-
     shape = (diag.size, diag.size)
     jacobi = LinearOperator(shape, matvec=lambda x: x / diag, dtype=float)
+    block = LinearOperator(shape, matvec=lambda x: opr.free_action(x).reshape(-1),
+                           dtype=float)
     history = []
-    u_f, info = gmres(LinearOperator(shape, matvec=free_action, dtype=float),
-                      rhs_f, rtol=_GMRES_RTOL, atol=0.0, restart=_GMRES_RESTART,
-                      maxiter=_GMRES_CYCLES, M=jacobi, callback=history.append,
-                      callback_type="pr_norm")
+    u_f, info = gmres(block, rhs_f, rtol=_GMRES_RTOL, atol=0.0,
+                      restart=_GMRES_RESTART, maxiter=_GMRES_CYCLES, M=jacobi,
+                      callback=history.append, callback_type="pr_norm")
     if info != 0:
         raise np.linalg.LinAlgError(
             f"collocation matrix is singular or ill-conditioned (GMRES info "

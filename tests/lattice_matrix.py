@@ -3,9 +3,11 @@
 ``reference_matrix`` builds, entry by entry, the 3N x 3N matrix whose action
 ``solver.DiscreteOperator`` applies by FFT.  ``MatrixOperator`` wraps a
 (possibly altered) matrix in the interface ``solver.solve_equilibrium`` and
-``solver.residual_check`` use: ``grid``, ``action`` and ``diagonal``.
+``solver.residual_check`` use: ``grid``, ``action``, ``free_action`` and
+``diagonal``.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -131,6 +133,15 @@ class MatrixOperator:
 
     def action(self, nodal):
         return (self.matrix @ np.asarray(nodal, dtype=float).reshape(-1)).reshape(-1, 3)
+
+    @functools.cached_property
+    def _free_block(self):
+        free = np.flatnonzero(self.grid.tags != S.NodeTag.CONSTRAINT)
+        free3 = (3 * free[:, None] + np.arange(3)).reshape(-1)
+        return self.matrix[free3][:, free3].tocsr()
+
+    def free_action(self, x):
+        return (self._free_block @ np.asarray(x, dtype=float).reshape(-1)).reshape(-1, 3)
 
     def diagonal(self):
         return self.matrix.diagonal().reshape(-1, 3)

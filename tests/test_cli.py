@@ -77,6 +77,16 @@ class TestExitCodes:
         assert capsys.readouterr() == ("", f"error: {message}\n")
 
     @pytest.mark.filterwarnings("error")
+    def test_subnormal_normal_accepted(self, tmp_path):
+        # its plain length underflows to 0; scaled first, it is e1
+        assert main(["kdelta", "--quad", "2,2", "--normal", "1e-320,0,0",
+                     "--out", str(tmp_path / "tiny")]) == 0
+        assert main(["kdelta", "--quad", "2,2", "--normal", "1,0,0",
+                     "--out", str(tmp_path / "unit")]) == 0
+        assert ((tmp_path / "tiny" / "kdelta.csv").read_bytes()
+                == (tmp_path / "unit" / "kdelta.csv").read_bytes())
+
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("moduli", ["nan,1,2,1", "inf,1,2,1",
                                         "3,nan,2,1", "3,1,2,-inf"])
     def test_non_finite_moduli_rejected(self, moduli, tmp_path, capsys):
@@ -403,6 +413,24 @@ class TestStudyOutputs:
         del payload["timings"]["factor_solve_s"], payload["timings"]["assemble_s"]
         with pytest.raises(jsonschema.ValidationError):
             jsonschema.validate(payload, schema)
+
+    def test_solve_report_fft_shapes(self, tmp_path):
+        # the default box's lattice has 17 nodes an axis (17 is not a fast
+        # length) and its free window 11
+        rc = main(["solve", "--out", str(tmp_path), "--field", "constant"])
+        assert rc == 0
+        with open(tmp_path / "solve_report.json") as f:
+            payload = json.load(f)
+        schema = load_schema("solve_report_schema.json")
+        jsonschema.validate(payload, schema)
+        assert payload["fft_shape"] == [18, 18, 18]
+        assert payload["free_fft_shape"] == [12, 12, 12]
+        for key in ("fft_shape", "free_fft_shape"):
+            missing = {k: v for k, v in payload.items() if k != key}
+            with pytest.raises(jsonschema.ValidationError):
+                jsonschema.validate(missing, schema)
+        with pytest.raises(jsonschema.ValidationError):
+            jsonschema.validate({**payload, "window_shape": [11, 11, 11]}, schema)
 
     @pytest.mark.parametrize("argv,report,schema", [
         (["moments"], "moments.json", "oracle_study_schema.json"),

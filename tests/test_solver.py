@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -79,6 +81,29 @@ def assemble_single_phase():
 def assemble_flagship():
     _, mat = F.make_manufactured("patch_jump_zero_traction")
     return S.assemble(S.build_grid(BOX, 1.0 / 16.0, 3.0, mat.interface), mat)
+
+
+def assemble_oblique_tilted():
+    # an interface normal off every lattice plane, (0.36, 0.48, 0.8)
+    iface = F.PlanarInterface(np.array([0.01, -0.02, 0.03]), np.array([0.36, 0.48, 0.8]))
+    mat = F.TwoPhaseMaterial(3.0, 1.0, 5.0, 2.0, iface)
+    return S.assemble(S.build_grid(BOX, 1.0 / 16.0, 3.0, iface), mat)
+
+
+def assemble_anisotropic_box():
+    # three axis lengths, each window axis shorter than the lattice's
+    iface = F.PlanarInterface(np.array([0.0, 0.0, 0.1]), np.array([0.36, 0.48, 0.8]))
+    mat = F.TwoPhaseMaterial(3.0, 1.0, 5.0, 2.0, iface)
+    box = (np.array([-0.75, -1.0, -0.5]), np.array([0.75, 1.0, 0.75]))
+    return S.assemble(S.build_grid(box, 1.0 / 16.0, 2.5, iface), mat)
+
+
+def assemble_ratio_3_4():
+    # a stencil reach of 4 nodes
+    iface = F.PlanarInterface(np.array([0.0, 0.0, 0.02]), np.array([0.0, 0.0, 1.0]))
+    mat = F.TwoPhaseMaterial(3.0, 1.0, 5.0, 2.0, iface)
+    return S.assemble(S.build_grid((np.full(3, -0.75), np.full(3, 0.75)), 1.0 / 16.0,
+                                   3.4, iface), mat)
 
 
 REFERENCE_CASES = {
@@ -269,6 +294,69 @@ class TestLatticeReference:
             v = rng.normal(size=(opr.grid.n_nodes, 3))
             ref = lattice_action(opr, v)
             assert np.abs(opr.action(v) - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def free_block_error(opr, rng):
+    """max |free_action(x) - action(nodal)[free]| / max |action(nodal)[free]|
+    for random free values x on a zero collar."""
+    free = opr.grid.tags != S.NodeTag.CONSTRAINT
+    x = rng.normal(size=(np.count_nonzero(free), 3))
+    nodal = np.zeros((opr.grid.n_nodes, 3))
+    nodal[free] = x
+    ref = opr.action(nodal)[free]
+    return np.abs(opr.free_action(x) - ref).max() / np.abs(ref).max()
+
+
+class TestFreeAction:
+    @pytest.mark.parametrize("build", [
+        assemble_flagship, assemble_oblique_tilted, assemble_bond_only,
+        assemble_anisotropic_box, assemble_ratio_3_4,
+    ], ids=["flagship", "oblique_tilted", "bond_only", "anisotropic_box", "ratio_3_4"])
+    def test_matches_lattice_action(self, build, rng):
+        opr = build()
+        assert opr.window.fft_shape != opr.fft_shape
+        assert free_block_error(opr, rng) <= 1e-13
+
+    def test_window_is_free_box_plus_reach(self):
+        opr = assemble_anisotropic_box()
+        free = np.argwhere((opr.grid.tags != S.NodeTag.CONSTRAINT).reshape(opr.grid.shape))
+        reach = np.abs(opr.offsets).max()
+        assert opr.window.grid.shape == tuple(np.ptp(free, axis=0) + 1 + 2 * reach)
+        assert np.array_equal(opr.window.grid.points[opr.window.grid.tags != S.NodeTag.CONSTRAINT],
+                              opr.grid.points[opr.grid.tags != S.NodeTag.CONSTRAINT])
+
+    @pytest.mark.parametrize("build", [assemble_flagship, assemble_oblique],
+                             ids=["flagship", "oblique"])
+    def test_window_narrower_than_reach_differs(self, build, rng):
+        # negative control: a window widened by one node less than the reach
+        # reads wrapped or zero-padded moduli on the free box's rim rows
+        opr = build()
+        reach = int(np.abs(opr.offsets).max())
+        tight = dataclasses.replace(opr)  # a copy with nothing cached
+        tight.__dict__["window"] = opr._on_free_box(widen=reach - 1)
+        assert free_block_error(tight, rng) > 1e-4
+
+    def test_matrix_free_block_matches(self, reference_case, rng):
+        opr, matrix = reference_case
+        x = rng.normal(size=(np.count_nonzero(opr.grid.tags != S.NodeTag.CONSTRAINT), 3))
+        ref = MatrixOperator(opr.grid, matrix).free_action(x)
+        assert np.abs(opr.free_action(x) - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    def test_gmres_applies_only_the_free_block(self, flagship_operator, patch,
+                                               monkeypatch):
+        # the lattice action runs twice, for the extraction and the residuals;
+        # every GMRES iteration runs on the window
+        field, _ = patch
+        shapes = []
+        action = S.DiscreteOperator.action
+        monkeypatch.setattr(S.DiscreteOperator, "action",
+                            lambda self, v: shapes.append(self.grid.shape) or action(self, v))
+        res = S.solve_equilibrium(dataclasses.replace(flagship_operator), None,
+                                  lambda p: field.value(p))
+        window = flagship_operator.window.grid.shape
+        assert shapes.count(flagship_operator.grid.shape) == 2
+        assert shapes.count(window) >= res.iterations > 0
+        assert len(shapes) == 2 + shapes.count(window)
 
 
 class TestLatticeSymmetry:
