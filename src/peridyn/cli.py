@@ -191,9 +191,10 @@ def _field_material(cfg: StudyConfig, default_field: str):
 # smooth trig and quadratic fields, which declare a split, at 2n points.  So
 # the budget refuses those only beyond 1e8 nodes; a field that declares
 # neither is read at about n^2/2 points per side and refused beyond about
-# 20,000 nodes.  Below that the pass is bounded by memory: each worker's
-# evaluation holds about ``operators.EVALUATION_BYTES_PER_NODE`` per rule
-# node.
+# 20,000 nodes.  Below that the pass is bounded by memory: each worker
+# evaluates a batch of up to max(n, ``analysis.BATCH_FIELD_POINTS``) field
+# points, and holds about ``operators.EVALUATION_BYTES_PER_NODE`` per field
+# point.
 NESTED_POINT_BUDGET = 2 * 10**8
 
 
@@ -212,7 +213,8 @@ def _check_quad_budget(cfg: StudyConfig, field, split: bool) -> None:
             f"quad {cfg.quad[0]},{cfg.quad[1]} gives a {n}-node rule whose "
             f"nested pass evaluates {points:.3g} field points, more than the "
             f"budget of {NESTED_POINT_BUDGET:.3g}")
-    need = n * EVALUATION_BYTES_PER_NODE * cfg.threads
+    batch = max(n, analysis.BATCH_FIELD_POINTS)  # field points per evaluation
+    need = batch * EVALUATION_BYTES_PER_NODE * cfg.threads
     memory = _physical_memory()
     if need > memory:
         raise ConfigError(
@@ -542,7 +544,7 @@ def main(argv=None) -> int:
         print(f"error: numerical refusal ({type(e).__name__}): {e}",
               file=sys.stderr)
         return 2
-    except (ConfigError, ValueError, TypeError) as e:
+    except (ConfigError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     if all(ok for _, ok, _ in cfg.checks):

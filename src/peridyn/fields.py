@@ -299,40 +299,47 @@ def traction_jump(material: TwoPhaseMaterial, field: PiecewiseField, x) -> Vec3:
 
 def _second_derivative_parts(field: PiecewiseField, x, side: SideTag):
     h = field.hessian_on(x, side)
-    lap = np.einsum("ikk->i", h)
-    grad_div = np.einsum("jji->i", h)
+    lap = np.einsum("...ikk->...i", h)
+    grad_div = np.einsum("...jji->...i", h)
     return lap, grad_div
 
 
-def navier(material: Material, field: PiecewiseField, x, side: SideTag = SideTag.PLUS) -> Vec3:
-    """grad(lam div u) + div(mu (grad u + grad u^T)) from one-sided derivatives."""
+def _local_parts(material: Material, field: PiecewiseField, x, side: SideTag):
+    """(lam, mu, grad lam, grad mu, grad u, div u) at points x of shape
+    (..., 3), one-sided; the moduli and the divergence carry a trailing axis
+    of length 1, so that they scale vectors."""
     x = np.asarray(x, dtype=float)
-    lam, mu = _lame_for(material, x, side)
+    lam, mu = (np.asarray(c, dtype=float)[..., None]
+               for c in _lame_for(material, x, side))
     glam, gmu = material.lame_grad_at(x)
     g = field.grad_on(x, side)
-    div = np.trace(g)
+    div = np.trace(g, axis1=-2, axis2=-1)[..., None]
+    return lam, mu, glam, gmu, g, div
+
+
+def _sym_apply(g, v):
+    """(g + g^T) v for stacked matrices g (..., 3, 3) and vectors v (..., 3)."""
+    return np.einsum("...ij,...j->...i", g + np.swapaxes(g, -1, -2), v)
+
+
+def navier(material: Material, field: PiecewiseField, x, side: SideTag = SideTag.PLUS) -> Vec3:
+    """grad(lam div u) + div(mu (grad u + grad u^T)) from one-sided
+    derivatives, at one point (3,) or a batch of points (P, 3)."""
+    lam, mu, glam, gmu, g, div = _local_parts(material, field, x, side)
     lap, grad_div = _second_derivative_parts(field, x, side)
-    return div * glam + lam * grad_div + (g + g.T) @ gmu + mu * (lap + grad_div)
+    return div * glam + lam * grad_div + _sym_apply(g, gmu) + mu * (lap + grad_div)
 
 
 def navier_s(material: Material, field: PiecewiseField, x, side: SideTag = SideTag.PLUS) -> Vec3:
     """The shear-modulus part: grad(mu div u) + div(mu (grad u + grad u^T))."""
-    x = np.asarray(x, dtype=float)
-    _, mu = _lame_for(material, x, side)
-    _, gmu = material.lame_grad_at(x)
-    g = field.grad_on(x, side)
-    div = np.trace(g)
+    _, mu, _, gmu, g, div = _local_parts(material, field, x, side)
     lap, grad_div = _second_derivative_parts(field, x, side)
-    return div * gmu + (g + g.T) @ gmu + mu * (lap + 2.0 * grad_div)
+    return div * gmu + _sym_apply(g, gmu) + mu * (lap + 2.0 * grad_div)
 
 
 def navier_d(material: Material, field: PiecewiseField, x, side: SideTag = SideTag.PLUS) -> Vec3:
     """The dilatational part: grad((lam - mu) div u)."""
-    x = np.asarray(x, dtype=float)
-    lam, mu = _lame_for(material, x, side)
-    glam, gmu = material.lame_grad_at(x)
-    g = field.grad_on(x, side)
-    div = np.trace(g)
+    lam, mu, glam, gmu, _, div = _local_parts(material, field, x, side)
     _, grad_div = _second_derivative_parts(field, x, side)
     return div * (glam - gmu) + (lam - mu) * grad_div
 

@@ -15,25 +15,35 @@ point's own phase and so crosses the interface, which leaves a
 horizon-independent term.  The zero-traction patch on the moduli (3, 1, 5, 2)
 misses 45/32 times the traction jump by about 1.04.
 
-All evaluators are pure functions of (config, material, field, point).  The
-nested double integrals reuse one reference ball rule for the inner and outer
-integral, and one nested pass computes both inner integrals at every outer
-node.  There are three passes, chosen by what the field declares:
+All evaluators are pure functions of (config, material, field, points), and
+each takes one point of shape (3,) or a batch of P points of shape (P, 3),
+returning one value per point in the same layout.  A call on a batch builds
+the rule's constants once, reads the material and the field at all P x n
+outer nodes x_p + delta z_q in one call each, and forms each sum over the
+nodes as one matrix product over the batch.  The nested double integrals
+reuse one reference ball rule for the inner and outer integral, and one
+nested pass computes both inner integrals at every outer node.  There are
+three passes, chosen by what the field declares:
 
 * A field whose closed forms are affine, as every manufactured interface
   configuration is, is integrated from the rule's moments: the pass reads
-  the n outer nodes once per side and sorts the nodes once, O(n log n) work.
+  the n outer nodes once per side, O(n) work per point.  With one closed
+  form the whole batch is one pass; with a kink across the interface each
+  point of the batch sorts the nodes by side, O(n log n) work, in turn.
 * A field with one closed form that declares a split of u(y + d) into
   products of factors of y and of d, as the manufactured trig and quadratic
   fields do, is integrated from rule sums of the inner factors: the pass
-  reads the outer factors at the n outer nodes and the inner factors at the
-  n offsets, O(n m) work for m products.
-* Any other field is read at the n^2 inner points; these are symmetric in
-  the pair of nodes, so the pass evaluates the field once per unordered pair
-  of node tiles and adds the values into both tiles' sums.
+  reads the outer factors at the n outer nodes of every point of the batch
+  and the inner factors at the n offsets once, O(n m) work per point for m
+  products.
+* Any other field is read at the n^2 inner points, point by point; these are
+  symmetric in the pair of nodes, so the pass evaluates the field once per
+  unordered pair of node tiles and adds the values into both tiles' sums.
 
-The tiles, the sort and every summation order are fixed, so results are
-reproducible bit for bit.
+The tiles, the sort and every summation order are fixed for a given batch,
+so results are reproducible bit for bit.  A point's value in a batch agrees
+with its value alone to rounding: the matrix products may add a sum in
+another order.
 """
 
 from __future__ import annotations
@@ -117,6 +127,20 @@ def weight_mass(delta: float, r: float) -> float:
 # ---------------------------------------------------------------------------
 
 
+def _batch(x):
+    """The points x as a batch of shape (P, 3), and the shape of the vector
+    results: (3,) for one point of shape (3,), else (P, 3)."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim not in (1, 2) or x.shape[-1] != 3:
+        raise ValueError(f"points must have shape (3,) or (P, 3), got {x.shape}")
+    return x.reshape(-1, 3), x.shape
+
+
+def _outer_nodes(config: OperatorConfig, x) -> np.ndarray:
+    """The outer nodes x_p + delta z_q of a batch, shape (P, n, 3)."""
+    return x[:, None, :] + config.delta * config.rule.points
+
+
 def _require_finite(values) -> np.ndarray:
     if not np.all(np.isfinite(values)):
         raise FloatingPointError(
@@ -124,13 +148,25 @@ def _require_finite(values) -> np.ndarray:
     return values
 
 
-def _bond_sum(config: OperatorConfig, field: PiecewiseField, x, node_weights) -> Vec3:
-    """sum_q node_weights_q (z_q (x) z_q / |z_q|^4) (u(x + delta z_q) - u(x))."""
+def _moduli(config: OperatorConfig, material: Material, x):
+    """mu at the points of a batch (P,), and mu and lambda - mu at their
+    outer nodes (P, n): one read of the material at each."""
+    shape = (len(x), len(config.rule))
+    _, mu_x = material.lame_at(x)
+    lam_y, mu_y = material.lame_at(_outer_nodes(config, x))
+    return (np.broadcast_to(np.asarray(mu_x, dtype=float), shape[:1]),
+            np.broadcast_to(np.asarray(mu_y, dtype=float), shape),
+            np.broadcast_to(np.asarray(lam_y - mu_y, dtype=float), shape))
+
+
+def _bond_sum(config: OperatorConfig, field: PiecewiseField, x, node_weights):
+    """sum_q node_weights_pq (z_q (x) z_q / |z_q|^4) (u(x_p + delta z_q) - u(x_p))
+    for each point x_p of a batch; the weights are (n,) or (P, n)."""
     z = config.rule.points
     r4 = np.einsum("qi,qi->q", z, z) ** 2
-    y = x + config.delta * z
-    dv = _require_finite(field.value(y) - field.value(x))
-    return np.einsum("q,qi,qj,qj->i", node_weights / r4, z, z, dv)
+    dv = _require_finite(field.value(_outer_nodes(config, x))
+                         - field.value(x)[:, None, :])
+    return (node_weights / r4 * np.einsum("pqj,qj->pq", dv, z)) @ z
 
 
 def base_operator(config: OperatorConfig, field: PiecewiseField, x) -> Vec3:
@@ -141,47 +177,57 @@ def base_operator(config: OperatorConfig, field: PiecewiseField, x) -> Vec3:
     derivatives this tends to 2 grad(div u) + lap u, exactly so for
     quadratic fields at every horizon.
     """
-    x = np.asarray(x, dtype=float)
+    x, shape = _batch(x)
     delta = config.delta
     s = _bond_sum(config, field, x, config.rule.weights)
-    return (30.0 / ball_volume(delta)) * delta * s
+    return ((30.0 / ball_volume(delta)) * delta * s).reshape(shape)
 
 
 def base_operator_scalar(config: OperatorConfig, scalar_field, x) -> Mat3:
-    """Scalar-field variant of :func:`base_operator`; returns a matrix.
+    """Scalar-field variant of :func:`base_operator`; returns a matrix per
+    point.
 
-    ``scalar_field`` is a vectorized callable mapping (n, 3) points to (n,)
+    ``scalar_field`` is a vectorized callable mapping (m, 3) points to (m,)
     values.  The limit is 2 grad grad f + (lap f) I.
     """
-    x = np.asarray(x, dtype=float)
+    x, shape = _batch(x)
     delta = config.delta
     z = config.rule.points
     r4 = np.einsum("qi,qi->q", z, z) ** 2
-    y = x + delta * z
-    df = _require_finite(np.asarray(scalar_field(y)) - scalar_field(x[None, :])[0])
-    s = np.einsum("q,qi,qj->ij", config.rule.weights * df / r4, z, z)
-    return (30.0 / ball_volume(delta)) * delta * s
+    y = _outer_nodes(config, x).reshape(-1, 3)
+    df = _require_finite(np.asarray(scalar_field(y)).reshape(len(x), -1)
+                         - np.asarray(scalar_field(x))[:, None])
+    s = np.einsum("pq,qi,qj->pij", config.rule.weights * df / r4, z, z)
+    return ((30.0 / ball_volume(delta)) * delta * s).reshape(shape[:-1] + (3, 3))
+
+
+def _bond(config: OperatorConfig, field: PiecewiseField, x, mu_x, mu_y):
+    """The bond part at a batch, from mu at its points and outer nodes."""
+    w = config.rule.weights * (mu_x[:, None] + mu_y)
+    return (15.0 / ball_volume(config.delta)) * config.delta * _bond_sum(
+        config, field, x, w)
 
 
 def bond_operator(config: OperatorConfig, material: Material,
                   field: PiecewiseField, x) -> Vec3:
     """Bond-based part: the kernel is weighted by mu(x) + mu(y)."""
-    x = np.asarray(x, dtype=float)
-    delta = config.delta
-    _, mu_x = material.lame_at(x)
-    _, mu_y = material.lame_at(x + delta * config.rule.points)
-    s = _bond_sum(config, field, x, config.rule.weights * (mu_x + mu_y))
-    return (15.0 / ball_volume(delta)) * delta * s
+    x, shape = _batch(x)
+    mu_x, mu_y, _ = _moduli(config, material, x)
+    return _bond(config, field, x, mu_x, mu_y).reshape(shape)
+
+
+def _frozen_bond(config: OperatorConfig, field: PiecewiseField, x, mu_x):
+    """The bond correction at a batch, from mu at its points."""
+    s = _bond_sum(config, field, x, config.rule.weights)
+    return -(15.0 / ball_volume(config.delta)) * config.delta * mu_x[:, None] * s
 
 
 def bond_correction_term(config: OperatorConfig, material: Material,
                          field: PiecewiseField, x) -> Vec3:
     """Bond-type correction term: minus the bond kernel with mu frozen at x."""
-    x = np.asarray(x, dtype=float)
-    delta = config.delta
-    _, mu_x = material.lame_at(x)
-    s = _bond_sum(config, field, x, config.rule.weights)
-    return -(15.0 / ball_volume(delta)) * delta * float(mu_x) * s
+    x, shape = _batch(x)
+    mu_x, _, _ = _moduli(config, material, x)
+    return _frozen_bond(config, field, x, mu_x).reshape(shape)
 
 
 # ---------------------------------------------------------------------------
@@ -199,13 +245,17 @@ def bond_correction_term(config: OperatorConfig, material: Material,
 _NESTED_TILE = 64
 
 
-# Estimated peak bytes per rule node of one operator evaluation, the rule
-# included: the rule holds 32 and the closed-form pass of an affine two-sided
-# field about 350 (measured with tracemalloc on split rules of 4608 to
-# 131,072 nodes).  A state operator evaluation on a declared split peaks at
-# 288-323 for the trig field (2 products) and 360-366 for the quadratic one
-# (3 products), on ball rules of 768 to 131,072 nodes.  The tiled pass holds
-# about 100 per node beside its tiles.
+# Estimated peak bytes per field point of one operator evaluation on a batch,
+# the rule included, where the field points are the P x n outer nodes of the
+# batch's points.  Measured with tracemalloc: with one point per batch (rules
+# of more than 2048 nodes) the rule holds 32 and the closed-form pass of an
+# affine two-sided field about 352, 384-386 in all on split rules of 4608 to
+# 36,864 nodes; a state operator evaluation on a declared split peaks at
+# 288-323 for the trig field (2 products) and 328-371 for the quadratic one
+# (3 products), on ball rules of 2304 to 18,432 nodes.  Batches of several
+# points spread the rule's constants: 182-211 on the 768-node ball rule and
+# the 1536-node split rule.  The tiled pass holds about 100 per node beside
+# its tiles.
 EVALUATION_BYTES_PER_NODE = 8 * 48
 
 
@@ -266,9 +316,10 @@ def _by_side(plus, moments, up, um):
 
 
 def _nested_moments(config: OperatorConfig, field: PiecewiseField, x):
-    """Inner integrals of the composed kernels at every outer node.
+    """Inner integrals of the composed kernels at every outer node of each
+    point of a batch x of shape (P, 3).
 
-    For outer nodes y_j = x + delta z_j returns
+    For outer nodes y_j = x + delta z_j of a point x returns
 
     * ``g[j] = sum_k (w_k/|z_k|^2) z_k . u(y_j + delta z_k)`` -- the scalar
       divergence channel; the physical inner integral is delta^2 g.  Each
@@ -283,24 +334,30 @@ def _nested_moments(config: OperatorConfig, field: PiecewiseField, x):
       Its horizon-scaled limit is then the shear-weighted jump formula of
       :func:`normal_correction_limit`.
 
-    Three passes compute these, tried in order:
+    as g of shape (P, n) and p of shape (P, n, 3).  Three passes compute
+    these, tried in order:
 
     * a field whose closed forms are all affine is integrated from rule
-      moments with n field points per side (:func:`_affine_moments`);
+      moments with n field points per side (:func:`_affine_moments` for the
+      whole batch with one closed form, :func:`_kinked_moments` point by
+      point with a kink);
     * a field with one closed form that declares a split is integrated from
       rule sums of its inner factors, with its outer factors read at the n
-      outer nodes (:func:`_split_moments`);
+      outer nodes of every point of the batch (:func:`_split_moments`);
     * any other field is evaluated at the n^2 inner points by pair-symmetric
-      tiles (:func:`_tiled_moments`).
+      tiles, point by point (:func:`_tiled_moments`).
 
     All three agree to rounding on the fields the first two accept.
     """
-    if _affine(field):
+    if _affine(field) and not _two_sided(field):
         g, p = _affine_moments(config, field, x)
     elif _separable(field):
         g, p = _split_moments(config, field, x)
     else:
-        g, p = _tiled_moments(config, field, x)
+        one = _kinked_moments if _affine(field) else _tiled_moments
+        moments = [one(config, field, point) for point in x]
+        g = np.stack([m[0] for m in moments])
+        p = np.stack([m[1] for m in moments])
     _require_finite(g)  # non-finite field values propagate through the sums
     _require_finite(p)
     return g, p
@@ -355,16 +412,43 @@ def _prefix_sums(v) -> np.ndarray:
     return out
 
 
-def _affine_moments(config: OperatorConfig, field: PiecewiseField, x):
-    """The channels of :func:`_nested_moments` for a field whose closed forms
-    u_s are affine with gradients G_s, from n field points per side.
+def _rule_moments(bw, dz):
+    """B0 = sum_k bw_k and B1 = sum_k bw_k (x) delta z_k, compensated."""
+    b0 = _prefix_sums(bw)[-1]
+    b1 = np.stack([_prefix_sums(bw * dz[:, l, None])[-1] for l in range(3)], axis=1)
+    return b0, b1
 
-    Since u_s(y_j + delta z_k) = u_s(y_j) + G_s delta z_k, the rule moments
-    B0 = sum_k bw_k and B1 = sum_k bw_k (x) delta z_k give the ``p`` channel
-    p_j = (B0 . a_j) u_s(y_j) + G_s (B1^T a_j), with s the phase of y_j, and
-    the ``g`` channel g_j = B0 . u(y_j) + G : B1 of a field with one closed
-    form, where G : B1 = sum_il G_il (B1)_il.  With a kink, g_j starts from
-    the plus side and switches j's minus-side inner nodes over:
+
+def _affine_p(a, b0, b1, u, grad):
+    """The ``p`` channel (B0 . a_j) u(y_j) + G (B1^T a_j) of an affine closed
+    form with gradient G, from its values u at the outer nodes."""
+    return (a @ b0)[:, None] * u + (a @ b1) @ grad.T
+
+
+def _affine_moments(config: OperatorConfig, field: PiecewiseField, x):
+    """The channels of :func:`_nested_moments` for a field with one closed
+    form u, affine with gradient G, at a batch x, from the n outer nodes of
+    each point.
+
+    Since u(y_j + delta z_k) = u(y_j) + G delta z_k, the rule moments B0 and
+    B1 (:func:`_rule_moments`) give g_j = B0 . u(y_j) + G : B1, where
+    G : B1 = sum_il G_il (B1)_il, and p_j = (B0 . a_j) u(y_j) + G (B1^T a_j).
+    """
+    bw, a, dz = _nested_weights(config)
+    b0, b1 = _rule_moments(bw, dz)
+    grad = field.plus_side.constant_grad
+    u = field.value(x[:, None, :] + dz)
+    return u @ b0 + np.sum(grad * b1), _affine_p(a, b0, b1, u, grad)
+
+
+def _kinked_moments(config: OperatorConfig, field: PiecewiseField, x):
+    """The channels of :func:`_nested_moments` at one point x for a field
+    whose two closed forms u_s are affine with gradients G_s, from the n
+    outer nodes per side.
+
+    As in :func:`_affine_moments`, p_j = (B0 . a_j) u_s(y_j) + G_s (B1^T a_j)
+    with s the phase of y_j.  g_j starts from the plus side and switches j's
+    minus-side inner nodes over:
 
         g_j = B0 . u_+(y_j) + G_+ : B1
               + sum_{k minus} bw_k . (u_-(y_j) - u_+(y_j) + (G_- - G_+) delta z_k)
@@ -377,18 +461,10 @@ def _affine_moments(config: OperatorConfig, field: PiecewiseField, x):
     """
     bw, a, dz = _nested_weights(config)
     y = x + dz
-    b0 = _prefix_sums(bw)[-1]
-    b1 = np.stack([_prefix_sums(bw * dz[:, l, None])[-1] for l in range(3)], axis=1)
+    b0, b1 = _rule_moments(bw, dz)
     grad_plus = field.plus_side.constant_grad
-
-    def p_channel(u, grad):
-        return (a @ b0)[:, None] * u + (a @ b1) @ grad.T
-
-    if not _two_sided(field):
-        u = field.value(y)
-        return u @ b0 + np.sum(grad_plus * b1), p_channel(u, grad_plus)
-    iface = field.interface
     grad_minus = field.minus_side.constant_grad
+    iface = field.interface
     u_plus = field.value_on(y, SideTag.PLUS)
     u_minus = field.value_on(y, SideTag.MINUS)
     s = dz @ iface.normal
@@ -402,32 +478,33 @@ def _affine_moments(config: OperatorConfig, field: PiecewiseField, x):
     g = (u_plus @ b0 + np.sum(grad_plus * b1)
          + np.einsum("ji,ji->j", prefix(bw), u_minus - u_plus) + prefix(jump))
     outer_plus = (iface.signed_distance(y) >= 0.0)[:, None]
-    p = np.where(outer_plus, p_channel(u_plus, grad_plus),
-                 p_channel(u_minus, grad_minus))
+    p = np.where(outer_plus, _affine_p(a, b0, b1, u_plus, grad_plus),
+                 _affine_p(a, b0, b1, u_minus, grad_minus))
     return g, p
 
 
 def _split_moments(config: OperatorConfig, field: PiecewiseField, x):
     """The channels of :func:`_nested_moments` for a field with one closed
-    form that declares a split u(y + d)_i = sum_m U(y)_mi V(d)_mi, from the
-    outer factors U at the n outer nodes and the inner factors V at the n
-    offsets delta z_k.
+    form that declares a split u(y + d)_i = sum_m U(y)_mi V(d)_mi, at a batch
+    x, from the outer factors U at the n outer nodes of each point and the
+    inner factors V at the n offsets delta z_k.
 
     With Q[i, m, l] = sum_k bw_ki V(delta z_k)_ml and B[m, i] = Q[i, m, i],
     g_j = sum_mi U(y_j)_mi B[m, i] and p_j[l] = sum_m U(y_j)_ml (a_j^T Q)[m, l]:
-    O(n m) work, each sum one matrix product.
+    O(n m) work per point, each sum one matrix product over the batch.
     """
     bw, a, dz = _nested_weights(config)
     outer, inner = field.plus_side.split
-    u = outer(x + dz)  # (n, m, 3)
-    v = inner(dz)
-    n, m = v.shape[:2]
-    q = bw.T @ v.reshape(n, 3 * m)  # q[i, 3m + l] = Q[i, m, l]
+    u = outer(x[:, None, :] + dz)  # (P, n, m, 3)
+    n, m = u.shape[1:3]
+    q = bw.T @ inner(dz).reshape(n, 3 * m)  # q[i, 3m + l] = Q[i, m, l]
     b = np.einsum("imi->mi", q.reshape(3, m, 3))
-    g = u.reshape(n, 3 * m) @ b.ravel()
-    p = (a @ q).reshape(n, m, 3)
-    p *= u  # in place: one (n, m, 3) array fewer at the peak
-    return g, p.sum(axis=1)
+    g = u.reshape(-1, 3 * m) @ b.ravel()
+    aq = (a @ q).reshape(n, m, 3)
+    p = u[:, :, 0] * aq[:, 0]
+    for k in range(1, m):  # the sum over m in order; .sum(axis=2) is slower
+        p += u[:, :, k] * aq[:, k]
+    return g.reshape(len(x), n), p
 
 
 def _tiled_moments(config: OperatorConfig, field: PiecewiseField, x):
@@ -516,44 +593,43 @@ def _tiled_moments(config: OperatorConfig, field: PiecewiseField, x):
     return g, p
 
 
-def _dilatation_weights(config: OperatorConfig, material: Material, x) -> np.ndarray:
-    """lambda - mu at the outer nodes x + delta z_j, one value per node."""
-    lam_y, mu_y = material.lame_at(x + config.delta * config.rule.points)
-    return np.broadcast_to(np.asarray(lam_y - mu_y, dtype=float), (len(config.rule),))
-
-
 def _makes_nested_pass(config: OperatorConfig, material: Material, x,
                        corrected: bool) -> bool:
-    """Whether the state operator at x, or the corrected operator if
-    ``corrected``, makes a nested pass: the corrected operator does in the
-    interface slab, and either does where lambda - mu is nonzero at an outer
-    node (see :func:`_dilatation`)."""
-    x = np.asarray(x, dtype=float)
+    """Whether the state operator at some point of the batch x, or the
+    corrected operator if ``corrected``, makes a nested pass: the corrected
+    operator does in the interface slab, and either does where lambda - mu
+    is nonzero at an outer node (see :func:`_dilatation`)."""
+    x, _ = _batch(x)
     if (corrected and isinstance(material, TwoPhaseMaterial)
-            and _in_slab(config, material, x)):
+            and _in_slab(config, material, x).any()):
         return True
-    return bool(_dilatation_weights(config, material, x).any())
+    return bool(_moduli(config, material, x)[2].any())
 
 
-def _dilatation(config: OperatorConfig, material: Material,
-                field: PiecewiseField, x, g=None) -> Vec3:
-    """The dilatational part at x from the inner divergence integrals ``g``
-    of a nested pass at x, or of one made here if ``g`` is None.
+def _dilatation(config: OperatorConfig, field: PiecewiseField, x, c_y,
+                g=None) -> np.ndarray:
+    """The dilatational part at a batch x from lambda - mu at its outer
+    nodes, ``c_y``, and the inner divergence integrals ``g`` of a nested
+    pass at x, or of one made here if ``g`` is None.
 
-    Where lambda - mu vanishes at every outer node the integrand is zero,
-    and the result is an exact zero vector without a nested pass.
+    Where lambda - mu vanishes at every outer node of a point the integrand
+    is zero, and the result is an exact zero vector without a nested pass.
     """
     z = config.rule.points
     w = config.rule.weights
     delta = config.delta
-    c_y = _dilatation_weights(config, material, x)
-    if not c_y.any():
-        return np.zeros(3)
+    out = np.zeros((len(x), 3))
+    active = c_y.any(axis=1)
+    if not active.any():
+        return out
     if g is None:
-        g, _ = _nested_moments(config, field, x)
+        g, _ = _nested_moments(config, field, x[active])
+    else:
+        g = g[active]
     r2 = np.einsum("qi,qi->q", z, z)
-    s = np.einsum("q,qi->i", (w / r2) * c_y * g, z)
-    return (9.0 / ball_volume(delta) ** 2) * delta**4 * s
+    s = ((w / r2) * c_y[active] * g) @ z
+    out[active] = (9.0 / ball_volume(delta) ** 2) * delta**4 * s
+    return out
 
 
 def dilatation_operator(config: OperatorConfig, material: Material,
@@ -564,25 +640,32 @@ def dilatation_operator(config: OperatorConfig, material: Material,
     the field itself; the terms that cancel by the odd symmetry of the
     kernel over a full ball are dropped.
     """
-    return _dilatation(config, material, field, np.asarray(x, dtype=float))
+    x, shape = _batch(x)
+    _, _, c_y = _moduli(config, material, x)
+    return _dilatation(config, field, x, c_y).reshape(shape)
+
+
+def _state(config: OperatorConfig, material: Material, field: PiecewiseField,
+           x) -> np.ndarray:
+    """Bond plus dilatational part at a batch x."""
+    mu_x, mu_y, c_y = _moduli(config, material, x)
+    return _bond(config, field, x, mu_x, mu_y) + _dilatation(config, field, x, c_y)
 
 
 def state_operator(config: OperatorConfig, material: Material,
                    field: PiecewiseField, x) -> Vec3:
     """The full linear peridynamic operator: bond plus dilatational part."""
-    return (bond_operator(config, material, field, x)
-            + dilatation_operator(config, material, field, x))
+    x, shape = _batch(x)
+    return _state(config, material, field, x).reshape(shape)
 
 
-def _normal_term_from_p(config: OperatorConfig, material: Material, x, p,
-                        normal) -> Vec3:
-    z = config.rule.points
-    w = config.rule.weights
+def _normal_term(config: OperatorConfig, mu_y, p, normal) -> np.ndarray:
+    """The normal-projected term at a batch, from mu at its outer nodes and
+    the moments ``p`` of a nested pass there."""
     delta = config.delta
-    _, mu_y = material.lame_at(x + delta * z)
     v = (9.0 / ball_volume(delta) ** 2) * delta**4 * np.einsum(
-        "q,qi->i", w * mu_y, p)
-    return 1.25 * float(v @ normal) * np.asarray(normal, dtype=float)
+        "pq,pqi->pi", config.rule.weights * mu_y, p)
+    return 1.25 * (v @ normal)[:, None] * np.asarray(normal, dtype=float)
 
 
 def normal_correction_term(config: OperatorConfig, material: Material,
@@ -591,10 +674,11 @@ def normal_correction_term(config: OperatorConfig, material: Material,
     integral of the composed kernels against the field, projected onto the
     interface normal.  The inner integral at each outer node uses the closed
     form of that node's own phase (see :func:`_nested_moments`)."""
-    x = np.asarray(x, dtype=float)
+    x, shape = _batch(x)
     normal = _check_unit_normal(normal)
+    _, mu_y, _ = _moduli(config, material, x)
     _, p = _nested_moments(config, field, x)
-    return _normal_term_from_p(config, material, x, p, normal)
+    return _normal_term(config, mu_y, p, normal).reshape(shape)
 
 
 def _require_interface(material: Material) -> TwoPhaseMaterial:
@@ -603,18 +687,23 @@ def _require_interface(material: Material) -> TwoPhaseMaterial:
     return material
 
 
-def _in_slab(config: OperatorConfig, material: TwoPhaseMaterial, x) -> bool:
-    return abs(material.interface.signed_distance(x)) < config.delta
+def _in_slab(config: OperatorConfig, material: TwoPhaseMaterial, x) -> np.ndarray:
+    """Which points of the batch x lie within one horizon of the interface."""
+    return np.abs(material.interface.signed_distance(x)) < config.delta
 
 
-def _correction(config: OperatorConfig, material: TwoPhaseMaterial,
-                field: PiecewiseField, x, dil, p) -> Vec3:
-    """The interface correction at a slab point x, from the dilatational
-    part ``dil`` and the moments ``p`` of one nested pass at x."""
-    return (bond_correction_term(config, material, field, x)
-            + 0.25 * dil
-            + _normal_term_from_p(config, material, x, p,
-                                  material.interface.normal))
+def _slab_parts(config: OperatorConfig, material: TwoPhaseMaterial,
+                field: PiecewiseField, x):
+    """(mu at the points, mu at the outer nodes, dilatational part, interface
+    correction) at a batch x in the slab, from one nested pass: ``g`` feeds
+    the dilatational part and the correction's quarter of it, ``p`` the
+    normal-projected term."""
+    g, p = _nested_moments(config, field, x)
+    mu_x, mu_y, c_y = _moduli(config, material, x)
+    dil = _dilatation(config, field, x, c_y, g)
+    correction = ((_frozen_bond(config, field, x, mu_x) + 0.25 * dil)
+                  + _normal_term(config, mu_y, p, material.interface.normal))
+    return mu_x, mu_y, dil, correction
 
 
 def interface_correction(config: OperatorConfig, material: Material,
@@ -625,31 +714,32 @@ def interface_correction(config: OperatorConfig, material: Material,
     dilatational part, and the normal-projected term with the normal taken
     at the orthogonal projection of x onto the interface.
     """
-    x = np.asarray(x, dtype=float)
+    x, shape = _batch(x)
     material = _require_interface(material)
-    if not _in_slab(config, material, x):
+    if not _in_slab(config, material, x).all():
         raise ValueError("point lies outside the extended interface slab")
-    g, p = _nested_moments(config, field, x)
-    dil = _dilatation(config, material, field, x, g)
-    return _correction(config, material, field, x, dil, p)
+    return _slab_parts(config, material, field, x)[3].reshape(shape)
 
 
 def corrected_operator(config: OperatorConfig, material: Material,
                        field: PiecewiseField, x) -> Vec3:
     """State operator plus the indicator-gated interface correction.
 
-    In the slab both parts read the inner integrals of one nested pass: ``g``
-    feeds the dilatational part and the correction's quarter of it, ``p``
-    the normal-projected term.
+    The points of the batch in the slab take both parts from one nested
+    pass (see :func:`_slab_parts`); the others take the state operator.
     """
-    x = np.asarray(x, dtype=float)
-    if not (isinstance(material, TwoPhaseMaterial)
-            and _in_slab(config, material, x)):
-        return state_operator(config, material, field, x)
-    g, p = _nested_moments(config, field, x)
-    dil = _dilatation(config, material, field, x, g)
-    value = bond_operator(config, material, field, x) + dil
-    return value + _correction(config, material, field, x, dil, p)
+    x, shape = _batch(x)
+    if not isinstance(material, TwoPhaseMaterial):
+        return _state(config, material, field, x).reshape(shape)
+    slab = _in_slab(config, material, x)
+    out = np.empty((len(x), 3))
+    if not slab.all():
+        out[~slab] = _state(config, material, field, x[~slab])
+    if slab.any():
+        xs = x[slab]
+        mu_x, mu_y, dil, correction = _slab_parts(config, material, field, xs)
+        out[slab] = (_bond(config, field, xs, mu_x, mu_y) + dil) + correction
+    return out.reshape(shape)
 
 
 # ---------------------------------------------------------------------------

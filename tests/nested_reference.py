@@ -47,3 +47,22 @@ def moment_scale(config, field, x) -> float:
     inner = x + config.delta * (z[:, None, :] + z[None, :, :])
     u_max = max(np.abs(field.value_on(inner, side)).max() for side in SideTag)
     return float(np.abs(bw).sum() * u_max)
+
+
+def reference_batch_moments(config, field, xs):
+    """(g, p) of :func:`reference_moments` at each point of a batch xs of
+    shape (P, 3), stacked as the batched pass returns them."""
+    moments = [reference_moments(config, field, x) for x in xs]
+    return np.stack([m[0] for m in moments]), np.stack([m[1] for m in moments])
+
+
+def term_scale(config, material, field, pts) -> float:
+    """The size of the terms the point operators sum at the points pts:
+    the largest modulus at their outer nodes times the largest |u| component
+    of either side's closed form on their inner points, over delta^2."""
+    z = config.rule.points
+    outer = pts[:, None, :] + config.delta * z
+    inner = outer[:, :, None, :] + config.delta * z
+    moduli = max(np.abs(m).max() for m in material.lame_at(outer))
+    u_max = max(np.abs(field.value_on(inner, side)).max() for side in SideTag)
+    return float(moduli * u_max / config.delta**2)

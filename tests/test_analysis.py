@@ -13,6 +13,7 @@ import peridyn
 from peridyn import analysis as A
 from peridyn import fields as F
 from peridyn import operators as O
+from nested_reference import term_scale
 
 EZ = np.array([0.0, 0.0, 1.0])
 X0 = np.zeros(3)
@@ -100,6 +101,42 @@ class TestConvergeToNavier:
                                     threads=8, **FAST_QUAD)
         assert np.array_equal(one.values, many.values)
         assert one.norms == many.norms
+
+
+class TestBatchSize:
+    """The series hands the operator batches of BATCH_FIELD_POINTS field
+    points; one point per batch and one batch per horizon agree with it to
+    rounding."""
+
+    @pytest.mark.parametrize("study", ["converge", "star_offinterface"])
+    def test_extreme_batch_sizes_agree(self, study, monkeypatch):
+        field, mat = F.make_manufactured("smooth_material_trig")
+        deltas = (0.1, 0.05, 0.025)
+        # 27 points on the 288-node rule take two batches per horizon; for
+        # the corrected operator they lie in the slab and out of it, on both
+        # sides of the interface
+        if study == "converge":
+            pts = A.default_sample_grid(3, 0.3)
+            run = lambda: A.converge_to_navier(
+                mat, field, deltas, pts, radial_order=4, angular_order=6).values
+        else:
+            mat = F.TwoPhaseMaterial(3.0, 1.0, 5.0, 2.0, F.INTERFACE_Z)
+            pts = A.default_sample_grid(3, 0.05)
+            run = lambda: A.star_converges_offinterface(
+                mat, field, deltas, pts, radial_order=4, angular_order=6).values
+        assert A.BATCH_FIELD_POINTS // 288 < len(pts)
+        default = run()
+        scale = term_scale(O.make_config(min(deltas), 4, 6), mat, field, pts)
+        for size in (1, 10**9):
+            monkeypatch.setattr(A, "BATCH_FIELD_POINTS", size)
+            assert np.abs(run() - default).max() <= 1e-12 * scale
+
+    def test_navier_refs_take_each_point_on_its_side(self):
+        field, mat = F.make_manufactured("patch_jump_zero_traction")
+        pts = np.array([[0.1, 0.0, 0.3], [0.0, 0.2, -0.3], [0.3, 0.1, 0.0]])
+        sides = [F.SideTag.PLUS, F.SideTag.MINUS, F.SideTag.PLUS]
+        want = np.array([F.navier(mat, field, x, s) for x, s in zip(pts, sides)])
+        assert np.abs(A._navier_refs(mat, field, pts) - want).max() <= 1e-15
 
 
 class TestInterfaceBlowup:

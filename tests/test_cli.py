@@ -289,6 +289,31 @@ class TestExitCodes:
                               "evaluations need about 32.2 GiB, more than the 16 GiB")
         assert err.endswith("of physical memory\n") and err.count("\n") == 1
 
+    def test_quad_memory_bound_is_the_batch(self, monkeypatch):
+        # a 288-node rule: each thread's batch holds up to
+        # analysis.BATCH_FIELD_POINTS = 4096 field points of 384 bytes
+        assert (analysis.BATCH_FIELD_POINTS, cli.EVALUATION_BYTES_PER_NODE) == (4096, 384)
+        ns = build_parser().parse_args(["converge", "--quad", "4,6", "--threads", "3"])
+        cfg = _load_config(ns)
+        field, _ = make_manufactured("smooth_material_trig")
+        need = 4096 * 384 * 3
+        monkeypatch.setattr(cli, "_physical_memory", lambda: need)
+        cli._check_quad_budget(cfg, field, split=False)
+        monkeypatch.setattr(cli, "_physical_memory", lambda: need - 1)
+        with pytest.raises(cli.ConfigError,
+                           match="gives a 288-node rule whose evaluations need about"):
+            cli._check_quad_budget(cfg, field, split=False)
+
+    def test_internal_type_error_propagates(self, tmp_path, monkeypatch):
+        # every bad input that could raise a TypeError is refused as a
+        # ConfigError first, so a TypeError is a bug and not exit code 2
+        def broken(cfg):
+            raise TypeError("internal")
+
+        monkeypatch.setitem(cli._RUNNERS, "moments", broken)
+        with pytest.raises(TypeError, match="internal"):
+            main(["moments", "--out", str(tmp_path)])
+
     def test_failing_check_exits_one(self, tmp_path):
         # the order-(1, 1) rule is too coarse for the fourth moment, so that
         # check fails and the run exits 1
@@ -486,6 +511,21 @@ class TestDeterminism:
             out = tmp_path / sub
             main([*argv, "--out", str(out), "--threads", threads])
             outs.append([(out / c).read_bytes() for c in csvs])
+        assert outs[0] == outs[1]
+
+    def test_converge_batches_byte_identical_across_thread_counts(self, tmp_path):
+        # 27 sample points on the 288-node rule take two batches per horizon,
+        # on the declared split pass of the trig material (lambda != mu)
+        assert analysis.BATCH_FIELD_POINTS // 288 < 27
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"sample_count": 3}))
+        outs = []
+        for threads, sub in (("1", "a"), ("8", "b")):
+            out = tmp_path / sub
+            assert main(["converge", "--config", str(cfg), "--field",
+                         "smooth_material_trig", *FAST, "--out", str(out),
+                         "--threads", threads]) == 0
+            outs.append((out / "converge.csv").read_bytes())
         assert outs[0] == outs[1]
 
     def test_solve_report_is_reproducible(self, tmp_path):

@@ -125,6 +125,21 @@ class TestNavier:
             assert np.abs(total - parts).max() < 1e-13
 
 
+    @pytest.mark.parametrize("name", F.MANUFACTURED_NAMES)
+    @pytest.mark.parametrize("fn", [F.navier, F.navier_s, F.navier_d],
+                             ids=["navier", "navier_s", "navier_d"])
+    def test_batch_equals_points(self, name, fn, rng):
+        # a batch of points on both sides of the interface z = 0 and on it
+        field, mat = F.make_manufactured(name)
+        pts = rng.uniform(-0.5, 0.5, size=(12, 3))
+        pts[:3, 2] = 0.0
+        for side in F.SideTag:
+            batch = fn(mat, field, pts, side)
+            assert batch.shape == pts.shape
+            points = np.array([fn(mat, field, x, side) for x in pts])
+            assert np.abs(batch - points).max() <= 1e-15
+
+
 class TestManufactured:
     def test_unknown_name(self):
         with pytest.raises(ValueError):

@@ -6,7 +6,8 @@ from numpy.polynomial.legendre import leggauss
 from peridyn import fields as F
 from peridyn import operators as O
 from peridyn.tensor import contract_t3_mat
-from nested_reference import moment_scale, reference_moments
+from nested_reference import (moment_scale, reference_batch_moments,
+                              reference_moments, term_scale)
 
 EZ = np.array([0.0, 0.0, 1.0])
 X0 = np.zeros(3)
@@ -410,6 +411,12 @@ def _tiled_cases():
 TILED_CASES = _tiled_cases()
 
 
+def _one_point(moments, cfg, field, x):
+    """(g, p) at x of a pass that takes batches, run on the batch of x."""
+    g, p = moments(cfg, field, x[None])
+    return g[0], p[0]
+
+
 def _assert_matches_reference(got, cfg, field, x):
     """``got`` = (g, p) of a nested pass at x against the untiled n^2
     reference, relative to the sum of the magnitudes of the terms."""
@@ -448,7 +455,7 @@ class TestTiledNestedPass:
         field = without_gradient(field)
         cfg = O.make_config(0.1, 4, 6, split_normal=mat.interface.normal)
         got = O.corrected_operator(cfg, mat, field, x)
-        monkeypatch.setattr(O, "_nested_moments", reference_moments)
+        monkeypatch.setattr(O, "_nested_moments", reference_batch_moments)
         want = O.corrected_operator(cfg, mat, field, x)
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
@@ -508,13 +515,13 @@ class TestAffineNestedPass:
                              ids=[c[0] for c in AFFINE_CASES])
     def test_matches_untiled_reference(self, name, field, cfg, x):
         assert O._affine(field)
-        _assert_matches_reference(O._nested_moments(cfg, field, x), cfg, field, x)
+        _assert_matches_reference(_one_point(O._nested_moments, cfg, field, x), cfg, field, x)
 
     @pytest.mark.parametrize("name,field,cfg,x", AFFINE_CASES,
                              ids=[c[0] for c in AFFINE_CASES])
     def test_two_calls_agree_bit_for_bit(self, name, field, cfg, x):
-        first = O._nested_moments(cfg, field, x)
-        second = O._nested_moments(cfg, field, x)
+        first = _one_point(O._nested_moments, cfg, field, x)
+        second = _one_point(O._nested_moments, cfg, field, x)
         assert_array_equal(first[0], second[0])
         assert_array_equal(first[1], second[1])
 
@@ -594,14 +601,14 @@ class TestSplitNestedPass:
         assert O._separable(field) and not O._affine(field)
         cfg = O.make_config(delta, 3, 5)
         for x in SPLIT_POINTS:
-            _assert_matches_reference(O._split_moments(cfg, field, x), cfg, field, x)
+            _assert_matches_reference(_one_point(O._split_moments, cfg, field, x), cfg, field, x)
 
     @pytest.mark.parametrize("name,field,mat", SPLIT_CASES,
                              ids=[c[0] for c in SPLIT_CASES])
     def test_two_calls_agree_bit_for_bit(self, name, field, mat):
         cfg = O.make_config(0.1, 4, 6)
-        first = O._nested_moments(cfg, field, SPLIT_POINTS[0])
-        second = O._nested_moments(cfg, field, SPLIT_POINTS[0])
+        first = _one_point(O._nested_moments, cfg, field, SPLIT_POINTS[0])
+        second = _one_point(O._nested_moments, cfg, field, SPLIT_POINTS[0])
         assert_array_equal(first[0], second[0])
         assert_array_equal(first[1], second[1])
 
@@ -645,8 +652,107 @@ class TestSplitNestedPass:
                 side.value, side.grad, side.hessian,
                 split=(counted(outer), counted(inner))))
             count[0] = 0
-            O._nested_moments(cfg, declared, SPLIT_POINTS[0])
+            _one_point(O._nested_moments, cfg, declared, SPLIT_POINTS[0])
             assert count[0] == O.nested_pass_points(n, declared) == 2 * n == 576
+
+
+def _batch_cases():
+    """(name, field, material) for batches against single points: every
+    manufactured configuration, the same field on moduli with lambda != mu,
+    so that the state operator makes a nested pass, and a twin of each that
+    declares neither a gradient nor a split, which takes the tiled pass."""
+    cases = []
+    for name in F.MANUFACTURED_NAMES:
+        field, mat = F.make_manufactured(name)
+        lam_ne_mu = (F.TwoPhaseMaterial(3.0, 1.0, 5.0, 2.0, mat.interface)
+                     if isinstance(mat, F.TwoPhaseMaterial)
+                     else F.constant_material(3.0, 1.0))
+        cases += [(name, field, mat), (f"{name}_3152", field, lam_ne_mu),
+                  (f"{name}_undeclared", without_gradient(field), lam_ne_mu)]
+    return cases
+
+
+BATCH_CASES = _batch_cases()
+# at horizon 0.1 about the plane z = 0: on it, in the slab on either side,
+# and out of it on either side
+BATCH_POINTS = np.array([[0.0, 0.0, 0.0], [0.03, -0.01, 0.04],
+                         [-0.02, 0.05, -0.06], [0.1, 0.2, 0.3],
+                         [-0.2, 0.1, -0.25], [0.01, 0.02, 0.0]])
+
+
+class TestBatches:
+    """Every point operator takes a batch of points (P, 3) and returns the
+    values of its points, to rounding, as single-point calls do."""
+
+    @pytest.mark.parametrize("op", [O.state_operator, O.corrected_operator],
+                             ids=["state", "corrected"])
+    @pytest.mark.parametrize("name,field,mat", BATCH_CASES,
+                             ids=[c[0] for c in BATCH_CASES])
+    def test_batch_equals_single_points(self, name, field, mat, op):
+        cfg = O.make_config(0.1, 2, 4, split_normal=EZ)
+        batch = op(cfg, mat, field, BATCH_POINTS)
+        assert batch.shape == BATCH_POINTS.shape
+        points = np.array([op(cfg, mat, field, x) for x in BATCH_POINTS])
+        scale = term_scale(cfg, mat, field, BATCH_POINTS)
+        assert np.abs(batch - points).max() <= 1e-12 * scale
+
+    def test_cases_reach_every_pass(self, monkeypatch):
+        # the batched affine and split passes, and the per-point kinked
+        # affine and tiled passes
+        reached = set()
+        for name in ("_affine_moments", "_split_moments", "_kinked_moments",
+                     "_tiled_moments"):
+            def spy(*args, _name=name, _fn=getattr(O, name)):
+                reached.add(_name)
+                return _fn(*args)
+            monkeypatch.setattr(O, name, spy)
+        cfg = O.make_config(0.1, 2, 4, split_normal=EZ)
+        for _, field, mat in BATCH_CASES:
+            O.corrected_operator(cfg, mat, field, BATCH_POINTS)
+        assert reached == {"_affine_moments", "_split_moments",
+                           "_kinked_moments", "_tiled_moments"}
+
+    @pytest.mark.parametrize("op", [
+        lambda cfg, mat, f, x: O.base_operator(cfg, f, x),
+        O.bond_operator, O.bond_correction_term, O.dilatation_operator,
+        O.interface_correction,
+        lambda cfg, mat, f, x: O.normal_correction_term(cfg, mat, f, x, EZ),
+    ], ids=["base", "bond", "bond_correction", "dilatation",
+            "interface_correction", "normal_term"])
+    def test_every_evaluator_takes_a_batch(self, op):
+        field, _ = F.make_manufactured("patch_jump_zero_traction")
+        mat = F.TwoPhaseMaterial(3.0, 1.0, 5.0, 2.0, F.INTERFACE_Z)
+        cfg = O.make_config(0.1, 2, 4, split_normal=EZ)
+        slab = BATCH_POINTS[:3]  # interface_correction takes slab points only
+        batch = op(cfg, mat, field, slab)
+        points = np.array([op(cfg, mat, field, x) for x in slab])
+        assert np.abs(batch - points).max() <= 1e-12 * term_scale(cfg, mat, field, slab)
+
+    def test_scalar_variant_takes_a_batch(self):
+        cfg = O.make_config(0.5)
+        f = lambda p: p[..., 0] ** 2 * p[..., 1]
+        batch = O.base_operator_scalar(cfg, f, BATCH_POINTS)
+        assert batch.shape == (len(BATCH_POINTS), 3, 3)
+        points = np.array([O.base_operator_scalar(cfg, f, x) for x in BATCH_POINTS])
+        assert np.abs(batch - points).max() <= 1e-13
+
+    def test_slab_split_keeps_the_summation_order(self):
+        # a batch's slab points take state + correction in the order of
+        # single points: (bond + dil) + ((bond correction + dil / 4) + normal)
+        field, _ = F.make_manufactured("patch_jump_zero_traction")
+        mat = F.TwoPhaseMaterial(3.0, 1.0, 5.0, 2.0, F.INTERFACE_Z)
+        cfg = O.make_config(0.1, 2, 4, split_normal=EZ)
+        slab = BATCH_POINTS[:3]
+        assert_array_equal(O.corrected_operator(cfg, mat, field, slab),
+                           O.state_operator(cfg, mat, field, slab)
+                           + O.interface_correction(cfg, mat, field, slab))
+
+    @pytest.mark.parametrize("x", [np.zeros(2), np.zeros((2, 4)),
+                                   np.zeros((2, 2, 3))], ids=["2", "2x4", "2x2x3"])
+    def test_other_shapes_rejected(self, x):
+        field, mat = F.make_manufactured("trig_smooth")
+        with pytest.raises(ValueError, match=r"shape \(3,\) or \(P, 3\)"):
+            O.state_operator(O.make_config(0.1, 2, 2), mat, field, x)
 
 
 class TestClosedFormLimits:
