@@ -159,14 +159,21 @@ def _moduli(config: OperatorConfig, material: Material, x):
             np.broadcast_to(np.asarray(lam_y - mu_y, dtype=float), shape))
 
 
-def _bond_sum(config: OperatorConfig, field: PiecewiseField, x, node_weights):
-    """sum_q node_weights_pq (z_q (x) z_q / |z_q|^4) (u(x_p + delta z_q) - u(x_p))
-    for each point x_p of a batch; the weights are (n,) or (P, n)."""
-    z = config.rule.points
-    r4 = np.einsum("qi,qi->q", z, z) ** 2
+def _bond_differences(config: OperatorConfig, field: PiecewiseField, x):
+    """(u(x_p + delta z_q) - u(x_p)) . z_q for each point x_p of a batch,
+    shape (P, n): the one read of the field that the bond sums share."""
     dv = _require_finite(field.value(_outer_nodes(config, x))
                          - field.value(x)[:, None, :])
-    return (node_weights / r4 * np.einsum("pqj,qj->pq", dv, z)) @ z
+    return np.einsum("pqj,qj->pq", dv, config.rule.points)
+
+
+def _bond_sum(config: OperatorConfig, dz, node_weights):
+    """sum_q node_weights_pq (z_q (x) z_q / |z_q|^4) (u(x_p + delta z_q) - u(x_p))
+    for each point x_p of a batch, from its differences ``dz`` projected on
+    z (:func:`_bond_differences`); the weights are (n,) or (P, n)."""
+    z = config.rule.points
+    r4 = np.einsum("qi,qi->q", z, z) ** 2
+    return (node_weights / r4 * dz) @ z
 
 
 def base_operator(config: OperatorConfig, field: PiecewiseField, x) -> Vec3:
@@ -179,7 +186,7 @@ def base_operator(config: OperatorConfig, field: PiecewiseField, x) -> Vec3:
     """
     x, shape = _batch(x)
     delta = config.delta
-    s = _bond_sum(config, field, x, config.rule.weights)
+    s = _bond_sum(config, _bond_differences(config, field, x), config.rule.weights)
     return ((30.0 / ball_volume(delta)) * delta * s).reshape(shape)
 
 
@@ -201,11 +208,11 @@ def base_operator_scalar(config: OperatorConfig, scalar_field, x) -> Mat3:
     return ((30.0 / ball_volume(delta)) * delta * s).reshape(shape[:-1] + (3, 3))
 
 
-def _bond(config: OperatorConfig, field: PiecewiseField, x, mu_x, mu_y):
-    """The bond part at a batch, from mu at its points and outer nodes."""
+def _bond(config: OperatorConfig, dz, mu_x, mu_y):
+    """The bond part at a batch, from its projected differences and mu at
+    its points and outer nodes."""
     w = config.rule.weights * (mu_x[:, None] + mu_y)
-    return (15.0 / ball_volume(config.delta)) * config.delta * _bond_sum(
-        config, field, x, w)
+    return (15.0 / ball_volume(config.delta)) * config.delta * _bond_sum(config, dz, w)
 
 
 def bond_operator(config: OperatorConfig, material: Material,
@@ -213,12 +220,13 @@ def bond_operator(config: OperatorConfig, material: Material,
     """Bond-based part: the kernel is weighted by mu(x) + mu(y)."""
     x, shape = _batch(x)
     mu_x, mu_y, _ = _moduli(config, material, x)
-    return _bond(config, field, x, mu_x, mu_y).reshape(shape)
+    return _bond(config, _bond_differences(config, field, x), mu_x, mu_y).reshape(shape)
 
 
-def _frozen_bond(config: OperatorConfig, field: PiecewiseField, x, mu_x):
-    """The bond correction at a batch, from mu at its points."""
-    s = _bond_sum(config, field, x, config.rule.weights)
+def _frozen_bond(config: OperatorConfig, dz, mu_x):
+    """The bond correction at a batch, from its projected differences and
+    mu at its points."""
+    s = _bond_sum(config, dz, config.rule.weights)
     return -(15.0 / ball_volume(config.delta)) * config.delta * mu_x[:, None] * s
 
 
@@ -227,7 +235,7 @@ def bond_correction_term(config: OperatorConfig, material: Material,
     """Bond-type correction term: minus the bond kernel with mu frozen at x."""
     x, shape = _batch(x)
     mu_x, _, _ = _moduli(config, material, x)
-    return _frozen_bond(config, field, x, mu_x).reshape(shape)
+    return _frozen_bond(config, _bond_differences(config, field, x), mu_x).reshape(shape)
 
 
 # ---------------------------------------------------------------------------
@@ -649,7 +657,8 @@ def _state(config: OperatorConfig, material: Material, field: PiecewiseField,
            x) -> np.ndarray:
     """Bond plus dilatational part at a batch x."""
     mu_x, mu_y, c_y = _moduli(config, material, x)
-    return _bond(config, field, x, mu_x, mu_y) + _dilatation(config, field, x, c_y)
+    return (_bond(config, _bond_differences(config, field, x), mu_x, mu_y)
+            + _dilatation(config, field, x, c_y))
 
 
 def state_operator(config: OperatorConfig, material: Material,
@@ -694,16 +703,19 @@ def _in_slab(config: OperatorConfig, material: TwoPhaseMaterial, x) -> np.ndarra
 
 def _slab_parts(config: OperatorConfig, material: TwoPhaseMaterial,
                 field: PiecewiseField, x):
-    """(mu at the points, mu at the outer nodes, dilatational part, interface
-    correction) at a batch x in the slab, from one nested pass: ``g`` feeds
-    the dilatational part and the correction's quarter of it, ``p`` the
-    normal-projected term."""
+    """(mu at the points, mu at the outer nodes, the projected bond
+    differences, dilatational part, interface correction) at a batch x in
+    the slab, from one nested pass and one read of the bond differences:
+    ``g`` feeds the dilatational part and the correction's quarter of it,
+    ``p`` the normal-projected term, and the differences both the bond part
+    and the frozen-modulus correction."""
     g, p = _nested_moments(config, field, x)
     mu_x, mu_y, c_y = _moduli(config, material, x)
     dil = _dilatation(config, field, x, c_y, g)
-    correction = ((_frozen_bond(config, field, x, mu_x) + 0.25 * dil)
+    dz = _bond_differences(config, field, x)
+    correction = ((_frozen_bond(config, dz, mu_x) + 0.25 * dil)
                   + _normal_term(config, mu_y, p, material.interface.normal))
-    return mu_x, mu_y, dil, correction
+    return mu_x, mu_y, dz, dil, correction
 
 
 def interface_correction(config: OperatorConfig, material: Material,
@@ -718,7 +730,7 @@ def interface_correction(config: OperatorConfig, material: Material,
     material = _require_interface(material)
     if not _in_slab(config, material, x).all():
         raise ValueError("point lies outside the extended interface slab")
-    return _slab_parts(config, material, field, x)[3].reshape(shape)
+    return _slab_parts(config, material, field, x)[4].reshape(shape)
 
 
 def corrected_operator(config: OperatorConfig, material: Material,
@@ -737,8 +749,8 @@ def corrected_operator(config: OperatorConfig, material: Material,
         out[~slab] = _state(config, material, field, x[~slab])
     if slab.any():
         xs = x[slab]
-        mu_x, mu_y, dil, correction = _slab_parts(config, material, field, xs)
-        out[slab] = (_bond(config, field, xs, mu_x, mu_y) + dil) + correction
+        mu_x, mu_y, dz, dil, correction = _slab_parts(config, material, field, xs)
+        out[slab] = (_bond(config, dz, mu_x, mu_y) + dil) + correction
     return out.reshape(shape)
 
 

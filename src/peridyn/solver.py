@@ -13,6 +13,11 @@ horizons (volume constraints standing in for boundary conditions); rows of
 extended-interface nodes carry the corrected operator with zero right-hand
 side, realizing the nonlocal interface condition.
 
+The action runs in its transform layout (``DiscreteOperator``): fields are
+scattered into a zero buffer of the transform shape, the stencils' spectra are
+real or imaginary and kept as one real array each, one application transforms
+23 fields in four stages, and only the non-constraint rows are read back.
+
 The free-node block is solved by restarted GMRES (Saad & Schultz 1986),
 preconditioned by the inverse of its closed-form diagonal (Jacobi).  GMRES
 applies the block on a window, the free nodes' bounding box widened by one
@@ -140,6 +145,14 @@ def _fft_length(n: int) -> int:
     return min(m for m in (2**a * 3**b * 5**c for a in k for b in k for c in k) if m >= n)
 
 
+def _dot(a, b):
+    """sum_j a[j] b[j], accumulated in place."""
+    out = a[0] * b[0]
+    out += a[1] * b[1]
+    out += a[2] * b[2]
+    return out
+
+
 @dataclass(frozen=True)
 class DiscreteOperator:
     """The 3N x 3N collocation operator, applied matrix-free by FFT.
@@ -147,9 +160,19 @@ class DiscreteOperator:
     Its terms are correlations (S * f)(x) = sum_k S_k f(x + k) with the bond
     stencil S_k = (15/m) w_k xi_k xi_k^T / |xi_k|^4 and the direction stencil
     d_k = w_k xi_k / |xi_k|^2 (xi_k = h k, w_k = fraction_k h^3), each a
-    product of spectra on the lattice zero-padded to ``fft_shape``.  Free rows
-    read only nodes of the box (the collar is two stencil reaches wide), so
-    the transforms' wrap-around reaches no value a free row uses.
+    product of spectra.  S and d_i^2 are even stencils, so their spectra are
+    real, and d is odd, so its spectrum is imaginary: one real array holds
+    each.  Fields live in the transform layout, the lattice at the low corner
+    of a zero buffer of ``fft_shape``, and are read back only at the
+    non-constraint rows, whose coefficients are built once (``_rows``).  One
+    application (``_apply``) transforms 23 fields, at most three per call:
+    forward v, mu v; inverse S * v, g = d . * v, M = d * (n . v); forward
+    c g, mu M (c = lambda - mu); inverse S * (mu v) + (9/m^2) d * (c g) and
+    the extended rows' part (9/4m^2) d * (c g) + (45/4m^2) n (d . * (mu M)),
+    masked to those rows.  Where lambda = mu, g is skipped and that part is
+    n times one field (19 fields).  Free rows read only nodes of the box (the
+    collar is two stencil reaches wide), so the transforms' wrap-around
+    reaches no value a free row uses.
 
     ``free_action`` applies the free block alone on a smaller lattice, the
     ``window``: the free nodes' bounding box widened on each side by the
@@ -173,59 +196,83 @@ class DiscreteOperator:
     lam: np.ndarray  # nodal moduli, on the lattice shape
     mu: np.ndarray
     fft_shape: tuple
-    bond_hat: np.ndarray  # (3, 3, *spectrum): S
-    dir_hat: np.ndarray  # (3, *spectrum): d
-    sq_hat: np.ndarray  # (3, *spectrum): d_i^2, for the diagonal
+    bond_hat: np.ndarray  # (3, 3, *spectrum): S, real
+    dir_hat: np.ndarray  # (3, *spectrum): d / i, real
+    sq_hat: np.ndarray  # (3, *spectrum): d_i^2, real, for the diagonal
 
-    def _fft(self, f: np.ndarray) -> np.ndarray:
-        return np.fft.rfftn(f, s=self.fft_shape, axes=(-3, -2, -1))
-
-    def _ifft(self, spec: np.ndarray) -> np.ndarray:
+    def _on_layout(self, f: np.ndarray) -> np.ndarray:
+        """``f`` (..., *grid.shape) at the low corner of a zero buffer of
+        ``fft_shape``."""
         s0, s1, s2 = self.grid.shape
-        return np.fft.irfftn(spec, s=self.fft_shape, axes=(-3, -2, -1))[..., :s0, :s1, :s2]
+        out = np.zeros(f.shape[:-3] + self.fft_shape)
+        out[..., :s0, :s1, :s2] = f
+        return out
+
+    def _inverse(self, spec: np.ndarray, pos: np.ndarray) -> np.ndarray:
+        """The inverse transform of ``spec`` read at the flat positions ``pos``."""
+        f = np.fft.irfftn(spec, s=self.fft_shape, axes=(-3, -2, -1))
+        return f.reshape(f.shape[:-3] + (-1,))[..., pos]
 
     @functools.cached_property
     def _rows(self):
-        """Row coefficients a, a sum S + S * mu, dil_w = (9/m^2)(1 + [ext]/4),
-        proj_w = (45/4m^2)[ext], and n (None without the normal-projected
-        term); a = mu, and 0 on extended rows, where the frozen-modulus
-        correction removes mu(x)."""
+        """The rows' flat positions on the layout and extended-row mask;
+        a = mu, and 0 on extended rows, where the frozen-modulus correction
+        removes mu(x); a sum S + S * mu as (3, 3, rows); mu and c on the
+        layout (c None where lambda = mu); and n (None without the
+        normal-projected term)."""
         grid = self.grid
-        ext = (grid.tags == NodeTag.EXTENDED_INTERFACE).reshape(grid.shape)
-        m = ball_volume(grid.delta)
-        a = np.where(ext, 0.0, self.mu)
+        rows = grid.tags != NodeTag.CONSTRAINT
+        pos = np.ravel_multi_index(np.indices(grid.shape).reshape(3, -1)[:, rows],
+                                   self.fft_shape)
+        ext = grid.tags[rows] == NodeTag.EXTENDED_INTERFACE
+        mu, c = self._on_layout(self.mu), self.lam - self.mu
+        c = self._on_layout(c) if c.any() else None
+        a = np.where(ext, 0.0, mu.reshape(-1)[pos])
+        mu_hat = np.fft.rfftn(mu)
+        bond_self = np.stack([self._inverse(s * mu_hat, pos) for s in self.bond_hat])
         # the zero frequency of a stencil's spectrum is the sum of its values
-        bond_self = self._ifft(self.bond_hat * self._fft(self.mu))
-        bond_self += a * self.bond_hat[..., :1, :1, :1].real
-        normal = None
-        if ext.any() and isinstance(self.material, TwoPhaseMaterial):
-            normal = self.material.interface.normal[:, None, None, None]
-        return (a, bond_self, (9.0 / m**2) * np.where(ext, 1.25, 1.0),
-                (45.0 / (4.0 * m**2)) * ext, normal)
+        bond_self += a * self.bond_hat[..., 0, 0, :1]
+        normal = (self.material.interface.normal if ext.any()
+                  and isinstance(self.material, TwoPhaseMaterial) else None)
+        return pos, ext, a, bond_self, mu, c, normal
+
+    def _apply(self, v: np.ndarray) -> np.ndarray:
+        """The rows of the action, (rows, 3), on a field ``v`` laid out for
+        the transforms, (3, *fft_shape); see the class docstring."""
+        pos, ext, a, bond_self, mu, c, normal = self._rows
+        m2 = ball_volume(self.grid.delta) ** 2
+        s, d, axes = self.bond_hat, self.dir_hat, (-3, -2, -1)
+        v_hat = np.fft.rfftn(v, axes=axes)
+        # S is symmetric, so S v = sum_j S[j] v[j]; d's spectrum is i d
+        sw = _dot(s, np.fft.rfftn(mu * v, axes=axes))
+        out = (a * self._inverse(_dot(s, v_hat), pos)
+               - np.einsum("ijr,jr->ir", bond_self, v.reshape(3, -1)[:, pos]))
+        if c is not None:
+            g = np.fft.irfftn(1j * _dot(d, v_hat), s=self.fft_shape, axes=axes)
+            dcg_hat = d * ((9j / m2) * np.fft.rfftn(c * g))
+            sw += dcg_hat
+            ext_hat = 0.25 * dcg_hat
+        if normal is not None:
+            big_m = np.fft.irfftn(d * (1j * _dot(normal, v_hat)), s=self.fft_shape, axes=axes)
+            p_hat = (45j / (4.0 * m2)) * _dot(d, np.fft.rfftn(mu * big_m, axes=axes))
+            if c is None:  # the extended rows' part is n times one field
+                out += ext * normal[:, None] * self._inverse(p_hat, pos)
+            else:
+                ext_hat += normal[:, None, None, None] * p_hat
+        out += self._inverse(sw, pos)
+        if c is not None and ext.any():
+            out += ext * self._inverse(ext_hat, pos)
+        return out.T
 
     def action(self, nodal: np.ndarray) -> np.ndarray:
         """Action on a nodal (N, 3) field v, with c = lambda - mu:
         a (S * v) + S * (mu v) - (a sum S + S * mu) v + dil_w d * (c (d . * v))
-        + proj_w n (d . * (mu d * (n . v)))."""
+        + proj_w n (d . * (mu d * (n . v))), with dil_w = (9/m^2)(1 + [ext]/4)
+        and proj_w = (45/4m^2)[ext]; constraint rows return v."""
         nodal = np.asarray(nodal, dtype=float).reshape(-1, 3)
-        v = np.moveaxis(nodal.reshape(*self.grid.shape, 3), -1, 0)
-        a, bond_self, dil_w, proj_w, normal = self._rows
-        v_hat = self._fft(v)
-        out = (a * self._ifft(np.einsum("ij...,j...->i...", self.bond_hat, v_hat))
-               + self._ifft(np.einsum("ij...,j...->i...", self.bond_hat,
-                                      self._fft(self.mu * v)))
-               - np.einsum("ij...,j...->i...", bond_self, v))
-        c = self.lam - self.mu
-        if c.any():
-            g = self._ifft(np.sum(self.dir_hat * v_hat, axis=0))
-            out += dil_w * self._ifft(self.dir_hat * self._fft(c * g))
-        if normal is not None:
-            big_m = self._ifft(self.dir_hat * np.sum(normal * v_hat, axis=0))
-            mu_m_hat = self._fft(self.mu * big_m)
-            out += proj_w * normal * self._ifft(np.sum(self.dir_hat * mu_m_hat, axis=0))
-        out = np.moveaxis(out, 0, -1).reshape(-1, 3)
-        cons = self.grid.tags == NodeTag.CONSTRAINT
-        out[cons] = nodal[cons]
+        rows = self.grid.tags != NodeTag.CONSTRAINT
+        out = nodal.copy()
+        out[rows] = self._apply(self._on_layout(nodal.T.reshape(3, *self.grid.shape)))
         return out
 
     @functools.cached_property
@@ -253,59 +300,66 @@ class DiscreteOperator:
         window = BoxGrid(lo=points[0], hi=points[-1], h=grid.h, shape=shape,
                          points=points, tags=tags, horizon_ratio=grid.horizon_ratio,
                          interface=grid.interface)
-        bond_hat, dir_hat, sq_hat = _spectra(self.offsets, self.fractions, grid.h,
-                                             grid.delta, fft_shape)
-        return DiscreteOperator(grid=window, material=self.material,
-                                offsets=self.offsets, fractions=self.fractions,
-                                lam=self.lam[box], mu=self.mu[box], fft_shape=fft_shape,
-                                bond_hat=bond_hat, dir_hat=dir_hat, sq_hat=sq_hat)
+        return _operator(window, self.material, self.offsets, self.fractions,
+                         self.lam[box], self.mu[box], fft_shape)
 
     def free_action(self, x: np.ndarray) -> np.ndarray:
         """The free block's action on free values ``x``, ordered like
-        ``u[free]``, as (n_free, 3): ``action`` on the window of a field that
-        is ``x`` on the free nodes and zero on the collar."""
+        ``u[free]``, as (n_free, 3): the window's rows of a field that is
+        ``x`` on the free nodes and zero on the collar."""
         window = self.window
-        free = window.grid.tags != NodeTag.CONSTRAINT
-        nodal = np.zeros((window.grid.n_nodes, 3))
-        nodal[free] = np.asarray(x, dtype=float).reshape(-1, 3)
-        return window.action(nodal)[free]
+        x = np.asarray(x, dtype=float).reshape(-1, 3)
+        v = np.zeros((3, *window.fft_shape))
+        v.reshape(3, -1)[:, window._rows[0]] = x.T  # at the rows' flat positions
+        return window._apply(v)
 
     def diagonal(self) -> np.ndarray:
         """The diagonal as (N, 3), in closed form since d_{-k} = -d_k:
         -(a sum S + S * mu)_ii - dil_w (d_i^2 * c) - proj_w n_i^2 (|d|^2 * mu),
         and 1 on constraint rows."""
-        _, bond_self, dil_w, proj_w, normal = self._rows
-        diag = (-np.einsum("ii...->i...", bond_self)
-                - dil_w * self._ifft(self.sq_hat * self._fft(self.lam - self.mu)))
+        pos, ext, _, bond_self, mu, c, normal = self._rows
+        m2 = ball_volume(self.grid.delta) ** 2
+        diag = -np.einsum("iir->ir", bond_self)
+        if c is not None:
+            diag -= ((9.0 / m2) * np.where(ext, 1.25, 1.0)
+                     * self._inverse(self.sq_hat * np.fft.rfftn(c), pos))
         if normal is not None:
-            diag -= proj_w * normal**2 * self._ifft(self.sq_hat.sum(axis=0)
-                                                    * self._fft(self.mu))
-        out = np.moveaxis(diag, 0, -1).reshape(-1, 3)
-        out[self.grid.tags == NodeTag.CONSTRAINT] = 1.0
+            diag -= ((45.0 / (4.0 * m2)) * ext * normal[:, None] ** 2
+                     * self._inverse(self.sq_hat.sum(axis=0) * np.fft.rfftn(mu), pos))
+        out = np.ones((self.grid.n_nodes, 3))
+        out[self.grid.tags != NodeTag.CONSTRAINT] = diag.T
         return out
 
 
 def _spectra(offsets, fractions, h: float, delta: float, fft_shape: tuple):
-    """Spectra of the bond stencil S (3, 3, ...), the direction stencil d
-    (3, ...) and its squares d_i^2 (3, ...), each zero-padded to
-    ``fft_shape``."""
+    """The complex spectra of the bond stencil S (9 kernels, row-major), the
+    direction stencil d (3) and its squares d_i^2 (3), zero-padded to
+    ``fft_shape``, one kernel at a time, so the transform's work arrays are
+    one kernel's."""
     w_vol = fractions * h**3
     xi = h * offsets.astype(float)
     r2 = np.einsum("ki,ki->k", xi, xi)
     bond = (((15.0 / ball_volume(delta)) * w_vol / r2**2)[:, None, None]
             * np.einsum("ki,kj->kij", xi, xi))
     dirs = w_vol[:, None] * (xi / r2[:, None])
-    # S, d and d_i^2 as 15 kernels: S_k sits at index (-k) mod n, so the
-    # inverse transform of its spectrum times a field's is sum_k S_k f(x + k).
-    # One kernel at a time, so the transform's work arrays are one kernel's.
+    # S_k sits at index (-k) mod n, so the inverse transform of its spectrum
+    # times a field's is sum_k S_k f(x + k)
     kernel = np.zeros(fft_shape)
     at = tuple((-offsets % np.array(fft_shape)).T)
-    spectra = np.empty((15, *fft_shape[:-1], fft_shape[-1] // 2 + 1), dtype=complex)
-    for spectrum, values in zip(spectra, np.concatenate(
-            [bond.reshape(-1, 9), dirs, dirs**2], axis=1).T):
+    for values in np.concatenate([bond.reshape(-1, 9), dirs, dirs**2], axis=1).T:
         kernel[at] = values
-        spectrum[...] = np.fft.rfftn(kernel)
-    return spectra[:9].reshape((3, 3) + spectra.shape[1:]), spectra[9:12], spectra[12:]
+        yield np.fft.rfftn(kernel)
+
+
+def _operator(grid, material, offsets, fractions, lam, mu, fft_shape) -> DiscreteOperator:
+    """The operator on ``grid`` with nodal moduli ``lam``, ``mu`` on its
+    shape.  It keeps the real parts of the even stencils' spectra (S, d_i^2)
+    and the imaginary part of the odd one's (d)."""
+    parts = np.array([s.imag if 9 <= k < 12 else s.real for k, s in enumerate(
+        _spectra(offsets, fractions, grid.h, grid.delta, fft_shape))])
+    return DiscreteOperator(grid, material, offsets, fractions, lam, mu, fft_shape,
+                            parts[:9].reshape(3, 3, *parts.shape[1:]), parts[9:12],
+                            parts[12:])
 
 
 def assemble(grid: BoxGrid, material: Material) -> DiscreteOperator:
@@ -323,12 +377,8 @@ def assemble(grid: BoxGrid, material: Material) -> DiscreteOperator:
     # asserts transforms of at least F + 2r, for which it does not alias
     lam, mu = (np.broadcast_to(np.asarray(c, dtype=float), (grid.n_nodes,)).reshape(grid.shape)
                for c in material.lame_at(grid.points))
-    offs, frac = _offset_fractions(h, delta)
-    fft_shape = tuple(_fft_length(n) for n in grid.shape)
-    bond_hat, dir_hat, sq_hat = _spectra(offs, frac, h, delta, fft_shape)
-    return DiscreteOperator(grid=grid, material=material, offsets=offs,
-                            fractions=frac, lam=lam, mu=mu, fft_shape=fft_shape,
-                            bond_hat=bond_hat, dir_hat=dir_hat, sq_hat=sq_hat)
+    return _operator(grid, material, *_offset_fractions(h, delta), lam, mu,
+                     tuple(_fft_length(n) for n in grid.shape))
 
 
 # GMRES: relative residual target, restart length and restart cycles (at most
@@ -338,8 +388,10 @@ _GMRES_RESTART = 200
 _GMRES_CYCLES = 5
 
 # estimated peak bytes per lattice node of a solve: the GMRES basis, restart
-# + 1 vectors of 3 doubles per node, and about 100 doubles per node for the
-# lattice arrays and the transforms' work arrays, their padding included
+# + 1 vectors of 3 doubles per node, and 100 doubles per node for the rest.
+# tracemalloc over assemble and solve on box +-1.0 (moduli 3,1,5,2) put the
+# rest at 59 doubles per node at h = 1/16 and 72 at h = 1/24, where 26% and
+# 43% of the nodes are free; the basis term counts every node, free or not
 SOLVE_BYTES_PER_NODE = 8 * (3 * (_GMRES_RESTART + 1) + 100)
 
 
@@ -424,7 +476,8 @@ def solve_equilibrium(opr: DiscreteOperator, b, g) -> SolveResult:
     residuals = residual_check(opr, u, b, g)
     return SolveResult(u=u, residuals=residuals, iterations=len(history),
                        residual_history=history,
-                       timings={"extract_s": t1 - t0, "solve_s": t2 - t1})
+                       timings={"extract_s": t1 - t0, "solve_s": t2 - t1,
+                                "residual_s": time.perf_counter() - t2})
 
 
 def residual_check(opr: DiscreteOperator, u: np.ndarray, b, g) -> dict:

@@ -431,13 +431,27 @@ class TestStudyOutputs:
             payload = json.load(f)
         schema = load_schema("solve_report_schema.json")
         jsonschema.validate(payload, schema)
-        assert set(payload["timings"]) == {"assemble_s", "extract_s", "solve_s"}
+        assert set(payload["timings"]) == {"assemble_s", "extract_s", "solve_s",
+                                           "residual_s"}
         payload["timings"]["factor_solve_s"] = 0.0
         with pytest.raises(jsonschema.ValidationError):
             jsonschema.validate(payload, schema)
         del payload["timings"]["factor_solve_s"], payload["timings"]["assemble_s"]
         with pytest.raises(jsonschema.ValidationError):
             jsonschema.validate(payload, schema)
+
+    def test_solve_report_times_the_residual_check(self, tmp_path):
+        rc = main(["solve", "--out", str(tmp_path), "--field", "constant"])
+        assert rc == 0
+        with open(tmp_path / "solve_report.json") as f:
+            payload = json.load(f)
+        schema = load_schema("solve_report_schema.json")
+        timings = payload["timings"]
+        assert timings["residual_s"] > 0.0
+        for bad in ({k: v for k, v in timings.items() if k != "residual_s"},
+                    {**timings, "residual_check_s": timings["residual_s"]}):
+            with pytest.raises(jsonschema.ValidationError):
+                jsonschema.validate({**payload, "timings": bad}, schema)
 
     def test_solve_report_fft_shapes(self, tmp_path):
         # the default box's lattice has 17 nodes an axis (17 is not a fast

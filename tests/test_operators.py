@@ -380,15 +380,15 @@ class TestFusedNestedPass:
         O.corrected_operator(cfg, mat, kinked, x)
         # a field that declares no gradient: the pass evaluates both sides
         # once per tile, 45 tiles of 64 x 64 on the 576-node rule; the bond
-        # sum and the bond correction each read the n outer nodes and x
+        # sum and the bond correction share one read of the n outer nodes and x
         assert O._NESTED_TILE == 64
-        assert count[0] == 2 * 45 * 64 * 64 + 2 * (n + 1) == 369_794
-        assert count[0] == O.nested_pass_points(n, kinked) + 2 * (n + 1)
+        assert count[0] == 2 * 45 * 64 * 64 + (n + 1) == 369_217
+        assert count[0] == O.nested_pass_points(n, kinked) + (n + 1)
         # the same field, affine: the pass reads the n outer nodes per side
         count[0] = 0
         O.corrected_operator(cfg, mat, affine, x)
-        assert count[0] == 2 * n + 2 * (n + 1) == 2306
-        assert count[0] == O.nested_pass_points(n, affine) + 2 * (n + 1)
+        assert count[0] == 2 * n + (n + 1) == 1729
+        assert count[0] == O.nested_pass_points(n, affine) + (n + 1)
 
 
 def _tiled_cases():

@@ -344,19 +344,61 @@ class TestFreeAction:
 
     def test_gmres_applies_only_the_free_block(self, flagship_operator, patch,
                                                monkeypatch):
-        # the lattice action runs twice, for the extraction and the residuals;
-        # every GMRES iteration runs on the window
+        # the staged routine behind action and free_action runs twice on the
+        # lattice, for the extraction and the residuals; every GMRES
+        # iteration runs it on the window
         field, _ = patch
         shapes = []
-        action = S.DiscreteOperator.action
-        monkeypatch.setattr(S.DiscreteOperator, "action",
-                            lambda self, v: shapes.append(self.grid.shape) or action(self, v))
+        apply = S.DiscreteOperator._apply
+        monkeypatch.setattr(S.DiscreteOperator, "_apply",
+                            lambda self, v: shapes.append(self.grid.shape) or apply(self, v))
         res = S.solve_equilibrium(dataclasses.replace(flagship_operator), None,
                                   lambda p: field.value(p))
         window = flagship_operator.window.grid.shape
         assert shapes.count(flagship_operator.grid.shape) == 2
         assert shapes.count(window) >= res.iterations > 0
         assert len(shapes) == 2 + shapes.count(window)
+
+
+class TestStagedAction:
+    @pytest.mark.parametrize("build", list(REFERENCE_CASES.values()), ids=list(REFERENCE_CASES))
+    def test_stencil_spectra_parity(self, build):
+        # S and d_i^2 are even stencils and d is odd, so the operator keeps
+        # one part of each spectrum; the other must be rounding alone
+        opr = build()
+        for o in (opr, opr.window):
+            spectra = np.array(list(S._spectra(o.offsets, o.fractions, o.grid.h,
+                                               o.grid.delta, o.fft_shape)))
+            for k, spectrum in enumerate(spectra):
+                dropped = spectrum.real if 9 <= k < 12 else spectrum.imag
+                assert np.abs(dropped).max() <= 1e-13 * np.abs(spectrum).max()
+
+    @pytest.mark.parametrize("build,count", [
+        # every term: forward v, mu v; inverse S v, g, M; forward c g, mu M;
+        # inverse S (mu v) + d (c g) and the extended rows' part, 6 + 7 + 4 + 6
+        (assemble_bench_box, 23),
+        # lambda = mu: no g, and the extended rows' part is n times one field
+        (assemble_flagship, 19),
+        # lambda = mu and no extended rows: the bond part alone
+        (assemble_bond_only, 12),
+    ], ids=["bench_box", "flagship", "bond_only"])
+    def test_free_action_transform_count(self, build, count, monkeypatch, rng):
+        # fields per application, at most 3 per transform call
+        opr = build()
+        x = rng.normal(size=(np.count_nonzero(opr.grid.tags != S.NodeTag.CONSTRAINT), 3))
+        opr.free_action(x)  # builds the window's row coefficients
+        fields = []
+        for name in ("rfftn", "irfftn"):
+            original = getattr(np.fft, name)
+
+            def counted(a, *args, _original=original, **kwargs):
+                fields.append(int(np.prod(np.shape(a)[:-3])))
+                return _original(a, *args, **kwargs)
+
+            monkeypatch.setattr(np.fft, name, counted)
+        opr.free_action(x)
+        assert sum(fields) == count
+        assert max(fields) <= 3
 
 
 class TestLatticeSymmetry:
