@@ -10,9 +10,9 @@ Three quantities per configuration:
 
 For both the gradient-jump configuration (smooth field, jumping moduli) and
 the zero-traction patch (kinked field) the corrected operator hits 45/32
-times the traction jump to machine precision: the normal-projected
-correction term evaluates its inner integral at each outer node on that
-node's own phase.  The run below shows all numbers side by side.
+times the traction jump to machine precision: both inner integrals of the
+nested pass are evaluated at each outer node on that node's own phase.  The
+run below shows all numbers side by side.
 """
 
 import numpy as np

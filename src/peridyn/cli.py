@@ -185,16 +185,16 @@ def _field_material(cfg: StudyConfig, default_field: str):
 
 
 # Field points one nested pass may evaluate, checked before the rule is
-# built.  One pass is the cost of one operator evaluation.  Every
-# manufactured field is read at O(n) points: an affine field, as every
-# interface configuration is, at each rule node once per side, and the
-# smooth trig and quadratic fields, which declare a split, at 2n points.  So
-# the budget refuses those only beyond 1e8 nodes; a field that declares
-# neither is read at about n^2/2 points per side and refused beyond about
-# 20,000 nodes.  Below that the pass is bounded by memory: each worker
-# evaluates a batch of up to max(n, ``analysis.BATCH_FIELD_POINTS``) field
-# points, and holds about ``operators.EVALUATION_BYTES_PER_NODE`` per field
-# point.
+# built.  One pass is the cost of one operator evaluation.  Every field the
+# CLI builds declares a split of each closed form, and the pass reads it at
+# O(n) points: the outer factors at the n rule nodes and each closed form's
+# inner factors at the n offsets, so 2n points for one closed form and 3n
+# for a field with a kink (see ``operators.nested_pass_points``).  The budget
+# stays as a check on the input: it refuses rules beyond 1e8 nodes for one
+# closed form and about 6.7e7 with a kink.  Below that the pass is bounded
+# by memory: each worker evaluates a batch of up to max(n,
+# ``analysis.BATCH_FIELD_POINTS``) field points, and holds about
+# ``operators.EVALUATION_BYTES_PER_NODE`` per field point.
 NESTED_POINT_BUDGET = 2 * 10**8
 
 

@@ -66,30 +66,24 @@ INTERFACE_Z = PlanarInterface(np.zeros(3), E3)
 class AnalyticVectorField:
     """Closed-form vector field with supplied first and second derivatives.
 
-    Two optional declarations let the nested operators integrate the field
-    from rule sums instead of evaluating it at every inner point; a field
-    that declares neither is read at the n^2 inner points (see
-    :mod:`peridyn.operators`).
+    ``split`` declares how a shifted value separates into m products, so that
+    the nested operators integrate the field from rule sums (see
+    :mod:`peridyn.operators`): a pair ``(outer, inner)`` of callables with
+    ``u(y + d)[..., i] = sum_m outer(y)[..., m, i] * inner(d)[..., m, i]``,
+    each mapping points (..., 3) to (..., m, 3).  Every manufactured field
+    declares one; a field that declares none (``split`` None) is refused by
+    the nested pass.
 
-    * ``constant_grad`` is the field's gradient where the field is affine
-      and declared so, else None.
-    * ``split`` is a pair ``(outer, inner)`` of callables that separate a
-      shifted value into m products, else None:
-      ``u(y + d)[..., i] = sum_m outer(y)[..., m, i] * inner(d)[..., m, i]``,
-      with ``outer`` and ``inner`` mapping points (..., 3) to (..., m, 3).
-
-    ``+`` keeps a declaration only when both operands make it (a split
+    ``+`` keeps the split only when both operands declare one (it
     concatenates the terms) and ``*`` scales it.
     """
 
     value: Callable[[np.ndarray], np.ndarray]
     grad: Callable[[np.ndarray], np.ndarray]
     hessian: Callable[[np.ndarray], np.ndarray]
-    constant_grad: Optional[np.ndarray] = dataclasses.field(default=None, compare=False)
     split: Optional[tuple[Callable, Callable]] = dataclasses.field(default=None, compare=False)
 
     def __add__(self, other: "AnalyticVectorField") -> "AnalyticVectorField":
-        both = self.constant_grad is not None and other.constant_grad is not None
         split = None
         if self.split is not None and other.split is not None:
             (outer1, inner1), (outer2, inner2) = self.split, other.split
@@ -99,7 +93,6 @@ class AnalyticVectorField:
             value=lambda p: self.value(p) + other.value(p),
             grad=lambda p: self.grad(p) + other.grad(p),
             hessian=lambda p: self.hessian(p) + other.hessian(p),
-            constant_grad=self.constant_grad + other.constant_grad if both else None,
             split=split,
         )
 
@@ -113,7 +106,6 @@ class AnalyticVectorField:
             value=lambda p: a * self.value(p),
             grad=lambda p: a * self.grad(p),
             hessian=lambda p: a * self.hessian(p),
-            constant_grad=None if self.constant_grad is None else a * self.constant_grad,
             split=split,
         )
 
@@ -357,11 +349,18 @@ def constant_field(c) -> AnalyticVectorField:
         out[...] = c
         return out
 
+    # u(y + d) = c * 1: one product
+    def outer(y):
+        return value(y)[..., None, :]
+
+    def inner(d):
+        return np.ones(d.shape[:-1] + (1, 3))
+
     return AnalyticVectorField(
         value=value,
         grad=lambda p: np.zeros(p.shape[:-1] + (3, 3)),
         hessian=lambda p: np.zeros(p.shape[:-1] + (3, 3, 3)),
-        constant_grad=np.zeros((3, 3)),
+        split=(outer, inner),
     )
 
 
@@ -369,16 +368,32 @@ def linear_field(c, g) -> AnalyticVectorField:
     c = np.asarray(c, dtype=float)
     g = np.asarray(g, dtype=float)
 
+    def value(p):
+        return c + p @ g.T
+
     def grad(p):
         out = np.empty(p.shape[:-1] + (3, 3))
         out[...] = g
         return out
 
+    # u(y + d) = u(y) * 1 + sum_l G[:, l] * d_l: four products
+    def outer(y):
+        out = np.empty(y.shape[:-1] + (4, 3))
+        out[..., 0, :] = value(y)
+        out[..., 1:, :] = g.T
+        return out
+
+    def inner(d):
+        out = np.empty(d.shape[:-1] + (4, 3))
+        out[..., 0, :] = 1.0
+        out[..., 1:, :] = d[..., :, None]
+        return out
+
     return AnalyticVectorField(
-        value=lambda p: c + p @ g.T,
+        value=value,
         grad=grad,
         hessian=lambda p: np.zeros(p.shape[:-1] + (3, 3, 3)),
-        constant_grad=g,
+        split=(outer, inner),
     )
 
 

@@ -8,12 +8,9 @@ horizon of the interface, repairs the jump in the nonlocal traction; adding
 it to the state operator yields the corrected operator whose horizon-scaled
 value at interface points tends to 45/32 times the local traction jump.
 
-That limit, and the natural-condition limit of the state operator, do not
-hold for fields with a gradient kink across the interface when lambda !=
-mu: the inner integral of the divergence channel ``g`` takes each inner
-point's own phase and so crosses the interface, which leaves a
-horizon-independent term.  The zero-traction patch on the moduli (3, 1, 5, 2)
-misses 45/32 times the traction jump by about 1.04.
+That limit, and the natural-condition limit of the state operator, hold
+also for fields with a gradient kink across the interface: the inner
+integrals at each outer node read the closed form of that node's own phase.
 
 All evaluators are pure functions of (config, material, field, points), and
 each takes one point of shape (3,) or a batch of P points of shape (P, 3),
@@ -22,28 +19,17 @@ the rule's constants once, reads the material and the field at all P x n
 outer nodes x_p + delta z_q in one call each, and forms each sum over the
 nodes as one matrix product over the batch.  The nested double integrals
 reuse one reference ball rule for the inner and outer integral, and one
-nested pass computes both inner integrals at every outer node.  There are
-three passes, chosen by what the field declares:
+nested pass computes both inner integrals at every outer node.  The pass
+reads each closed form of the field through its declared split of u(y + d)
+into m products of factors of y and of d (see
+:class:`peridyn.fields.AnalyticVectorField`): the inner factors at the n
+offsets once, and the outer factors at the outer nodes in the closed form's
+phase, O(n m) work per point.  A field that needs a pass and declares no
+split is refused.
 
-* A field whose closed forms are affine, as every manufactured interface
-  configuration is, is integrated from the rule's moments: the pass reads
-  the n outer nodes once per side, O(n) work per point.  With one closed
-  form the whole batch is one pass; with a kink across the interface each
-  point of the batch sorts the nodes by side, O(n log n) work, in turn.
-* A field with one closed form that declares a split of u(y + d) into
-  products of factors of y and of d, as the manufactured trig and quadratic
-  fields do, is integrated from rule sums of the inner factors: the pass
-  reads the outer factors at the n outer nodes of every point of the batch
-  and the inner factors at the n offsets once, O(n m) work per point for m
-  products.
-* Any other field is read at the n^2 inner points, point by point; these are
-  symmetric in the pair of nodes, so the pass evaluates the field once per
-  unordered pair of node tiles and adds the values into both tiles' sums.
-
-The tiles, the sort and every summation order are fixed for a given batch,
-so results are reproducible bit for bit.  A point's value in a batch agrees
-with its value alone to rounding: the matrix products may add a sum in
-another order.
+Every summation order is fixed for a given batch, so results are
+reproducible bit for bit.  A point's value in a batch agrees with its value
+alone to rounding: the matrix products may add a sum in another order.
 """
 
 from __future__ import annotations
@@ -242,133 +228,35 @@ def bond_correction_term(config: OperatorConfig, material: Material,
 # nested (composition-type) evaluations
 # ---------------------------------------------------------------------------
 
-# Tile width of the nested pass, in rule nodes.  The width fixes the order in
-# which each node's sums are accumulated, so it is a constant and not a
-# setting: results are reproducible bit for bit.  At 64 a tile's arrays of
-# 64 x 64 points stay below 100 kB, which the allocator reuses from tile to
-# tile, so the pass adds no measurable peak RSS.  On one core of a shared
-# 2-core x86 machine one pass at 64 took 17 ms on the 768-node rule and
-# 1.05 s on the 4608-node rule; widths 96 to 192 were up to 17% faster but
-# added 0.4 to 3.5 MiB to the peak RSS, and 32 and 48 were 20-75% slower.
-_NESTED_TILE = 64
-
-
 # Estimated peak bytes per field point of one operator evaluation on a batch,
 # the rule included, where the field points are the P x n outer nodes of the
-# batch's points.  Measured with tracemalloc: with one point per batch (rules
-# of more than 2048 nodes) the rule holds 32 and the closed-form pass of an
-# affine two-sided field about 352, 384-386 in all on split rules of 4608 to
-# 36,864 nodes; a state operator evaluation on a declared split peaks at
-# 288-323 for the trig field (2 products) and 328-371 for the quadratic one
-# (3 products), on ball rules of 2304 to 18,432 nodes.  Batches of several
-# points spread the rule's constants: 182-211 on the 768-node ball rule and
-# the 1536-node split rule.  The tiled pass holds about 100 per node beside
-# its tiles.
-EVALUATION_BYTES_PER_NODE = 8 * 48
+# batch's points.  Measured with tracemalloc at one point per batch (rules of
+# more than 2048 nodes), where the rule's n-sized constants count per node:
+# the corrected operator on a kinked affine field, whose pass reads both
+# sides' four-product splits, peaks at 351-375 on split rules of 4608 to
+# 36,864 nodes; the state operator on one closed form at 373-420 for the
+# linear field (4 products), 325-371 for the quadratic one (3) and 288-324
+# for the trig one (2), on ball rules of 1728 to 27,648 nodes.  Batches of
+# several points spread the rule's constants: 165-237 on the 288-node ball
+# rule and the 576-node split rule.
+EVALUATION_BYTES_PER_NODE = 8 * 53
 
 
-def _nested_tiles(n: int):
-    """The tiles of the nested pass over an n-node rule, in a fixed order:
-    each row block J of the node index with the column blocks K at or after
-    it.  A rule of at most ``_NESTED_TILE`` nodes is one diagonal tile."""
-    blocks = [slice(a, min(a + _NESTED_TILE, n)) for a in range(0, n, _NESTED_TILE)]
-    for i, rows in enumerate(blocks):
-        yield rows, blocks[i:]
-
-
-def _two_sided(field: PiecewiseField) -> bool:
-    """Whether the nested pass evaluates both sides' closed forms: a field
-    with a kink across its interface."""
-    return not (field.interface is None or field.plus_side is field.minus_side)
-
-
-def _affine(field: PiecewiseField) -> bool:
-    """Whether every closed form the nested pass reads declares a constant
-    gradient, so that the pass integrates it from rule moments."""
-    sides = (field.plus_side, field.minus_side) if _two_sided(field) else (field.plus_side,)
-    return all(side.constant_grad is not None for side in sides)
-
-
-def _separable(field: PiecewiseField) -> bool:
-    """Whether the field has one closed form and it declares a split, so
-    that the pass integrates it from rule sums."""
-    return not _two_sided(field) and field.plus_side.split is not None
+def _closed_forms(field: PiecewiseField):
+    """The closed forms the nested pass reads: both sides of a field with a
+    kink across its interface, else the one closed form."""
+    if field.interface is None or field.plus_side is field.minus_side:
+        return (field.plus_side,)
+    return field.plus_side, field.minus_side
 
 
 def nested_pass_points(n: int, field: PiecewiseField) -> int:
     """Field points one nested pass over an n-node rule evaluates on
-    ``field``, once per side for a field with a kink: the n outer nodes for
-    an affine field (see :func:`_affine_moments`), the outer factors at the
-    n outer nodes and the inner factors at the n offsets for a declared
-    split (see :func:`_split_moments`), else each tile of
-    :func:`_nested_tiles` once.  Closed form, so it also counts passes too
-    large to enumerate."""
-    sides = 2 if _two_sided(field) else 1
-    if _affine(field):
-        return sides * n
-    if _separable(field):
-        return 2 * n
-    full, rest = divmod(n, _NESTED_TILE)
-    diagonal = full * _NESTED_TILE**2 + rest**2  # the diagonal tiles' points
-    return sides * (n * n + diagonal) // 2
-
-
-def _by_side(plus, moments, up, um):
-    """``moments`` of the plus values where ``plus`` holds, else of the
-    minus values; ``plus`` is a mask over the leading axis of the result."""
-    if plus.all():
-        return moments(up)
-    if not plus.any():
-        return moments(um)
-    return np.where(plus[:, None, None], moments(up), moments(um))
-
-
-def _nested_moments(config: OperatorConfig, field: PiecewiseField, x):
-    """Inner integrals of the composed kernels at every outer node of each
-    point of a batch x of shape (P, 3).
-
-    For outer nodes y_j = x + delta z_j of a point x returns
-
-    * ``g[j] = sum_k (w_k/|z_k|^2) z_k . u(y_j + delta z_k)`` -- the scalar
-      divergence channel; the physical inner integral is delta^2 g.  Each
-      inner point takes its own phase (the plus side on the interface): the
-      side of x + (delta z_j + delta z_k), read from its signed distance
-      sd(x) + (s_j + s_k) with s = delta z . n.
-    * ``p[j] = M_j^T (z_j/|z_j|^2)`` with
-      ``M_j = sum_k (w_k/|z_k|^2) z_k (x) u_j(y_j + delta z_k)`` -- the
-      normal-projection channel; the physical value is delta p.  Here u_j is
-      the closed form of the phase that y_j lies in (the plus side on the
-      interface), also where the inner ball reaches across the interface.
-      Its horizon-scaled limit is then the shear-weighted jump formula of
-      :func:`normal_correction_limit`.
-
-    as g of shape (P, n) and p of shape (P, n, 3).  Three passes compute
-    these, tried in order:
-
-    * a field whose closed forms are all affine is integrated from rule
-      moments with n field points per side (:func:`_affine_moments` for the
-      whole batch with one closed form, :func:`_kinked_moments` point by
-      point with a kink);
-    * a field with one closed form that declares a split is integrated from
-      rule sums of its inner factors, with its outer factors read at the n
-      outer nodes of every point of the batch (:func:`_split_moments`);
-    * any other field is evaluated at the n^2 inner points by pair-symmetric
-      tiles, point by point (:func:`_tiled_moments`).
-
-    All three agree to rounding on the fields the first two accept.
-    """
-    if _affine(field) and not _two_sided(field):
-        g, p = _affine_moments(config, field, x)
-    elif _separable(field):
-        g, p = _split_moments(config, field, x)
-    else:
-        one = _kinked_moments if _affine(field) else _tiled_moments
-        moments = [one(config, field, point) for point in x]
-        g = np.stack([m[0] for m in moments])
-        p = np.stack([m[1] for m in moments])
-    _require_finite(g)  # non-finite field values propagate through the sums
-    _require_finite(p)
-    return g, p
+    ``field`` at one point: the outer factors at the n outer nodes, each in
+    the closed form of its phase, and each closed form's inner factors at
+    the n offsets (see :func:`_nested_moments`).  Closed form, so it also
+    counts passes too large to enumerate."""
+    return n + len(_closed_forms(field)) * n
 
 
 def _nested_weights(config: OperatorConfig):
@@ -379,225 +267,72 @@ def _nested_weights(config: OperatorConfig):
     return (config.rule.weights / r2)[:, None] * z, z / r2[:, None], config.delta * z
 
 
-def _minus_counts(s, sd_x: float) -> np.ndarray:
-    """For each outer node j, how many inner nodes k put the inner point on
-    the minus side: those where ``sd_x + (s_j + s_k) >= 0`` fails.
-
-    Rounding is monotone, so the predicate is monotone in s_k bit for bit,
-    and these nodes come first in ascending order of s.  ``searchsorted`` on
-    the distinct values of s finds each boundary to rounding; the predicate
-    itself then moves it, by a few distinct values at most, to where it
-    holds exactly.
-    """
-    values, counts = np.unique(s, return_counts=True)
-    last = len(values) - 1
-
-    def minus(i):
-        return ~(sd_x + (s + values[i]) >= 0.0)
-
-    m = np.searchsorted(values, -sd_x - s)
-    while True:
-        down = (m > 0) & ~minus(np.maximum(m - 1, 0))
-        up = (m <= last) & minus(np.minimum(m, last))
-        if not (down.any() or up.any()):
-            break
-        m = m - down + up
-    return np.concatenate(([0], np.cumsum(counts)))[m]
-
-
-def _prefix_sums(v) -> np.ndarray:
-    """The sums of the first i rows of v, i = 0..len(v), compensated: the
-    rounding error of each step of the running sum is recovered exactly
-    (Knuth's TwoSum) and the errors are added back, so each sum is good to
-    about one rounding however many rows it adds."""
-    run = np.cumsum(v, axis=0)
-    before, step, after = run[:-1], v[1:], run[1:]
-    back = after - before
-    err = (before - (after - back)) + (step - back)
-    out = np.zeros((len(v) + 1,) + v.shape[1:])
-    out[1:] = run
-    out[2:] += np.cumsum(err, axis=0)
-    return out
-
-
-def _rule_moments(bw, dz):
-    """B0 = sum_k bw_k and B1 = sum_k bw_k (x) delta z_k, compensated."""
-    b0 = _prefix_sums(bw)[-1]
-    b1 = np.stack([_prefix_sums(bw * dz[:, l, None])[-1] for l in range(3)], axis=1)
-    return b0, b1
-
-
-def _affine_p(a, b0, b1, u, grad):
-    """The ``p`` channel (B0 . a_j) u(y_j) + G (B1^T a_j) of an affine closed
-    form with gradient G, from its values u at the outer nodes."""
-    return (a @ b0)[:, None] * u + (a @ b1) @ grad.T
-
-
-def _affine_moments(config: OperatorConfig, field: PiecewiseField, x):
-    """The channels of :func:`_nested_moments` for a field with one closed
-    form u, affine with gradient G, at a batch x, from the n outer nodes of
-    each point.
-
-    Since u(y_j + delta z_k) = u(y_j) + G delta z_k, the rule moments B0 and
-    B1 (:func:`_rule_moments`) give g_j = B0 . u(y_j) + G : B1, where
-    G : B1 = sum_il G_il (B1)_il, and p_j = (B0 . a_j) u(y_j) + G (B1^T a_j).
-    """
-    bw, a, dz = _nested_weights(config)
-    b0, b1 = _rule_moments(bw, dz)
-    grad = field.plus_side.constant_grad
-    u = field.value(x[:, None, :] + dz)
-    return u @ b0 + np.sum(grad * b1), _affine_p(a, b0, b1, u, grad)
-
-
-def _kinked_moments(config: OperatorConfig, field: PiecewiseField, x):
-    """The channels of :func:`_nested_moments` at one point x for a field
-    whose two closed forms u_s are affine with gradients G_s, from the n
-    outer nodes per side.
-
-    As in :func:`_affine_moments`, p_j = (B0 . a_j) u_s(y_j) + G_s (B1^T a_j)
-    with s the phase of y_j.  g_j starts from the plus side and switches j's
-    minus-side inner nodes over:
-
-        g_j = B0 . u_+(y_j) + G_+ : B1
-              + sum_{k minus} bw_k . (u_-(y_j) - u_+(y_j) + (G_- - G_+) delta z_k)
-
-    Those nodes are a prefix of the nodes in ascending order of s_k
-    (:func:`_minus_counts`), so the last sum is two prefix sums.  Every sum
-    is compensated (:func:`_prefix_sums`), and the prefix sums weigh only the
-    jump between the sides, which is small near the interface of a
-    continuous field.
-    """
-    bw, a, dz = _nested_weights(config)
-    y = x + dz
-    b0, b1 = _rule_moments(bw, dz)
-    grad_plus = field.plus_side.constant_grad
-    grad_minus = field.minus_side.constant_grad
-    iface = field.interface
-    u_plus = field.value_on(y, SideTag.PLUS)
-    u_minus = field.value_on(y, SideTag.MINUS)
-    s = dz @ iface.normal
-    minus = _minus_counts(s, float(iface.signed_distance(x)))
-    order = np.argsort(s, kind="stable")
-
-    def prefix(v):  # sums of v over each outer node's minus-side inner nodes
-        return _prefix_sums(v[order])[minus]
-
-    jump = np.einsum("ki,ki->k", bw, dz @ (grad_minus - grad_plus).T)
-    g = (u_plus @ b0 + np.sum(grad_plus * b1)
-         + np.einsum("ji,ji->j", prefix(bw), u_minus - u_plus) + prefix(jump))
-    outer_plus = (iface.signed_distance(y) >= 0.0)[:, None]
-    p = np.where(outer_plus, _affine_p(a, b0, b1, u_plus, grad_plus),
-                 _affine_p(a, b0, b1, u_minus, grad_minus))
+def _split_channels(weights, inner, u, j):
+    """(g, p) of :func:`_nested_moments` for one closed form, from the
+    rule's :func:`_nested_weights`, its outer factors u (..., m, 3) at the
+    outer nodes of rule nodes j (an index of the rule's nodes that
+    broadcasts against u's leading axes) and its inner factors ``inner``,
+    read here at the n offsets delta z_k."""
+    bw, a, dz = weights
+    m = u.shape[-2]
+    q = bw.T @ inner(dz).reshape(len(dz), 3 * m)  # q[i, 3m + l] = Q[i, m, l]
+    b = np.einsum("imi->mi", q.reshape(3, m, 3))
+    g = (u.reshape(-1, 3 * m) @ b.ravel()).reshape(u.shape[:-2])
+    aq = (a @ q).reshape(-1, m, 3)
+    p = u[..., 0, :] * aq[j, 0]
+    for k in range(1, m):  # the sum over m in order; .sum(axis=-2) is slower
+        p += u[..., k, :] * aq[j, k]
     return g, p
 
 
-def _split_moments(config: OperatorConfig, field: PiecewiseField, x):
-    """The channels of :func:`_nested_moments` for a field with one closed
-    form that declares a split u(y + d)_i = sum_m U(y)_mi V(d)_mi, at a batch
-    x, from the outer factors U at the n outer nodes of each point and the
-    inner factors V at the n offsets delta z_k.
+def _nested_moments(config: OperatorConfig, field: PiecewiseField, x):
+    """Inner integrals of the composed kernels at every outer node of each
+    point of a batch x of shape (P, 3).
 
-    With Q[i, m, l] = sum_k bw_ki V(delta z_k)_ml and B[m, i] = Q[i, m, i],
-    g_j = sum_mi U(y_j)_mi B[m, i] and p_j[l] = sum_m U(y_j)_ml (a_j^T Q)[m, l]:
-    O(n m) work per point, each sum one matrix product over the batch.
+    For outer nodes y_j = x + delta z_j of a point x, with u_j the closed
+    form of the phase that y_j lies in (the plus side on the interface), also
+    where the inner ball reaches across the interface, returns
+
+    * ``g[j] = sum_k (w_k/|z_k|^2) z_k . u_j(y_j + delta z_k)`` -- the scalar
+      divergence channel; the physical inner integral is delta^2 g;
+    * ``p[j] = M_j^T (z_j/|z_j|^2)`` with
+      ``M_j = sum_k (w_k/|z_k|^2) z_k (x) u_j(y_j + delta z_k)`` -- the
+      normal-projection channel; the physical value is delta p.
+
+    as g of shape (P, n) and p of shape (P, n, 3).  The horizon-scaled limits
+    are then the formulas of :func:`natural_condition_limit` and
+    :func:`normal_correction_limit`.
+
+    Each closed form declares a split u(y + d)_i = sum_m U(y)_mi V(d)_mi
+    (see :class:`peridyn.fields.AnalyticVectorField`).  With
+    Q[i, m, l] = sum_k bw_ki V(delta z_k)_ml and B[m, i] = Q[i, m, i],
+    g_j = sum_mi U(y_j)_mi B[m, i] and p_j[l] = sum_m U(y_j)_ml (a_j^T Q)[m, l]
+    (:func:`_split_channels`).  So the pass reads each closed form's inner
+    factors V at the n offsets delta z_k and its outer factors U at the
+    outer nodes in its phase: every node of the batch for a field with one
+    closed form, else the nodes with signed distance >= 0 for the plus side
+    and the rest for the minus side.  That is O(n m) work per point, each
+    sum one matrix product over the batch.  A closed form that declares no
+    split is refused before anything is read.
     """
-    bw, a, dz = _nested_weights(config)
-    outer, inner = field.plus_side.split
-    u = outer(x[:, None, :] + dz)  # (P, n, m, 3)
-    n, m = u.shape[1:3]
-    q = bw.T @ inner(dz).reshape(n, 3 * m)  # q[i, 3m + l] = Q[i, m, l]
-    b = np.einsum("imi->mi", q.reshape(3, m, 3))
-    g = u.reshape(-1, 3 * m) @ b.ravel()
-    aq = (a @ q).reshape(n, m, 3)
-    p = u[:, :, 0] * aq[:, 0]
-    for k in range(1, m):  # the sum over m in order; .sum(axis=2) is slower
-        p += u[:, :, k] * aq[:, k]
-    return g.reshape(len(x), n), p
-
-
-def _tiled_moments(config: OperatorConfig, field: PiecewiseField, x):
-    """The channels of :func:`_nested_moments` from the field's values at
-    all n^2 inner points.
-
-    The inner point of the pair (j, k) is x + (delta z_j + delta z_k), the
-    same point, bit for bit, as that of (k, j).  So the pass visits square
-    tiles (J, K) of the node index with J at or before K (see
-    :func:`_nested_tiles`) and evaluates the field once per tile: the rows J
-    take the moments summed over K, and off the diagonal the rows K take the
-    mirrored moments summed over J, from the same values.
-    """
-    bw, a, dz = _nested_weights(config)
-    n = dz.shape[0]
-    # a tile's arrays are laid out (rows, 3 * columns), so that each
-    # elementwise step runs along a contiguous row of the tile
-    tile = min(_NESTED_TILE, n)
-    dz_flat = dz.reshape(-1)
-    x_flat = np.tile(x, tile)
-    iface = field.interface
-    two_sided = _two_sided(field)
-    if two_sided:
-        # the signed distance of an inner point splits symmetrically as
-        # sd(x) + (s_j + s_k), so its side does not depend on the order
-        s = dz @ iface.normal
-        sd_x = float(iface.signed_distance(x))
-        outer_plus = iface.signed_distance(x + dz) >= 0.0
-
-    g = np.zeros(n)
-    p = np.zeros((n, 3))
-
-    def add(nodes, m_inner, m_outer):
-        """Adds moments M of the nodes read through each inner point's
-        phase (to g) and through the outer node's phase (to p)."""
-        g[nodes] += np.trace(m_inner, axis1=1, axis2=2)
-        p[nodes] += np.einsum("bil,bi->bl", m_outer, a[nodes])
-
-    for rows, col_blocks in _nested_tiles(n):
-        n_rows = rows.stop - rows.start
-        dz_rows = np.tile(dz[rows], (1, tile))
-        bwt_rows = bw[rows].T
-        for cols in col_blocks:
-            flat = slice(3 * cols.start, 3 * cols.stop)
-            width = flat.stop - flat.start
-            mirror = rows.start != cols.start
-            # row moments as one GEMM: (u @ b)[j, 3i + l] = sum_k bw[k, i] u[j, k, l]
-            b = np.zeros((width // 3, 3, 3, 3))
-            for l in range(3):
-                b[:, l, :, l] = bw[cols]
-            b = b.reshape(width, 9)
-
-            def row_moments(u):  # (T_J, 3, 3): summed over the columns
-                return (u @ b).reshape(n_rows, 3, 3)
-
-            def col_moments(u):  # (T_K, 3, 3): summed over the rows
-                m = bwt_rows @ u
-                return m.reshape(3, -1, 3).transpose(1, 0, 2)
-
-            pts = dz_rows[:, :width] + dz_flat[flat]
-            pts += x_flat[:width]
-            pts = pts.reshape(n_rows, -1, 3)
-            if not two_sided:
-                u = field.value(pts).reshape(n_rows, width)
-                m = row_moments(u)
-                add(rows, m, m)
-                if mirror:
-                    m = col_moments(u)
-                    add(cols, m, m)
-                continue
-            # one evaluation per side; g selects by the inner point's phase
-            up = field.value_on(pts, SideTag.PLUS).reshape(n_rows, width)
-            um = field.value_on(pts, SideTag.MINUS).reshape(n_rows, width)
-            inner_plus = sd_x + (s[rows, None] + np.repeat(s[cols], 3)) >= 0.0
-            if inner_plus.all():
-                u_inner = up
-            elif not inner_plus.any():
-                u_inner = um
-            else:
-                u_inner = np.where(inner_plus, up, um)
-            add(rows, row_moments(u_inner),
-                _by_side(outer_plus[rows], row_moments, up, um))
-            if mirror:
-                add(cols, col_moments(u_inner),
-                    _by_side(outer_plus[cols], col_moments, up, um))
+    sides = _closed_forms(field)
+    if any(side.split is None for side in sides):
+        raise TypeError("the nested pass needs closed forms that declare a split")
+    weights = _nested_weights(config)
+    dz = weights[2]
+    if len(sides) == 1:
+        outer, inner = sides[0].split
+        g, p = _split_channels(weights, inner, outer(x[:, None, :] + dz), slice(None))
+    else:
+        y = x[:, None, :] + dz
+        plus = field.interface.signed_distance(y) >= 0.0
+        g = np.empty(plus.shape)
+        p = np.empty(y.shape)
+        for side, at in zip(sides, (np.nonzero(plus), np.nonzero(~plus))):
+            outer, inner = side.split
+            g[at], p[at] = _split_channels(weights, inner, outer(y[at]), at[1])
+    _require_finite(g)  # non-finite field values propagate through the sums
+    _require_finite(p)
     return g, p
 
 
@@ -818,9 +553,7 @@ def natural_condition_limit(material: Material, field: PiecewiseField, x) -> Vec
 
     Evaluated from one-sided gradients and the phase constants.  The result
     differs from 45/32 times the traction jump, which is what motivates the
-    corrected operator.  For fields with a gradient kink and lambda != mu the
-    scaled operator misses this formula by a horizon-independent term: the
-    inner integral of the divergence channel ``g`` crosses the interface.
+    corrected operator.
     """
     material = _require_interface(material)
     x = np.asarray(x, dtype=float)

@@ -198,7 +198,6 @@ class DiscreteOperator:
     fft_shape: tuple
     bond_hat: np.ndarray  # (3, 3, *spectrum): S, real
     dir_hat: np.ndarray  # (3, *spectrum): d / i, real
-    sq_hat: np.ndarray  # (3, *spectrum): d_i^2, real, for the diagonal
 
     def _on_layout(self, f: np.ndarray) -> np.ndarray:
         """``f`` (..., *grid.shape) at the low corner of a zero buffer of
@@ -320,46 +319,55 @@ class DiscreteOperator:
         pos, ext, _, bond_self, mu, c, normal = self._rows
         m2 = ball_volume(self.grid.delta) ** 2
         diag = -np.einsum("iir->ir", bond_self)
+        if c is not None or normal is not None:
+            # d_i^2 is even, so its spectrum is real; only the diagonal reads it
+            _, dirs = _stencils(self.offsets, self.fractions, self.grid.h, self.grid.delta)
+            sq_hat = np.array([s.real for s in _spectra(self.offsets, (dirs**2).T,
+                                                        self.fft_shape)])
         if c is not None:
             diag -= ((9.0 / m2) * np.where(ext, 1.25, 1.0)
-                     * self._inverse(self.sq_hat * np.fft.rfftn(c), pos))
+                     * self._inverse(sq_hat * np.fft.rfftn(c), pos))
         if normal is not None:
             diag -= ((45.0 / (4.0 * m2)) * ext * normal[:, None] ** 2
-                     * self._inverse(self.sq_hat.sum(axis=0) * np.fft.rfftn(mu), pos))
+                     * self._inverse(sq_hat.sum(axis=0) * np.fft.rfftn(mu), pos))
         out = np.ones((self.grid.n_nodes, 3))
         out[self.grid.tags != NodeTag.CONSTRAINT] = diag.T
         return out
 
 
-def _spectra(offsets, fractions, h: float, delta: float, fft_shape: tuple):
-    """The complex spectra of the bond stencil S (9 kernels, row-major), the
-    direction stencil d (3) and its squares d_i^2 (3), zero-padded to
-    ``fft_shape``, one kernel at a time, so the transform's work arrays are
-    one kernel's."""
+def _stencils(offsets, fractions, h: float, delta: float):
+    """The values at the offsets of the bond stencil S, (K, 9) row-major,
+    and of the direction stencil d, (K, 3)."""
     w_vol = fractions * h**3
     xi = h * offsets.astype(float)
     r2 = np.einsum("ki,ki->k", xi, xi)
     bond = (((15.0 / ball_volume(delta)) * w_vol / r2**2)[:, None, None]
             * np.einsum("ki,kj->kij", xi, xi))
-    dirs = w_vol[:, None] * (xi / r2[:, None])
+    return bond.reshape(-1, 9), w_vol[:, None] * (xi / r2[:, None])
+
+
+def _spectra(offsets, kernels, fft_shape: tuple):
+    """The complex spectra of ``kernels``, each a stencil's values at the
+    offsets, zero-padded to ``fft_shape``, one kernel at a time, so the
+    transform's work arrays are one kernel's."""
     # S_k sits at index (-k) mod n, so the inverse transform of its spectrum
     # times a field's is sum_k S_k f(x + k)
     kernel = np.zeros(fft_shape)
     at = tuple((-offsets % np.array(fft_shape)).T)
-    for values in np.concatenate([bond.reshape(-1, 9), dirs, dirs**2], axis=1).T:
+    for values in kernels:
         kernel[at] = values
         yield np.fft.rfftn(kernel)
 
 
 def _operator(grid, material, offsets, fractions, lam, mu, fft_shape) -> DiscreteOperator:
     """The operator on ``grid`` with nodal moduli ``lam``, ``mu`` on its
-    shape.  It keeps the real parts of the even stencils' spectra (S, d_i^2)
-    and the imaginary part of the odd one's (d)."""
-    parts = np.array([s.imag if 9 <= k < 12 else s.real for k, s in enumerate(
-        _spectra(offsets, fractions, grid.h, grid.delta, fft_shape))])
+    shape.  It keeps the real parts of the even stencil's spectra (S) and
+    the imaginary parts of the odd one's (d)."""
+    bond, dirs = _stencils(offsets, fractions, grid.h, grid.delta)
+    parts = np.array([s.imag if k >= 9 else s.real for k, s in enumerate(
+        _spectra(offsets, np.concatenate([bond, dirs], axis=1).T, fft_shape))])
     return DiscreteOperator(grid, material, offsets, fractions, lam, mu, fft_shape,
-                            parts[:9].reshape(3, 3, *parts.shape[1:]), parts[9:12],
-                            parts[12:])
+                            parts[:9].reshape(3, 3, *parts.shape[1:]), parts[9:])
 
 
 def assemble(grid: BoxGrid, material: Material) -> DiscreteOperator:

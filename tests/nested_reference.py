@@ -1,9 +1,10 @@
-"""The nested pass without tiles: the test reference.
+"""The nested pass from its definition: the test reference.
 
 ``reference_moments`` computes the two channels that
 ``operators._nested_moments`` returns straight from their definitions, one
 outer node at a time over every inner node, so it visits all n^2 ordered node
-pairs and shares no tile, layout or side test with the tiled pass.
+pairs, reads the field's values rather than its split, and shares no layout
+or side test with the pass.
 """
 
 import numpy as np
@@ -14,9 +15,8 @@ from peridyn.fields import SideTag
 def reference_moments(config, field, x):
     """(g, p) of the nested pass at x, from the n^2 ordered node pairs.
 
-    ``g[j]`` reads every inner point in its own phase (the plus side on the
-    interface); ``p[j]`` reads the closed form of the phase of the outer node
-    y_j."""
+    Both ``g[j]`` and ``p[j]`` read the closed form of the phase of the
+    outer node y_j (the plus side on the interface)."""
     z = config.rule.points
     r2 = np.einsum("qi,qi->q", z, z)
     bw = (config.rule.weights / r2)[:, None] * z
@@ -25,14 +25,14 @@ def reference_moments(config, field, x):
     p = np.empty((len(z), 3))
     for j, y_j in enumerate(y):
         inner = y_j + config.delta * z
-        g[j] = np.sum(bw * field.value(inner))
         if field.interface is None:
-            outer = field.value(inner)
+            u = field.value(inner)
         else:
             side = (SideTag.PLUS if field.interface.signed_distance(y_j) >= 0.0
                     else SideTag.MINUS)
-            outer = field.value_on(inner, side)
-        p[j] = (bw.T @ outer).T @ (z[j] / r2[j])
+            u = field.value_on(inner, side)
+        g[j] = np.sum(bw * u)
+        p[j] = (bw.T @ u).T @ (z[j] / r2[j])
     return g, p
 
 

@@ -356,8 +356,9 @@ class TestReportSerialization:
                                          "scipy": scipy.__version__}
         assert payload["params"]["threads"] == 1
         assert payload["params"]["nodes"] == 2 * 6 * 8 * 16  # split rule
-        # what one nested pass cost: the affine ramp reads each node per side
-        assert payload["params"]["nested_points"] == 2 * 2 * 6 * 8 * 16
+        # what one nested pass cost: the outer factors at each node, and each
+        # side's inner factors at each offset, of the kinked ramp
+        assert payload["params"]["nested_points"] == 3 * 2 * 6 * 8 * 16
         with open(os.path.join(os.path.dirname(__file__), "..", "docs",
                                "report_schema.json")) as f:
             schema = json.load(f)
@@ -372,18 +373,21 @@ class TestReportSerialization:
                 jsonschema.validate(broken, schema)
 
     def test_nested_points_is_the_pass_of_the_study(self):
-        # a field that declares neither a gradient nor a split is read at the
-        # tiled n^2 points; lambda != mu, so the point off the slab makes a pass
+        # lambda != mu, so the point off the slab makes a pass: the outer
+        # factors at the n nodes, and the inner factors at the n offsets once
+        # for the quadratic field's one closed form, once per side of the
+        # kinked patch
         quadratic, _ = F.make_manufactured("quadratic")
-        side = quadratic.plus_side
-        undeclared = F.AnalyticVectorField(side.value, side.grad, side.hessian)
-        field = F.PiecewiseField(undeclared, undeclared, F.INTERFACE_Z)
+        fictitious = F.PiecewiseField(quadratic.plus_side, quadratic.plus_side,
+                                      F.INTERFACE_Z)
+        patch, _ = F.make_manufactured("patch_jump_zero_traction")
         mat = F.TwoPhaseMaterial(3.0, 1.0, 3.0, 1.0, F.INTERFACE_Z)
-        rep = A.star_converges_offinterface(mat, field, (0.1,),
-                                            np.array([[0.3, 0.0, 0.4]]), **FAST_QUAD)
-        nodes = rep.params["nodes"]
-        assert rep.params["nested_points"] == O.nested_pass_points(nodes, field)
-        assert rep.params["nested_points"] > nodes * nodes // 2
+        for field, sides in ((fictitious, 1), (patch, 2)):
+            rep = A.star_converges_offinterface(mat, field, (0.1,),
+                                                np.array([[0.3, 0.0, 0.4]]), **FAST_QUAD)
+            nodes = rep.params["nodes"]
+            assert rep.params["nested_points"] == O.nested_pass_points(nodes, field)
+            assert rep.params["nested_points"] == (1 + sides) * nodes
 
     def test_nested_points_counts_only_passes_made(self, report, tmp_path):
         # gradient_jump's material has lambda = mu on both sides, so the

@@ -265,38 +265,40 @@ class TestExitCodes:
         cli._check_quad_budget(_load_config(ns), field, split=True)
 
     def test_quad_budget_admits_16_16_on_an_affine_field(self):
-        # star's default field is affine on each side, so its pass reads
-        # each of the 16384 nodes once per side
+        # star's default field is affine on each side, so its pass reads the
+        # outer factors at the 16384 nodes and each side's inner factors at
+        # the 16384 offsets
         ns = build_parser().parse_args(["star", "--quad", "16,16"])
         field, _ = make_manufactured("gradient_jump")
-        assert nested_pass_points(16384, field) == 2 * 16384
+        assert nested_pass_points(16384, field) == 3 * 16384
         cli._check_quad_budget(_load_config(ns), field, split=True)
 
     def test_affine_rule_beyond_memory_refused_before_the_rule(self, tmp_path, capsys,
                                                               monkeypatch):
-        # star's default field is affine: the 90M-node rule passes the point
-        # budget at 1.8e8 points, but its evaluation needs about 32 GiB; the
-        # memory is fixed so that the refusal does not depend on the host
+        # star's default field is kinked: the 64.8M-node rule passes the
+        # point budget at 1.94e8 points (3n), but its evaluation needs about
+        # 26 GiB; the memory is fixed so that the refusal does not depend on
+        # the host
         def build(*args):
             raise AssertionError("rule built")
 
         monkeypatch.setattr(analysis, "build_split_ball_rule", build)
         monkeypatch.setattr(cli, "_physical_memory", lambda: 16 * 2**30)
-        rc = main(["star", "--quad", "250,300", "--out", str(tmp_path)])
+        rc = main(["star", "--quad", "180,300", "--out", str(tmp_path)])
         assert rc == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: quad 250,300 gives a 90000000-node rule whose "
-                              "evaluations need about 32.2 GiB, more than the 16 GiB")
+        assert err.startswith("error: quad 180,300 gives a 64800000-node rule whose "
+                              "evaluations need about 25.6 GiB, more than the 16 GiB")
         assert err.endswith("of physical memory\n") and err.count("\n") == 1
 
     def test_quad_memory_bound_is_the_batch(self, monkeypatch):
         # a 288-node rule: each thread's batch holds up to
-        # analysis.BATCH_FIELD_POINTS = 4096 field points of 384 bytes
-        assert (analysis.BATCH_FIELD_POINTS, cli.EVALUATION_BYTES_PER_NODE) == (4096, 384)
+        # analysis.BATCH_FIELD_POINTS = 4096 field points of 424 bytes
+        assert (analysis.BATCH_FIELD_POINTS, cli.EVALUATION_BYTES_PER_NODE) == (4096, 424)
         ns = build_parser().parse_args(["converge", "--quad", "4,6", "--threads", "3"])
         cfg = _load_config(ns)
         field, _ = make_manufactured("smooth_material_trig")
-        need = 4096 * 384 * 3
+        need = 4096 * 424 * 3
         monkeypatch.setattr(cli, "_physical_memory", lambda: need)
         cli._check_quad_budget(cfg, field, split=False)
         monkeypatch.setattr(cli, "_physical_memory", lambda: need - 1)
@@ -391,6 +393,17 @@ class TestStudyOutputs:
             rep = json.load(f)
         assert np.allclose(rep["limit_estimate"], [0.0, 0.0, -135.0 / 32.0],
                            atol=0.05)
+
+    def test_star_kinked_patch_lam_ne_mu_passes(self, tmp_path):
+        # a gradient kink with lambda != mu on both sides, at the defaults:
+        # the scaled corrected operator meets 45/32 times the traction jump
+        rc = main(["star", "--field", "patch_jump_zero_traction",
+                   "--material", "two-phase:3,1,5,2", "--out", str(tmp_path)])
+        assert rc == 0
+        with open(tmp_path / "star.json") as f:
+            rep = json.load(f)
+        assert np.allclose(rep["limit_estimate"], [0.0, 0.0, 45.0 / 32.0],
+                           rtol=0, atol=1e-10)
 
     def test_natural_patch(self, tmp_path):
         rc = main(["natural", "--out", str(tmp_path), *FAST, *FAST_DELTAS])

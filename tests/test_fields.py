@@ -221,58 +221,29 @@ class TestManufactured:
             smooth + jump
 
 
-class TestConstantGradient:
-    """Affine closed forms declare their gradient, and field arithmetic
-    keeps it only while every operand declares one."""
-
-    def test_affine_builders_declare_it(self, rng):
-        g = rng.normal(size=(3, 3))
-        assert_allclose(F.linear_field(rng.normal(size=3), g).constant_grad, g)
-        assert_allclose(F.constant_field([1.0, 2.0, 3.0]).constant_grad, 0.0)
-        trig, _ = F.make_manufactured("trig_smooth")
-        assert trig.plus_side.constant_grad is None
-
-    def test_survives_sum_and_scaling(self, rng):
-        g1, g2 = rng.normal(size=(2, 3, 3))
-        f1 = F.linear_field(rng.normal(size=3), g1)
-        f2 = F.linear_field(rng.normal(size=3), g2)
-        combo = 2.0 * f1 + f2 * (-0.5) + F.constant_field([1.0, 0.0, -1.0])
-        assert_allclose(combo.constant_grad, 2.0 * g1 - 0.5 * g2)
-        x = rng.normal(size=(4, 3))
-        assert_allclose(combo.grad(x), np.broadcast_to(combo.constant_grad, (4, 3, 3)))
-        jump, _ = F.make_manufactured("patch_jump_zero_traction")
-        doubled = jump * 2.0 + jump
-        assert_allclose(doubled.plus_side.constant_grad,
-                        3.0 * jump.plus_side.constant_grad)
-        assert_allclose(doubled.minus_side.constant_grad,
-                        3.0 * jump.minus_side.constant_grad)
-
-    def test_dropped_when_an_operand_lacks_it(self, rng):
-        affine = F.linear_field(rng.normal(size=3), rng.normal(size=(3, 3)))
-        trig, _ = F.make_manufactured("trig_smooth")
-        assert (affine + trig.plus_side).constant_grad is None
-        assert (trig.plus_side + affine).constant_grad is None
-        assert (3.0 * trig.plus_side).constant_grad is None
-        linear, _ = F.make_manufactured("linear")
-        assert (linear + trig).plus_side.constant_grad is None
-
-
 class TestSplit:
-    """Non-affine closed forms declare how a shifted value separates into
-    products, and field arithmetic keeps the split only while every operand
-    declares one."""
+    """Every manufactured closed form declares how a shifted value separates
+    into products, and field arithmetic keeps the split only while every
+    operand declares one."""
 
     @staticmethod
     def _declared():
         trig, _ = F.make_manufactured("trig_smooth")
         material_trig, _ = F.make_manufactured("smooth_material_trig")
         quadratic, _ = F.make_manufactured("quadratic")
+        patch, _ = F.make_manufactured("patch_jump_zero_traction")
+        linear, _ = F.make_manufactured("linear")
+        constant, _ = F.make_manufactured("constant")
         return {
             "trig_smooth": trig.plus_side,
             "smooth_material_trig": material_trig.plus_side,
             "quadratic": quadratic.plus_side,
             "trig_scaled": (2.5 * trig).plus_side,
             "trig_plus_quadratic": (trig + quadratic * -0.5).plus_side,
+            "linear": linear.plus_side,
+            "constant": constant.plus_side,
+            "patch_minus": patch.minus_side,
+            "linear_plus_trig_plus_constant": (linear + trig + 0.5 * constant).plus_side,
         }
 
     def test_products_are_the_shifted_value(self, rng):
@@ -284,10 +255,15 @@ class TestSplit:
             assert_allclose(got, field.value(y + d), rtol=0, atol=1e-15, err_msg=name)
 
     def test_manufactured_non_affine_fields_declare_it(self):
+        # the affine ones too: four products for a linear field, one for a
+        # constant field
         for name in F.MANUFACTURED_NAMES:
             field, _ = F.make_manufactured(name)
             for side in (field.plus_side, field.minus_side):
-                assert (side.split is None) == (side.constant_grad is not None), name
+                assert side.split is not None, name
+        y = np.zeros((2, 3))
+        assert F.linear_field(np.ones(3), np.eye(3)).split[0](y).shape == (2, 4, 3)
+        assert F.constant_field(np.ones(3)).split[1](y).shape == (2, 1, 3)
 
     def test_survives_sum_and_scaling(self, rng):
         trig, _ = F.make_manufactured("trig_smooth")
@@ -306,9 +282,9 @@ class TestSplit:
         affine = F.linear_field(rng.normal(size=3), rng.normal(size=(3, 3)))
         undeclared = F.AnalyticVectorField(trig.plus_side.value, trig.plus_side.grad,
                                            trig.plus_side.hessian)
-        assert (affine + trig.plus_side).split is None
-        assert (trig.plus_side + affine).split is None
+        assert (affine + undeclared).split is None
+        assert (undeclared + affine).split is None
         assert (trig.plus_side + undeclared).split is None
         assert (3.0 * undeclared).split is None
         linear, _ = F.make_manufactured("linear")
-        assert (linear + trig).plus_side.split is None
+        assert (linear + F.PiecewiseField.smooth(undeclared)).plus_side.split is None

@@ -35,14 +35,18 @@ def split_config(delta, angular_order=12):
 class TestNonFiniteFieldValues:
     @staticmethod
     def _poisoned():
-        # finite at the origin, NaN elsewhere
+        # finite at the origin, NaN elsewhere; the split's outer factor is
+        # the value, so the nested pass reads the poison too
         def value(p):
             out = np.where((np.abs(p) < 1e-30).all(axis=-1)[..., None], 0.0, np.nan)
             return np.broadcast_to(out, p.shape).copy()
 
         zeros3 = lambda p: np.zeros(p.shape[:-1] + (3, 3))
         zeros4 = lambda p: np.zeros(p.shape[:-1] + (3, 3, 3))
-        return F.PiecewiseField.smooth(F.AnalyticVectorField(value, zeros3, zeros4))
+        split = (lambda y: value(y)[..., None, :],
+                 lambda d: np.ones(d.shape[:-1] + (1, 3)))
+        return F.PiecewiseField.smooth(F.AnalyticVectorField(value, zeros3, zeros4,
+                                                             split=split))
 
     def test_bond_type_reports(self):
         cfg = O.make_config(0.1, radial_order=2, angular_order=2)
@@ -54,6 +58,27 @@ class TestNonFiniteFieldValues:
         mat = F.constant_material(2.0, 1.0)
         with pytest.raises(FloatingPointError):
             O.dilatation_operator(cfg, mat, self._poisoned(), X0)
+
+
+def _seeded_oblique_kinks(rng, count=3):
+    """(field, material, x, n) of continuous piecewise-linear fields with a
+    random kink across an oblique plane through x with normal n, on random
+    moduli, for ``count`` draws of ``rng``."""
+    for _ in range(count):
+        n = random_unit(rng)
+        x = rng.normal(size=3)
+        iface = F.PlanarInterface(x, n)
+        g_minus = rng.normal(size=(3, 3))
+        g_plus = g_minus + np.outer(rng.normal(size=3), n)
+        c_minus = rng.normal(size=3)
+        c_plus = c_minus - (g_plus - g_minus) @ x
+        field = F.PiecewiseField(F.linear_field(c_plus, g_plus),
+                                 F.linear_field(c_minus, g_minus), iface)
+        yield field, F.TwoPhaseMaterial(*rng.uniform(0.5, 3.0, size=4), iface), x, n
+
+
+def _lam_ne_mu(mat):
+    return mat.lambda_plus != mat.mu_plus and mat.lambda_minus != mat.mu_minus
 
 
 class TestWeightMass:
@@ -149,6 +174,18 @@ class TestStateOperator:
         x = np.array([0.2, -0.1, 2.0 * delta])
         assert_allclose(O.state_operator(cfg, mat, field, x), 0.0, atol=1e-9)
 
+    def test_natural_condition_limit_oblique_kink(self, rng):
+        # lambda != mu on both sides, so the divergence channel g matters; it
+        # reads each outer node's own phase, and the scaled operator is the
+        # natural-condition limit at every horizon
+        for field, mat, x, n in _seeded_oblique_kinks(rng):
+            assert _lam_ne_mu(mat)
+            target = O.natural_condition_limit(mat, field, x)
+            for delta in (0.1, 0.01):
+                cfg = O.make_config(delta, 4, 6, split_normal=n)
+                got = delta * O.state_operator(cfg, mat, field, x)
+                assert np.abs(got - target).max() < 1e-10
+
 
 class TestCorrectionTerms:
     def test_bond_correction_constant(self, patch):
@@ -195,17 +232,7 @@ class TestCorrectionTerms:
     def test_normal_term_limit_oblique_kink(self, rng):
         # continuous piecewise-linear fields with a random kink across an
         # oblique plane: the scaled term is the jump formula at every horizon
-        for _ in range(3):
-            n = random_unit(rng)
-            x = rng.normal(size=3)
-            iface = F.PlanarInterface(x, n)
-            g_minus = rng.normal(size=(3, 3))
-            g_plus = g_minus + np.outer(rng.normal(size=3), n)
-            c_minus = rng.normal(size=3)
-            c_plus = c_minus - (g_plus - g_minus) @ x
-            field = F.PiecewiseField(F.linear_field(c_plus, g_plus),
-                                     F.linear_field(c_minus, g_minus), iface)
-            mat = F.TwoPhaseMaterial(*rng.uniform(0.5, 3.0, size=4), iface)
+        for field, mat, x, n in _seeded_oblique_kinks(rng):
             target = O.normal_correction_limit(mat, field, x)
             for delta in (1.0, 1e-2):
                 cfg = O.make_config(delta, 4, 6, split_normal=n)
@@ -290,6 +317,17 @@ class TestCorrectedOperator:
             got = delta * O.corrected_operator(split_config(delta), mat, field, X0)
             assert np.abs(got - target).max() < 1e-10
 
+    def test_traction_limit_oblique_kink(self, rng):
+        # lambda != mu on both sides: the scaled corrected operator is 45/32
+        # times the traction jump at every horizon
+        for field, mat, x, n in _seeded_oblique_kinks(rng):
+            assert _lam_ne_mu(mat)
+            target = 45.0 / 32.0 * F.traction_jump(mat, field, x)
+            for delta in (0.1, 0.01):
+                cfg = O.make_config(delta, 4, 6, split_normal=n)
+                got = delta * O.corrected_operator(cfg, mat, field, x)
+                assert np.abs(got - target).max() < 1e-10
+
     def test_fictitious_interface_smooth_field_scaled_limit(self):
         # all jumps vanish, so the corrected operator stays finite and its
         # scaled series extrapolates to zero under the first-order model
@@ -307,18 +345,6 @@ class TestCorrectedOperator:
             scaled.append(d * val)
         limit = richardson_limit(deltas, np.asarray(scaled))
         assert np.abs(limit).max() < 2e-3
-
-
-
-def without_gradient(field):
-    """A twin of ``field`` whose closed forms declare neither a gradient nor
-    a split, so the nested pass evaluates them at every inner point."""
-    def twin(side):
-        return F.AnalyticVectorField(lambda p: side.value(p), side.grad, side.hessian)
-
-    plus = twin(field.plus_side)
-    minus = plus if field.minus_side is field.plus_side else twin(field.minus_side)
-    return F.PiecewiseField(plus, minus, field.interface)
 
 
 def _fused_cases():
@@ -351,6 +377,25 @@ def _fused_cases():
 FUSED_CASES = _fused_cases()
 
 
+def counted_split(field, count):
+    """A twin of ``field`` whose split factors add the number of points they
+    are read at to ``count[0]``."""
+    def counted(fn):
+        def wrapped(pts):
+            count[0] += int(np.prod(np.shape(pts)[:-1]))
+            return fn(pts)
+        return wrapped
+
+    def twin(side):
+        outer, inner = side.split
+        return F.AnalyticVectorField(side.value, side.grad, side.hessian,
+                                     split=(counted(outer), counted(inner)))
+
+    plus = twin(field.plus_side)
+    minus = plus if field.minus_side is field.plus_side else twin(field.minus_side)
+    return F.PiecewiseField(plus, minus, field.interface)
+
+
 class TestFusedNestedPass:
     """The corrected operator reads one nested pass in the slab."""
 
@@ -364,51 +409,26 @@ class TestFusedNestedPass:
                            + O.interface_correction(cfg, mat, field, x))
 
     def test_one_pass_per_evaluation(self, monkeypatch):
-        _, affine, mat, x = FUSED_CASES[0]
-        kinked = without_gradient(affine)
+        _, field, mat, x = FUSED_CASES[0]
         cfg = O.make_config(0.1, 4, 6, split_normal=EZ)
         n = len(cfg.rule)
-        count = [0]
+        reads = [0]
         for name in ("value", "value_on"):
             original = getattr(F.PiecewiseField, name)
 
             def counted(self, pts, *args, _original=original):
-                count[0] += int(np.prod(np.shape(pts)[:-1]))
+                reads[0] += int(np.prod(np.shape(pts)[:-1]))
                 return _original(self, pts, *args)
 
             monkeypatch.setattr(F.PiecewiseField, name, counted)
-        O.corrected_operator(cfg, mat, kinked, x)
-        # a field that declares no gradient: the pass evaluates both sides
-        # once per tile, 45 tiles of 64 x 64 on the 576-node rule; the bond
-        # sum and the bond correction share one read of the n outer nodes and x
-        assert O._NESTED_TILE == 64
-        assert count[0] == 2 * 45 * 64 * 64 + (n + 1) == 369_217
-        assert count[0] == O.nested_pass_points(n, kinked) + (n + 1)
-        # the same field, affine: the pass reads the n outer nodes per side
-        count[0] = 0
-        O.corrected_operator(cfg, mat, affine, x)
-        assert count[0] == 2 * n + (n + 1) == 1729
-        assert count[0] == O.nested_pass_points(n, affine) + (n + 1)
-
-
-def _tiled_cases():
-    """(name, field, config, point) for the tiled pass against its untiled
-    reference: 150 and 200 nodes, so tile widths of 7, 64 and 96 leave a
-    ragged last block."""
-    trig, _ = F.make_manufactured("trig_smooth")
-    patch, _ = F.make_manufactured("patch_jump_zero_traction")
-    _, oblique, mat, x = FUSED_CASES[3]
-    return [
-        ("trig_smooth", trig, O.make_config(0.1, 3, 5), np.array([0.01, 0.02, 0.03])),
-        ("e3_kink_on_plane", patch, O.make_config(0.1, 2, 5, split_normal=EZ), X0),
-        ("e3_kink_in_slab", patch, O.make_config(0.1, 2, 5, split_normal=EZ),
-         np.array([0.01, -0.02, 0.03])),
-        ("oblique_kink", oblique,
-         O.make_config(0.1, 2, 5, split_normal=mat.interface.normal), x),
-    ]
-
-
-TILED_CASES = _tiled_cases()
+        factors = [0]
+        O.corrected_operator(cfg, mat, counted_split(field, factors), x)
+        # one pass: the outer factors at the n outer nodes, each in the closed
+        # form of its phase, and each side's inner factors at the n offsets
+        assert factors[0] == 3 * n == O.nested_pass_points(n, field) == 1728
+        # the bond sum and the bond correction share one read of the n outer
+        # nodes and x
+        assert reads[0] == n + 1 == 577
 
 
 def _one_point(moments, cfg, field, x):
@@ -418,8 +438,8 @@ def _one_point(moments, cfg, field, x):
 
 
 def _assert_matches_reference(got, cfg, field, x):
-    """``got`` = (g, p) of a nested pass at x against the untiled n^2
-    reference, relative to the sum of the magnitudes of the terms."""
+    """``got`` = (g, p) of a nested pass at x against the n^2 reference,
+    relative to the sum of the magnitudes of the terms."""
     g_ref, p_ref = reference_moments(cfg, field, x)
     scale = moment_scale(cfg, field, x)
     z = cfg.rule.points
@@ -428,59 +448,11 @@ def _assert_matches_reference(got, cfg, field, x):
     assert np.abs(got[1] - p_ref).max() <= 1e-14 * scale * a_max
 
 
-class TestTiledNestedPass:
-    """The tiled pass evaluates each unordered pair of node tiles once and
-    matches the untiled n^2 reference to rounding at every tile width."""
-
-    @pytest.mark.parametrize("width", [1, 7, 64, 96, 10**6])
-    @pytest.mark.parametrize("name,field,cfg,x", TILED_CASES,
-                             ids=[c[0] for c in TILED_CASES])
-    def test_matches_untiled_reference(self, name, field, cfg, x, width,
-                                       monkeypatch):
-        monkeypatch.setattr(O, "_NESTED_TILE", width)
-        _assert_matches_reference(O._tiled_moments(cfg, field, x), cfg, field, x)
-
-    @pytest.mark.parametrize("name,field,cfg,x", TILED_CASES,
-                             ids=[c[0] for c in TILED_CASES])
-    def test_two_calls_agree_bit_for_bit(self, name, field, cfg, x):
-        first = O._tiled_moments(cfg, field, x)
-        second = O._tiled_moments(cfg, field, x)
-        assert_array_equal(first[0], second[0])
-        assert_array_equal(first[1], second[1])
-
-    def test_operator_lam_ne_mu_matches_reference_pass(self, monkeypatch):
-        # lambda != mu on both sides, so g feeds the dilatational part and
-        # p the normal-projected term
-        _, field, mat, x = FUSED_CASES[1]
-        field = without_gradient(field)
-        cfg = O.make_config(0.1, 4, 6, split_normal=mat.interface.normal)
-        got = O.corrected_operator(cfg, mat, field, x)
-        monkeypatch.setattr(O, "_nested_moments", reference_batch_moments)
-        want = O.corrected_operator(cfg, mat, field, x)
-        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
-
-    @pytest.mark.parametrize("width", [1, 7, 64, 96])
-    def test_point_count_is_the_tiles(self, width, monkeypatch):
-        monkeypatch.setattr(O, "_NESTED_TILE", width)
-        smooth = without_gradient(TILED_CASES[0][1])
-        kinked = without_gradient(TILED_CASES[1][1])
-        for n in [*range(1, 30), 95, 96, 97, 191, 192, 193, 250]:
-            tiles = sum((rows.stop - rows.start) * (cols.stop - cols.start)
-                        for rows, col_blocks in O._nested_tiles(n)
-                        for cols in col_blocks)
-            assert O.nested_pass_points(n, smooth) == tiles
-            assert O.nested_pass_points(n, kinked) == 2 * tiles
-
-    def test_small_rule_is_one_diagonal_tile(self):
-        n = O._NESTED_TILE
-        assert [(rows, cols) for rows, cols in O._nested_tiles(n)] == [
-            (slice(0, n), [slice(0, n)])]
-
-
 def _affine_cases():
-    """(name, field, config, point) for the closed-form pass: kinked fields
+    """(name, field, config, point) for affine closed forms: kinked fields
     on their split rule at an interface point and 0.03-0.04 off the plane,
-    and affine fields with one closed form on a ball rule."""
+    and affine fields with one closed form on a ball rule and on a split
+    rule with a fictitious interface."""
     patch, _ = F.make_manufactured("patch_jump_zero_traction")
     ramp, _ = F.make_manufactured("gradient_jump")
     linear, _ = F.make_manufactured("linear")
@@ -508,13 +480,13 @@ AFFINE_CASES = _affine_cases()
 
 
 class TestAffineNestedPass:
-    """A field whose closed forms are affine is integrated from rule moments
-    and matches the untiled n^2 reference to rounding."""
+    """Affine closed forms declare a split into four products, and the one
+    pass matches the n^2 reference to rounding; on a kinked field both
+    channels read the closed form of each outer node's phase."""
 
     @pytest.mark.parametrize("name,field,cfg,x", AFFINE_CASES,
                              ids=[c[0] for c in AFFINE_CASES])
     def test_matches_untiled_reference(self, name, field, cfg, x):
-        assert O._affine(field)
         _assert_matches_reference(_one_point(O._nested_moments, cfg, field, x), cfg, field, x)
 
     @pytest.mark.parametrize("name,field,cfg,x", AFFINE_CASES,
@@ -525,48 +497,17 @@ class TestAffineNestedPass:
         assert_array_equal(first[0], second[0])
         assert_array_equal(first[1], second[1])
 
-    @pytest.mark.parametrize("normal", [EZ, FUSED_CASES[3][2].interface.normal],
-                             ids=["e3", "oblique"])
-    def test_minus_counts_are_the_predicate_count(self, normal):
-        cfg = O.make_config(0.1, 4, 6, split_normal=normal)
-        s = cfg.delta * cfg.rule.points @ normal
-        order = np.argsort(s, kind="stable")
-        values, counts = np.unique(s, return_counts=True)
-        ends = np.concatenate(([0], np.cumsum(counts)))
-        # x on the plane, and offsets that put the inner points of some node
-        # pairs on the plane to rounding
-        rng = np.random.default_rng(11)
-        offsets = [0.0, *(-(s[a] + s[b]) for a, b in rng.integers(0, len(s), (40, 2)))]
-        moved = 0
-        for sd_x in offsets:
-            minus = ~(sd_x + (s[:, None] + s[None, order]) >= 0.0)
-            got = O._minus_counts(s, sd_x)
-            assert_array_equal(got, minus.sum(axis=1))
-            # the minus-side nodes are a prefix in ascending order of s
-            assert all(row[:m].all() for row, m in zip(minus, got))
-            moved += np.count_nonzero(ends[np.searchsorted(values, -sd_x - s)] != got)
-        if normal is EZ:  # on the plane, s_j + s_k = 0 ties occur
-            assert (s[:, None] + s[None, :] == 0.0).any()
-        assert moved > 0  # the exact fix-up moved some boundaries
-
-    @pytest.mark.parametrize("name,field,mat,x", FUSED_CASES,
-                             ids=[c[0] for c in FUSED_CASES])
-    def test_twin_without_gradient_takes_the_tiled_pass(self, name, field, mat, x,
-                                                        monkeypatch):
-        cfg = O.make_config(0.1, 4, 6, split_normal=mat.interface.normal)
-        calls = []
-        tiled = O._tiled_moments
-
-        def spy(*args):
-            calls.append(args[1])
-            return tiled(*args)
-
-        monkeypatch.setattr(O, "_tiled_moments", spy)
-        want = O.corrected_operator(cfg, mat, field, x)
-        twin = without_gradient(field)
-        got = O.corrected_operator(cfg, mat, twin, x)
-        assert len(calls) == 1 and calls[0] is twin
-        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+    def test_operator_lam_ne_mu_matches_reference_pass(self, monkeypatch):
+        # lambda != mu on both sides, so g feeds the dilatational part and
+        # p the normal-projected term; with and without a kink
+        for _, field, mat, x in (FUSED_CASES[1], FUSED_CASES[3]):
+            assert _lam_ne_mu(mat)
+            cfg = O.make_config(0.1, 4, 6, split_normal=mat.interface.normal)
+            got = O.corrected_operator(cfg, mat, field, x)
+            with monkeypatch.context() as m:
+                m.setattr(O, "_nested_moments", reference_batch_moments)
+                want = O.corrected_operator(cfg, mat, field, x)
+            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
 def _split_cases():
@@ -591,17 +532,17 @@ SPLIT_POINTS = [np.array([0.3, -0.2, 0.45]), np.array([-0.7, 0.55, 1.1])]
 
 
 class TestSplitNestedPass:
-    """A field with one closed form that declares a split is integrated from
-    rule sums and matches the untiled n^2 reference to rounding."""
+    """Closed forms that are not affine declare a split of their own, and
+    the one pass matches the n^2 reference to rounding."""
 
     @pytest.mark.parametrize("delta", [0.1, 0.00625])
     @pytest.mark.parametrize("name,field,mat", SPLIT_CASES,
                              ids=[c[0] for c in SPLIT_CASES])
     def test_matches_untiled_reference(self, name, field, mat, delta):
-        assert O._separable(field) and not O._affine(field)
         cfg = O.make_config(delta, 3, 5)
         for x in SPLIT_POINTS:
-            _assert_matches_reference(_one_point(O._split_moments, cfg, field, x), cfg, field, x)
+            _assert_matches_reference(_one_point(O._nested_moments, cfg, field, x),
+                                      cfg, field, x)
 
     @pytest.mark.parametrize("name,field,mat", SPLIT_CASES,
                              ids=[c[0] for c in SPLIT_CASES])
@@ -612,105 +553,132 @@ class TestSplitNestedPass:
         assert_array_equal(first[0], second[0])
         assert_array_equal(first[1], second[1])
 
-    @pytest.mark.parametrize("name,field,mat", SPLIT_CASES,
-                             ids=[c[0] for c in SPLIT_CASES])
-    def test_undeclared_twin_takes_the_tiled_pass(self, name, field, mat, monkeypatch):
-        cfg = O.make_config(0.1, 4, 6)
-        x = SPLIT_POINTS[1]
-        calls = []
-        tiled = O._tiled_moments
-
-        def spy(*args):
-            calls.append(args[1])
-            return tiled(*args)
-
-        monkeypatch.setattr(O, "_tiled_moments", spy)
-        want = O.state_operator(cfg, mat, field, x)
-        twin = without_gradient(field)
-        got = O.state_operator(cfg, mat, twin, x)
-        assert len(calls) == 1 and calls[0] is twin
-        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
-
     def test_point_count_is_the_factors(self):
         # the outer factors at the n outer nodes and the inner factors at the
         # n offsets, however many terms the split has
         trig, _ = F.make_manufactured("trig_smooth")
         quadratic, _ = F.make_manufactured("quadratic")
-        count = [0]
-
-        def counted(fn):
-            def wrapped(pts):
-                count[0] += int(np.prod(np.shape(pts)[:-1]))
-                return fn(pts)
-            return wrapped
-
         cfg = O.make_config(0.1, 4, 6)
         n = len(cfg.rule)
-        for side in (trig.plus_side, (trig + quadratic).plus_side):
-            outer, inner = side.split
-            declared = F.PiecewiseField.smooth(F.AnalyticVectorField(
-                side.value, side.grad, side.hessian,
-                split=(counted(outer), counted(inner))))
-            count[0] = 0
-            _one_point(O._nested_moments, cfg, declared, SPLIT_POINTS[0])
-            assert count[0] == O.nested_pass_points(n, declared) == 2 * n == 576
+        for field in (trig, trig + quadratic):
+            count = [0]
+            _one_point(O._nested_moments, cfg, counted_split(field, count), SPLIT_POINTS[0])
+            assert count[0] == O.nested_pass_points(n, field) == 2 * n == 576
+
+
+def _nested_cases():
+    """(name, field, config, batch) for the one pass on a batch against the
+    reference: every affine case at its point and at that point moved along
+    the normal by 0.05, -0.07 and 0.2 (out of the slab at horizon 0.1), and
+    every split case at its points."""
+    cases = []
+    for name, field, cfg, x in AFFINE_CASES:
+        n = EZ if field.interface is None else field.interface.normal
+        cases.append((name, field, cfg, x + np.outer([0.0, 0.05, -0.07, 0.2], n)))
+    for name, field, _ in SPLIT_CASES:
+        cases.append((name, field, O.make_config(0.1, 3, 5), np.array(SPLIT_POINTS)))
+    return cases
+
+
+NESTED_CASES = _nested_cases()
+
+
+class TestNestedPass:
+    """One pass serves every field: each closed form through its split, at
+    the outer nodes in its phase."""
+
+    @pytest.mark.parametrize("name,field,cfg,xs", NESTED_CASES,
+                             ids=[c[0] for c in NESTED_CASES])
+    def test_batch_matches_reference(self, name, field, cfg, xs):
+        g, p = O._nested_moments(cfg, field, xs)
+        for row, x in enumerate(xs):
+            _assert_matches_reference((g[row], p[row]), cfg, field, x)
+
+    def test_closed_form_without_split_refused(self):
+        # one line, before the pass reads anything, also when only one side
+        # of a kinked field declares no split
+        def unread(pts):
+            raise AssertionError("the pass read the field")
+
+        declared = F.AnalyticVectorField(unread, unread, unread, split=(unread, unread))
+        undeclared = F.AnalyticVectorField(unread, unread, unread)
+        cfg = O.make_config(0.1, 2, 4, split_normal=EZ)
+        for field in (F.PiecewiseField.smooth(undeclared),
+                      F.PiecewiseField(declared, undeclared, F.INTERFACE_Z),
+                      F.PiecewiseField(undeclared, declared, F.INTERFACE_Z)):
+            with pytest.raises(TypeError) as err:
+                O._nested_moments(cfg, field, np.array([[0.0, 0.0, 0.5]]))
+            assert str(err.value) == "the nested pass needs closed forms that declare a split"
+        # through an operator: lambda != mu makes a pass, lambda = mu does not
+        trig, _ = F.make_manufactured("trig_smooth")
+        side = trig.plus_side
+        field = F.PiecewiseField.smooth(F.AnalyticVectorField(side.value, side.grad,
+                                                              side.hessian))
+        with pytest.raises(TypeError, match="declare a split"):
+            O.state_operator(cfg, F.constant_material(3.0, 1.0), field, X0)
+        assert_array_equal(O.state_operator(cfg, F.constant_material(1.0, 1.0), field, X0),
+                           O.state_operator(cfg, F.constant_material(1.0, 1.0), trig, X0))
+
+
+def without_split(field):
+    """A twin of ``field`` whose closed forms declare no split, so that an
+    operator which makes a nested pass refuses it."""
+    def twin(side):
+        return F.AnalyticVectorField(side.value, side.grad, side.hessian)
+
+    plus = twin(field.plus_side)
+    minus = plus if field.minus_side is field.plus_side else twin(field.minus_side)
+    return F.PiecewiseField(plus, minus, field.interface)
+
+
+# at horizon 0.1 about the plane z = 0: on it, in the slab on either side,
+# and out of it on either side
+BATCH_POINTS = np.array([[0.0, 0.0, 0.0], [0.03, -0.01, 0.04],
+                         [-0.02, 0.05, -0.06], [0.1, 0.2, 0.3],
+                         [-0.2, 0.1, -0.25], [0.01, 0.02, 0.0]])
+BATCH_OPS = (("state", O.state_operator), ("corrected", O.corrected_operator))
 
 
 def _batch_cases():
-    """(name, field, material) for batches against single points: every
-    manufactured configuration, the same field on moduli with lambda != mu,
-    so that the state operator makes a nested pass, and a twin of each that
-    declares neither a gradient nor a split, which takes the tiled pass."""
+    """pytest params (field, material, operator) for batches against single
+    points: every manufactured configuration, the same field on moduli with
+    lambda != mu, so that the state operator makes a nested pass, and a twin
+    of each that declares no split, on its own material, for each operator
+    that makes no nested pass there (lambda = mu and, for the corrected
+    operator, a smooth material); where a pass is made the twin is refused,
+    which ``TestNestedPass::test_closed_form_without_split_refused`` pins."""
+    cfg = O.make_config(0.1, 2, 4, split_normal=EZ)
     cases = []
     for name in F.MANUFACTURED_NAMES:
         field, mat = F.make_manufactured(name)
         lam_ne_mu = (F.TwoPhaseMaterial(3.0, 1.0, 5.0, 2.0, mat.interface)
                      if isinstance(mat, F.TwoPhaseMaterial)
                      else F.constant_material(3.0, 1.0))
-        cases += [(name, field, mat), (f"{name}_3152", field, lam_ne_mu),
-                  (f"{name}_undeclared", without_gradient(field), lam_ne_mu)]
+        for op_name, op in BATCH_OPS:
+            cases += [pytest.param(field, mat, op, id=f"{name}-{op_name}"),
+                      pytest.param(field, lam_ne_mu, op, id=f"{name}_3152-{op_name}")]
+            if not O._makes_nested_pass(cfg, mat, BATCH_POINTS,
+                                        op is O.corrected_operator):
+                cases.append(pytest.param(without_split(field), mat, op,
+                                          id=f"{name}_undeclared-{op_name}"))
     return cases
 
 
 BATCH_CASES = _batch_cases()
-# at horizon 0.1 about the plane z = 0: on it, in the slab on either side,
-# and out of it on either side
-BATCH_POINTS = np.array([[0.0, 0.0, 0.0], [0.03, -0.01, 0.04],
-                         [-0.02, 0.05, -0.06], [0.1, 0.2, 0.3],
-                         [-0.2, 0.1, -0.25], [0.01, 0.02, 0.0]])
 
 
 class TestBatches:
     """Every point operator takes a batch of points (P, 3) and returns the
     values of its points, to rounding, as single-point calls do."""
 
-    @pytest.mark.parametrize("op", [O.state_operator, O.corrected_operator],
-                             ids=["state", "corrected"])
-    @pytest.mark.parametrize("name,field,mat", BATCH_CASES,
-                             ids=[c[0] for c in BATCH_CASES])
-    def test_batch_equals_single_points(self, name, field, mat, op):
+    @pytest.mark.parametrize("field,mat,op", BATCH_CASES)
+    def test_batch_equals_single_points(self, field, mat, op):
         cfg = O.make_config(0.1, 2, 4, split_normal=EZ)
         batch = op(cfg, mat, field, BATCH_POINTS)
         assert batch.shape == BATCH_POINTS.shape
         points = np.array([op(cfg, mat, field, x) for x in BATCH_POINTS])
         scale = term_scale(cfg, mat, field, BATCH_POINTS)
         assert np.abs(batch - points).max() <= 1e-12 * scale
-
-    def test_cases_reach_every_pass(self, monkeypatch):
-        # the batched affine and split passes, and the per-point kinked
-        # affine and tiled passes
-        reached = set()
-        for name in ("_affine_moments", "_split_moments", "_kinked_moments",
-                     "_tiled_moments"):
-            def spy(*args, _name=name, _fn=getattr(O, name)):
-                reached.add(_name)
-                return _fn(*args)
-            monkeypatch.setattr(O, name, spy)
-        cfg = O.make_config(0.1, 2, 4, split_normal=EZ)
-        for _, field, mat in BATCH_CASES:
-            O.corrected_operator(cfg, mat, field, BATCH_POINTS)
-        assert reached == {"_affine_moments", "_split_moments",
-                           "_kinked_moments", "_tiled_moments"}
 
     @pytest.mark.parametrize("op", [
         lambda cfg, mat, f, x: O.base_operator(cfg, f, x),

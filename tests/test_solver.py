@@ -367,9 +367,9 @@ class TestStagedAction:
         # one part of each spectrum; the other must be rounding alone
         opr = build()
         for o in (opr, opr.window):
-            spectra = np.array(list(S._spectra(o.offsets, o.fractions, o.grid.h,
-                                               o.grid.delta, o.fft_shape)))
-            for k, spectrum in enumerate(spectra):
+            bond, dirs = S._stencils(o.offsets, o.fractions, o.grid.h, o.grid.delta)
+            kernels = np.concatenate([bond, dirs, dirs**2], axis=1).T
+            for k, spectrum in enumerate(S._spectra(o.offsets, kernels, o.fft_shape)):
                 dropped = spectrum.real if 9 <= k < 12 else spectrum.imag
                 assert np.abs(dropped).max() <= 1e-13 * np.abs(spectrum).max()
 
