@@ -77,9 +77,10 @@ _PROVENANCE = {"peridyn": __version__, "numpy": np.__version__,
 def write_json(path, payload) -> None:
     """Write a JSON report with sorted keys and a final newline; the report
     gains a ``provenance`` entry naming the versions that produced it."""
+    # one write of the whole text, where json.dump makes one per chunk
     with open(path, "w") as f:
-        json.dump({**payload, "provenance": _PROVENANCE}, f, indent=1,
-                  sort_keys=True)
+        f.write(json.dumps({**payload, "provenance": _PROVENANCE}, indent=1,
+                           sort_keys=True))
         f.write("\n")
 
 

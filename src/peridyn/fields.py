@@ -62,17 +62,74 @@ class PlanarInterface:
 INTERFACE_Z = PlanarInterface(np.zeros(3), E3)
 
 
+def _terms(a, m_a, b, m_b):
+    """Inner factors (..., m_a + c_a, 3) and (..., m_b + c_b, 3), each with
+    its m y-dependent terms first, as those of the summed split: the
+    y-dependent terms of both, then the y-constant terms of both."""
+    return np.concatenate([a[..., :m_a, :], b[..., :m_b, :],
+                           a[..., m_a:, :], b[..., m_b:, :]], axis=-2)
+
+
+@dataclass(frozen=True, eq=False)
+class Split:
+    """How a closed form's shifted value separates into products::
+
+        u(y + d)_i = sum_m F(y)_mi V(d)_mi,  V(d) = V(0) + W(d)
+
+    with outer factors F(y) = (U(y), C).  ``outer`` maps points y (..., 3)
+    to the m factors U(y) (..., m, 3) that depend on y, and ``constant``
+    holds the m_c factors C (m_c, 3) that do not, once, so that a reader
+    need not copy them to every point.  The inner factors V, whose terms
+    pair first with U's and then with C's, are declared as ``base``, V(0)
+    (m + m_c, 3), and ``step``, which maps offsets d (..., 3) to W(d)
+    (..., m + m_c, 3) without cancellation: d for a term linear in d,
+    -2 sin^2(q/2) for cos q.  So u(y) = sum_m F(y)_m V(0)_m, and the
+    difference u(y + d) - u(y) = sum_m F(y)_m W(d)_m loses no digits to
+    the size of u(y).
+    """
+
+    outer: Callable[[np.ndarray], np.ndarray]
+    step: Callable[[np.ndarray], np.ndarray]
+    base: np.ndarray
+    constant: np.ndarray = dataclasses.field(default_factory=lambda: np.zeros((0, 3)))
+
+    def __post_init__(self):
+        for name in ("base", "constant"):
+            object.__setattr__(self, name,
+                               np.asarray(getattr(self, name), dtype=float).reshape(-1, 3))
+
+    @property
+    def terms(self) -> int:
+        """m, the number of y-dependent terms."""
+        return len(self.base) - len(self.constant)
+
+    def factors(self, y) -> np.ndarray:
+        """All m + m_c outer factors at points y (..., 3): U(y), then C."""
+        u = self.outer(y)
+        c = np.broadcast_to(self.constant, u.shape[:-2] + self.constant.shape)
+        return np.concatenate([u, c], axis=-2)
+
+    def __add__(self, other: "Split") -> "Split":
+        m1, m2 = self.terms, other.terms
+        return Split(lambda y: np.concatenate([self.outer(y), other.outer(y)], axis=-2),
+                     lambda d: _terms(self.step(d), m1, other.step(d), m2),
+                     _terms(self.base, m1, other.base, m2),
+                     np.concatenate([self.constant, other.constant]))
+
+    def __mul__(self, a: float) -> "Split":
+        return Split(lambda y: a * self.outer(y), self.step, self.base, a * self.constant)
+
+
 @dataclass(frozen=True)
 class AnalyticVectorField:
     """Closed-form vector field with supplied first and second derivatives.
 
-    ``split`` declares how a shifted value separates into m products, so that
-    the nested operators integrate the field from rule sums (see
-    :mod:`peridyn.operators`): a pair ``(outer, inner)`` of callables with
-    ``u(y + d)[..., i] = sum_m outer(y)[..., m, i] * inner(d)[..., m, i]``,
-    each mapping points (..., 3) to (..., m, 3).  Every manufactured field
-    declares one; a field that declares none (``split`` None) is refused by
-    the nested pass.
+    ``split`` declares how a shifted value separates into products (a
+    :class:`Split`), so that the point operators read the field from rule
+    sums (see :mod:`peridyn.operators`): the nested pass from the factors
+    of u(y + d), the bond sums from those of u(y + d) - u(y).  Every
+    manufactured field declares one; a field that declares none (``split``
+    None) is refused by every point operator.
 
     ``+`` keeps the split only when both operands declare one (it
     concatenates the terms) and ``*`` scales it.
@@ -81,14 +138,12 @@ class AnalyticVectorField:
     value: Callable[[np.ndarray], np.ndarray]
     grad: Callable[[np.ndarray], np.ndarray]
     hessian: Callable[[np.ndarray], np.ndarray]
-    split: Optional[tuple[Callable, Callable]] = dataclasses.field(default=None, compare=False)
+    split: Optional[Split] = dataclasses.field(default=None, compare=False)
 
     def __add__(self, other: "AnalyticVectorField") -> "AnalyticVectorField":
         split = None
         if self.split is not None and other.split is not None:
-            (outer1, inner1), (outer2, inner2) = self.split, other.split
-            split = (lambda y: np.concatenate([outer1(y), outer2(y)], axis=-2),
-                     lambda d: np.concatenate([inner1(d), inner2(d)], axis=-2))
+            split = self.split + other.split
         return AnalyticVectorField(
             value=lambda p: self.value(p) + other.value(p),
             grad=lambda p: self.grad(p) + other.grad(p),
@@ -98,15 +153,11 @@ class AnalyticVectorField:
 
     def __mul__(self, a: float) -> "AnalyticVectorField":
         a = float(a)
-        split = None
-        if self.split is not None:
-            outer, inner = self.split
-            split = (lambda y: a * outer(y), inner)
         return AnalyticVectorField(
             value=lambda p: a * self.value(p),
             grad=lambda p: a * self.grad(p),
             hessian=lambda p: a * self.hessian(p),
-            split=split,
+            split=None if self.split is None else self.split * a,
         )
 
     __rmul__ = __mul__
@@ -349,18 +400,13 @@ def constant_field(c) -> AnalyticVectorField:
         out[...] = c
         return out
 
-    # u(y + d) = c * 1: one product
-    def outer(y):
-        return value(y)[..., None, :]
-
-    def inner(d):
-        return np.ones(d.shape[:-1] + (1, 3))
-
+    # u(y + d) = c * 1: one product, constant in y, whose step is 0
     return AnalyticVectorField(
         value=value,
         grad=lambda p: np.zeros(p.shape[:-1] + (3, 3)),
         hessian=lambda p: np.zeros(p.shape[:-1] + (3, 3, 3)),
-        split=(outer, inner),
+        split=Split(lambda y: np.empty(y.shape[:-1] + (0, 3)),
+                    lambda d: np.zeros(d.shape[:-1] + (1, 3)), np.ones((1, 3)), c[None]),
     )
 
 
@@ -376,24 +422,20 @@ def linear_field(c, g) -> AnalyticVectorField:
         out[...] = g
         return out
 
-    # u(y + d) = u(y) * 1 + sum_l G[:, l] * d_l: four products
-    def outer(y):
-        out = np.empty(y.shape[:-1] + (4, 3))
-        out[..., 0, :] = value(y)
-        out[..., 1:, :] = g.T
-        return out
+    # u(y + d) = u(y) * 1 + 1 * G d: two products, the second constant in
+    # y; their steps W(d) = (0, G d) are one product d @ (0 | G^T)
+    steps = np.zeros((3, 2, 3))
+    steps[:, 1, :] = g.T
 
-    def inner(d):
-        out = np.empty(d.shape[:-1] + (4, 3))
-        out[..., 0, :] = 1.0
-        out[..., 1:, :] = d[..., :, None]
-        return out
+    def step(d):
+        return (d @ steps.reshape(3, 6)).reshape(d.shape[:-1] + (2, 3))
 
     return AnalyticVectorField(
         value=value,
         grad=grad,
         hessian=lambda p: np.zeros(p.shape[:-1] + (3, 3, 3)),
-        split=(outer, inner),
+        split=Split(lambda y: value(y)[..., None, :], step, [[1.0] * 3, [0.0] * 3],
+                    np.ones((1, 3))),
     )
 
 
@@ -414,22 +456,24 @@ def _quadratic_x1_field() -> AnalyticVectorField:
         out[..., 0, 0, 0] = 2.0
         return out
 
-    # (y_1 + d_1)^2 = y_1^2 * 1 + 2 y_1 * d_1 + 1 * d_1^2 on component 0
+    # (y_1 + d_1)^2 = y_1^2 * 1 + 2 y_1 * d_1 + 1 * d_1^2 on component 0,
+    # the last product constant in y
     def outer(y):
-        out = np.zeros(y.shape[:-1] + (3, 3))
+        out = np.zeros(y.shape[:-1] + (2, 3))
         out[..., 0, 0] = y[..., 0] ** 2
         out[..., 1, 0] = 2.0 * y[..., 0]
-        out[..., 2, 0] = 1.0
         return out
 
-    def inner(d):
-        out = np.empty(d.shape[:-1] + (3, 3))
-        out[..., 0, :] = 1.0
-        out[..., 1, :] = d[..., 0, None]
-        out[..., 2, :] = d[..., 0, None] ** 2
-        return out
+    def step(d):
+        w = np.empty(d.shape[:-1] + (3, 3))
+        w[..., 0, :] = 0.0
+        w[..., 1, :] = d[..., 0, None]
+        w[..., 2, :] = d[..., 0, None] ** 2
+        return w
 
-    return AnalyticVectorField(value, grad, hessian, split=(outer, inner))
+    return AnalyticVectorField(value, grad, hessian,
+                               split=Split(outer, step, [[1.0] * 3, [0.0] * 3, [0.0] * 3],
+                                           [[1.0, 0.0, 0.0]]))
 
 
 def _trig_field() -> AnalyticVectorField:
@@ -455,16 +499,18 @@ def _trig_field() -> AnalyticVectorField:
         out[..., 2, 0, 0] = -np.sin(p[..., 0])
         return out
 
-    # with q = (y_2, y_3, y_1): sin(q + q_d) = sin q cos q_d + cos q sin q_d
+    # with q = (y_2, y_3, y_1): sin(q + q_d) = sin q cos q_d + cos q sin q_d,
+    # and cos q_d - 1 = -2 sin^2(q_d / 2)
     def outer(y):
         q = y[..., [1, 2, 0]]
         return np.stack([np.sin(q), np.cos(q)], axis=-2)
 
-    def inner(d):
+    def step(d):
         q = d[..., [1, 2, 0]]
-        return np.stack([np.cos(q), np.sin(q)], axis=-2)
+        return np.stack([-2.0 * np.sin(0.5 * q) ** 2, np.sin(q)], axis=-2)
 
-    return AnalyticVectorField(value, grad, hessian, split=(outer, inner))
+    return AnalyticVectorField(value, grad, hessian,
+                               split=Split(outer, step, [[1.0] * 3, [0.0] * 3]))
 
 
 def _axial_ramp_field(slope: float) -> AnalyticVectorField:

@@ -15,17 +15,19 @@ integrals at each outer node read the closed form of that node's own phase.
 All evaluators are pure functions of (config, material, field, points), and
 each takes one point of shape (3,) or a batch of P points of shape (P, 3),
 returning one value per point in the same layout.  A call on a batch builds
-the rule's constants once, reads the material and the field at all P x n
-outer nodes x_p + delta z_q in one call each, and forms each sum over the
-nodes as one matrix product over the batch.  The nested double integrals
-reuse one reference ball rule for the inner and outer integral, and one
-nested pass computes both inner integrals at every outer node.  The pass
-reads each closed form of the field through its declared split of u(y + d)
-into m products of factors of y and of d (see
-:class:`peridyn.fields.AnalyticVectorField`): the inner factors at the n
-offsets once, and the outer factors at the outer nodes in the closed form's
-phase, O(n m) work per point.  A field that needs a pass and declares no
-split is refused.
+the outer nodes x_p + delta z_q once, reads the material at the P points and
+the P x n outer nodes, and forms each sum over the nodes as one matrix
+product over the batch.  It reads the field only through each closed form's
+declared split of u(y + d) into products of factors of y and of d (see
+:class:`peridyn.fields.Split`), and refuses a field that declares none.  The
+steps W(d) = V(d) - V(0) of the inner factors are read once, at the n
+offsets delta z_q, and serve every sum.  With the outer factors at the P
+points they give the bond sums the differences u(x + delta z) - u(x), with
+no value of u subtracted from another.  With V(0) they give the inner
+factors V of the nested double integrals, which reuse one reference ball
+rule for the inner and outer integral and compute both inner integrals at
+every outer node in one nested pass from the outer factors there, each
+read in the closed form of the node's phase, O(n m) work per point.
 
 Every summation order is fixed for a given batch, so results are
 reproducible bit for bit.  A point's value in a batch agrees with its value
@@ -36,10 +38,11 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
+from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .fields import Material, PiecewiseField, SideTag, TwoPhaseMaterial
+from .fields import Material, PiecewiseField, SideTag, Split, TwoPhaseMaterial
 from .quadrature import (
     BallQuadrature,
     DEFAULT_ANGULAR_ORDER,
@@ -134,32 +137,137 @@ def _require_finite(values) -> np.ndarray:
     return values
 
 
-def _moduli(config: OperatorConfig, material: Material, x):
+def _closed_forms(field: PiecewiseField):
+    """The closed forms an evaluation reads: both sides of a field with a
+    kink across its interface, else the one closed form."""
+    if field.interface is None or field.plus_side is field.minus_side:
+        return (field.plus_side,)
+    return field.plus_side, field.minus_side
+
+
+class _Form(NamedTuple):
+    """One closed form's reads at a batch: its declared split, the mask
+    (P, n) of the outer nodes in its phase (signed distance >= 0 for the
+    plus side; None for a field with one closed form), the inner sums
+    Q (3, m + m_c, 3) of its inner factors V at the n offsets delta z (see
+    :func:`_nested_moments`) and its steps W (n, m + m_c, 3) there."""
+
+    split: Split
+    phase: Optional[np.ndarray]
+    q: np.ndarray
+    w: np.ndarray
+
+
+@dataclass(frozen=True)
+class _Reads:
+    """What one evaluation at a batch x (P, 3) reads of the field before
+    any sum: the outer nodes y = x + delta z (P, n, 3), and each closed
+    form's :class:`_Form` (see :func:`_closed_forms`)."""
+
+    field: PiecewiseField
+    x: np.ndarray
+    y: np.ndarray
+    forms: tuple
+
+    def take(self, rows) -> "_Reads":
+        """The reads of the points ``rows`` (a mask) of the batch."""
+        if rows.all():
+            return self
+        return _Reads(self.field, self.x[rows], self.y[rows],
+                      tuple(form._replace(phase=None if form.phase is None
+                                          else form.phase[rows])
+                            for form in self.forms))
+
+
+def _read(config: OperatorConfig, field: PiecewiseField, x) -> _Reads:
+    """The reads of ``field`` at the batch x, which every sum of an
+    evaluation shares: each closed form's steps W are read once at the n
+    offsets, and its inner factors V = V(0) + W enter the pass only as
+    their inner sums Q.  A closed form that declares no split is refused
+    before anything is read."""
+    sides = _closed_forms(field)
+    if any(side.split is None for side in sides):
+        raise TypeError("the point operators need closed forms that declare a split")
+    y = _outer_nodes(config, x)
+    dz = config.delta * config.rule.points
+    if len(sides) == 1:
+        phases = (None,)
+    else:
+        plus = field.interface.signed_distance(y) >= 0.0
+        phases = (plus, ~plus)
+    # the inner nodes' weights bw_k = (w_k/|z_k|^2) z_k, as (3, n)
+    bw = config.rule.points.T * (config.rule.weights / config.rule.square_norms)
+    bw_sum = bw @ np.ones(len(dz))  # one product: np.sum over n is slower here
+    forms = []
+    for side, phase in zip(sides, phases):
+        split = side.split
+        w = split.step(dz)
+        # Q = sum_k bw_k (x) (V(0) + W(delta z_k))
+        q = ((bw @ w.reshape(len(dz), -1)).reshape(3, -1, 3)
+             + bw_sum[:, None, None] * split.base)
+        forms.append(_Form(split, phase, q, w))
+    return _Reads(field, x, y, tuple(forms))
+
+
+def _moduli(config: OperatorConfig, material: Material, x, y):
     """mu at the points of a batch (P,), and mu and lambda - mu at their
-    outer nodes (P, n): one read of the material at each."""
-    shape = (len(x), len(config.rule))
+    outer nodes y (P, n): one read of the material at each."""
+    shape = y.shape[:2]
     _, mu_x = material.lame_at(x)
-    lam_y, mu_y = material.lame_at(_outer_nodes(config, x))
+    lam_y, mu_y = material.lame_at(y)
     return (np.broadcast_to(np.asarray(mu_x, dtype=float), shape[:1]),
             np.broadcast_to(np.asarray(mu_y, dtype=float), shape),
             np.broadcast_to(np.asarray(lam_y - mu_y, dtype=float), shape))
 
 
-def _bond_differences(config: OperatorConfig, field: PiecewiseField, x):
+def _steps(f, w, z) -> np.ndarray:
+    """sum_m F(x_p)_m W(delta z_q)_m . z_q (P, n) of one closed form, from
+    its outer factors f = (U, C) (P, m + m_c, 3) at the points and its W at
+    the n offsets: one (3P x 3M) @ (3M x n) product, with f block-diagonal
+    over the components, and the projection on z."""
+    fb = np.einsum("pmi,ij->ipmj", f, np.eye(3)).reshape(3 * len(f), -1)
+    d = (fb @ w.reshape(len(w), -1).T).reshape(3, len(f), -1)
+    return d[0] * z[:, 0] + d[1] * z[:, 1] + d[2] * z[:, 2]
+
+
+def _bond_differences(config: OperatorConfig, reads: _Reads):
     """(u(x_p + delta z_q) - u(x_p)) . z_q for each point x_p of a batch,
-    shape (P, n): the one read of the field that the bond sums share."""
-    dv = _require_finite(field.value(_outer_nodes(config, x))
-                         - field.value(x)[:, None, :])
-    return np.einsum("pqj,qj->pq", dv, config.rule.points)
+    shape (P, n), from the splits: with s the phase of the outer node and
+    F_s = (U_s, C_s) the closed form's outer factors,
+
+        u_s(x + delta z) - u(x) = sum_m F_s(x)_m W_s(delta z)_m + (u_s(x) - u(x)).
+
+    The gap u_s(x) - u(x) is zero in x's own phase.  Elsewhere it is read
+    from the projection x' = x - e of x on the interface, where the sides of
+    a continuous field agree: u_s(x) - u(x) = sum_m F_s(x')_m W_s(e)_m minus
+    the same sum of x's own closed form.  So the outer factors are read at
+    the P points and their projections, and W at the n offsets, once for
+    the pass too (:func:`_read`), and at the P offsets e: no value of u is
+    subtracted from another, and no digit is lost to the size of u or of
+    x."""
+    x = reads.x
+    z = config.rule.points
+    steps = [_steps(form.split.factors(x), form.w, z) for form in reads.forms]
+    if len(steps) == 1:
+        return _require_finite(steps[0])
+    iface = reads.field.interface
+    sd = iface.signed_distance(x)
+    e = sd[:, None] * iface.normal
+    rises = [np.einsum("pmi,pmi->pi", form.split.factors(x - e), form.split.step(e))
+             for form in reads.forms]  # u_s(x) - u_s(x')
+    own = np.where((sd >= 0.0)[:, None], *rises)
+    dz = np.where(reads.forms[0].phase, steps[0] + (rises[0] - own) @ z.T,
+                  steps[1] + (rises[1] - own) @ z.T)
+    return _require_finite(dz)
 
 
 def _bond_sum(config: OperatorConfig, dz, node_weights):
     """sum_q node_weights_pq (z_q (x) z_q / |z_q|^4) (u(x_p + delta z_q) - u(x_p))
     for each point x_p of a batch, from its differences ``dz`` projected on
-    z (:func:`_bond_differences`); the weights are (n,) or (P, n)."""
-    z = config.rule.points
-    r4 = np.einsum("qi,qi->q", z, z) ** 2
-    return (node_weights / r4 * dz) @ z
+    z, which :func:`_bond_differences` reads through the split; the weights
+    are (n,) or (P, n)."""
+    r4 = config.rule.square_norms ** 2
+    return (node_weights / r4 * dz) @ config.rule.points
 
 
 def base_operator(config: OperatorConfig, field: PiecewiseField, x) -> Vec3:
@@ -172,7 +280,8 @@ def base_operator(config: OperatorConfig, field: PiecewiseField, x) -> Vec3:
     """
     x, shape = _batch(x)
     delta = config.delta
-    s = _bond_sum(config, _bond_differences(config, field, x), config.rule.weights)
+    dz = _bond_differences(config, _read(config, field, x))
+    s = _bond_sum(config, dz, config.rule.weights)
     return ((30.0 / ball_volume(delta)) * delta * s).reshape(shape)
 
 
@@ -205,8 +314,9 @@ def bond_operator(config: OperatorConfig, material: Material,
                   field: PiecewiseField, x) -> Vec3:
     """Bond-based part: the kernel is weighted by mu(x) + mu(y)."""
     x, shape = _batch(x)
-    mu_x, mu_y, _ = _moduli(config, material, x)
-    return _bond(config, _bond_differences(config, field, x), mu_x, mu_y).reshape(shape)
+    reads = _read(config, field, x)
+    mu_x, mu_y, _ = _moduli(config, material, x, reads.y)
+    return _bond(config, _bond_differences(config, reads), mu_x, mu_y).reshape(shape)
 
 
 def _frozen_bond(config: OperatorConfig, dz, mu_x):
@@ -220,8 +330,9 @@ def bond_correction_term(config: OperatorConfig, material: Material,
                          field: PiecewiseField, x) -> Vec3:
     """Bond-type correction term: minus the bond kernel with mu frozen at x."""
     x, shape = _batch(x)
-    mu_x, _, _ = _moduli(config, material, x)
-    return _frozen_bond(config, _bond_differences(config, field, x), mu_x).reshape(shape)
+    reads = _read(config, field, x)
+    mu_x, _, _ = _moduli(config, material, x, reads.y)
+    return _frozen_bond(config, _bond_differences(config, reads), mu_x).reshape(shape)
 
 
 # ---------------------------------------------------------------------------
@@ -231,63 +342,52 @@ def bond_correction_term(config: OperatorConfig, material: Material,
 # Estimated peak bytes per field point of one operator evaluation on a batch,
 # the rule included, where the field points are the P x n outer nodes of the
 # batch's points.  Measured with tracemalloc at one point per batch (rules of
-# more than 2048 nodes), where the rule's n-sized constants count per node:
-# the corrected operator on a kinked affine field, whose pass reads both
-# sides' four-product splits, peaks at 351-375 on split rules of 4608 to
-# 36,864 nodes; the state operator on one closed form at 373-420 for the
-# linear field (4 products), 325-371 for the quadratic one (3) and 288-324
-# for the trig one (2), on ball rules of 1728 to 27,648 nodes.  Batches of
-# several points spread the rule's constants: 165-237 on the 288-node ball
-# rule and the 576-node split rule.
-EVALUATION_BYTES_PER_NODE = 8 * 53
-
-
-def _closed_forms(field: PiecewiseField):
-    """The closed forms the nested pass reads: both sides of a field with a
-    kink across its interface, else the one closed form."""
-    if field.interface is None or field.plus_side is field.minus_side:
-        return (field.plus_side,)
-    return field.plus_side, field.minus_side
+# more than 2048 nodes), where the rule's n-sized constants count per node,
+# on the first evaluation on a rule (its cached |z|^2 included): the
+# corrected operator on a kinked affine field, which holds each side's steps
+# W at the n offsets through the evaluation, peaks at 270-283 on split rules
+# of 4608 to 36,864 nodes; the state operator on one closed form at 171-194
+# for the linear field, 200-202 for the quadratic one and 240-242 for the
+# trig one, on ball rules of 1728 to 27,648 nodes.  Batches of several
+# points spread the rule's constants: 105-184 on the 288-node ball rule and
+# the 576-node split rule.
+EVALUATION_BYTES_PER_NODE = 8 * 36
 
 
 def nested_pass_points(n: int, field: PiecewiseField) -> int:
     """Field points one nested pass over an n-node rule evaluates on
     ``field`` at one point: the outer factors at the n outer nodes, each in
-    the closed form of its phase, and each closed form's inner factors at
-    the n offsets (see :func:`_nested_moments`).  Closed form, so it also
-    counts passes too large to enumerate."""
+    the closed form of its phase, and each closed form's steps at the n
+    offsets (see :func:`_nested_moments`), which the bond sums share.
+    Closed form, so it also counts passes too large to enumerate."""
     return n + len(_closed_forms(field)) * n
 
 
-def _nested_weights(config: OperatorConfig):
-    """(bw, a, delta z) of the rule: bw_k = (w_k/|z_k|^2) z_k weighs the
-    inner nodes, a_j = z_j/|z_j|^2 the outer ones."""
-    z = config.rule.points
-    r2 = np.einsum("qi,qi->q", z, z)
-    return (config.rule.weights / r2)[:, None] * z, z / r2[:, None], config.delta * z
-
-
-def _split_channels(weights, inner, u, j):
-    """(g, p) of :func:`_nested_moments` for one closed form, from the
-    rule's :func:`_nested_weights`, its outer factors u (..., m, 3) at the
-    outer nodes of rule nodes j (an index of the rule's nodes that
-    broadcasts against u's leading axes) and its inner factors ``inner``,
-    read here at the n offsets delta z_k."""
-    bw, a, dz = weights
+def _split_channels(split, q, u, a, normal: bool):
+    """(g, p) of :func:`_nested_moments` for one closed form, from its
+    declared ``split``, its inner sums Q[i, m, l] ``q``, and its
+    y-dependent outer factors u (..., m, 3) at outer nodes whose weights
+    a_j are ``a`` (..., 3), broadcasting against u's leading axes; p is
+    None unless ``normal``.  The y-constant factors C enter once: g gains
+    the scalar sum C . B, and p the product a @ K."""
+    c = split.constant
     m = u.shape[-2]
-    q = bw.T @ inner(dz).reshape(len(dz), 3 * m)  # q[i, 3m + l] = Q[i, m, l]
-    b = np.einsum("imi->mi", q.reshape(3, m, 3))
-    g = (u.reshape(-1, 3 * m) @ b.ravel()).reshape(u.shape[:-2])
-    aq = (a @ q).reshape(-1, m, 3)
-    p = u[..., 0, :] * aq[j, 0]
-    for k in range(1, m):  # the sum over m in order; .sum(axis=-2) is slower
-        p += u[..., k, :] * aq[j, k]
-    return g, p
+    b = np.einsum("imi->mi", q)
+    g = u.reshape(u.shape[:-2] + (3 * m,)) @ b[:m].ravel()
+    if len(c):
+        g += np.sum(c * b[m:])
+    if not normal:
+        return g, None
+    aq = a @ q[:, :m].reshape(3, 3 * m)
+    p = a @ np.einsum("icl,cl->il", q[:, m:], c)
+    for k in range(m):  # the sum over m in order; .sum(axis=-2) is slower
+        p = p + u[..., k, :] * aq[..., 3 * k:3 * k + 3]
+    return g, np.broadcast_to(p, u.shape[:-2] + (3,))
 
 
-def _nested_moments(config: OperatorConfig, field: PiecewiseField, x):
+def _nested_moments(config: OperatorConfig, reads: _Reads, normal: bool = True):
     """Inner integrals of the composed kernels at every outer node of each
-    point of a batch x of shape (P, 3).
+    point of a batch, from its reads (:func:`_read`).
 
     For outer nodes y_j = x + delta z_j of a point x, with u_j the closed
     form of the phase that y_j lies in (the plus side on the interface), also
@@ -299,40 +399,45 @@ def _nested_moments(config: OperatorConfig, field: PiecewiseField, x):
       ``M_j = sum_k (w_k/|z_k|^2) z_k (x) u_j(y_j + delta z_k)`` -- the
       normal-projection channel; the physical value is delta p.
 
-    as g of shape (P, n) and p of shape (P, n, 3).  The horizon-scaled limits
-    are then the formulas of :func:`natural_condition_limit` and
-    :func:`normal_correction_limit`.
+    as g of shape (P, n) and, if ``normal``, p of shape (P, n, 3), else
+    None.  The horizon-scaled limits are then the formulas of
+    :func:`natural_condition_limit` and :func:`normal_correction_limit`.
 
-    Each closed form declares a split u(y + d)_i = sum_m U(y)_mi V(d)_mi
-    (see :class:`peridyn.fields.AnalyticVectorField`).  With
+    Each closed form declares a split u(y + d)_i = sum_m F(y)_mi V(d)_mi
+    with F = (U(y), C) (see :class:`peridyn.fields.Split`).  With
     Q[i, m, l] = sum_k bw_ki V(delta z_k)_ml and B[m, i] = Q[i, m, i],
-    g_j = sum_mi U(y_j)_mi B[m, i] and p_j[l] = sum_m U(y_j)_ml (a_j^T Q)[m, l]
-    (:func:`_split_channels`).  So the pass reads each closed form's inner
-    factors V at the n offsets delta z_k and its outer factors U at the
-    outer nodes in its phase: every node of the batch for a field with one
-    closed form, else the nodes with signed distance >= 0 for the plus side
-    and the rest for the minus side.  That is O(n m) work per point, each
-    sum one matrix product over the batch.  A closed form that declares no
-    split is refused before anything is read.
+    g_j = sum_mi F(y_j)_mi B[m, i] and p_j[l] = sum_m F(y_j)_ml (a_j^T Q)[m, l]
+    (:func:`_split_channels`).  So the pass reads each closed form's steps
+    W at the n offsets delta z_k, with V = V(0) + W (read once in
+    :func:`_read`), and its y-dependent outer factors U at the outer nodes
+    in its phase: every node of the batch for a field with one closed form,
+    else the nodes with signed distance >= 0 for the plus side and the rest
+    for the minus side.  That is O(n m) work per point, each sum one matrix
+    product over the batch.
     """
-    sides = _closed_forms(field)
-    if any(side.split is None for side in sides):
-        raise TypeError("the nested pass needs closed forms that declare a split")
-    weights = _nested_weights(config)
-    dz = weights[2]
-    if len(sides) == 1:
-        outer, inner = sides[0].split
-        g, p = _split_channels(weights, inner, outer(x[:, None, :] + dz), slice(None))
+    # the outer nodes' weights a_j = z_j/|z_j|^2, scaled by rows of n
+    a = (config.rule.points.T / config.rule.square_norms).T
+    y = reads.y
+    if len(reads.forms) == 1:
+        split, _, q, _ = reads.forms[0]
+        g, p = _split_channels(split, q, split.outer(y), a, normal)
     else:
-        y = x[:, None, :] + dz
-        plus = field.interface.signed_distance(y) >= 0.0
-        g = np.empty(plus.shape)
-        p = np.empty(y.shape)
-        for side, at in zip(sides, (np.nonzero(plus), np.nonzero(~plus))):
-            outer, inner = side.split
-            g[at], p[at] = _split_channels(weights, inner, outer(y[at]), at[1])
+        # the nodes of each phase by flat index: take and assignment by an
+        # index are several times faster than by a mask on these layouts;
+        # the flat index of the P x n nodes wraps to the rule node's
+        g = np.empty(y.shape[:2])
+        p = np.empty(y.shape) if normal else None
+        for split, phase, q, _ in reads.forms:
+            at = np.flatnonzero(phase)
+            u = split.outer(np.take(y.reshape(-1, 3), at, axis=0))
+            g_at, p_at = _split_channels(split, q, u, np.take(a, at, axis=0, mode="wrap"),
+                                         normal)
+            g.reshape(-1)[at] = g_at
+            if normal:
+                p.reshape(-1, 3)[at] = p_at
     _require_finite(g)  # non-finite field values propagate through the sums
-    _require_finite(p)
+    if normal:
+        _require_finite(p)
     return g, p
 
 
@@ -346,14 +451,13 @@ def _makes_nested_pass(config: OperatorConfig, material: Material, x,
     if (corrected and isinstance(material, TwoPhaseMaterial)
             and _in_slab(config, material, x).any()):
         return True
-    return bool(_moduli(config, material, x)[2].any())
+    return bool(_moduli(config, material, x, _outer_nodes(config, x))[2].any())
 
 
-def _dilatation(config: OperatorConfig, field: PiecewiseField, x, c_y,
-                g=None) -> np.ndarray:
-    """The dilatational part at a batch x from lambda - mu at its outer
+def _dilatation(config: OperatorConfig, reads: _Reads, c_y, g=None) -> np.ndarray:
+    """The dilatational part at a batch from lambda - mu at its outer
     nodes, ``c_y``, and the inner divergence integrals ``g`` of a nested
-    pass at x, or of one made here if ``g`` is None.
+    pass there, or of one made here from ``reads`` if ``g`` is None.
 
     Where lambda - mu vanishes at every outer node of a point the integrand
     is zero, and the result is an exact zero vector without a nested pass.
@@ -361,16 +465,15 @@ def _dilatation(config: OperatorConfig, field: PiecewiseField, x, c_y,
     z = config.rule.points
     w = config.rule.weights
     delta = config.delta
-    out = np.zeros((len(x), 3))
+    out = np.zeros((len(c_y), 3))
     active = c_y.any(axis=1)
     if not active.any():
         return out
     if g is None:
-        g, _ = _nested_moments(config, field, x[active])
+        g, _ = _nested_moments(config, reads.take(active), normal=False)
     else:
         g = g[active]
-    r2 = np.einsum("qi,qi->q", z, z)
-    s = ((w / r2) * c_y[active] * g) @ z
+    s = ((w / config.rule.square_norms) * c_y[active] * g) @ z
     out[active] = (9.0 / ball_volume(delta) ** 2) * delta**4 * s
     return out
 
@@ -384,23 +487,23 @@ def dilatation_operator(config: OperatorConfig, material: Material,
     kernel over a full ball are dropped.
     """
     x, shape = _batch(x)
-    _, _, c_y = _moduli(config, material, x)
-    return _dilatation(config, field, x, c_y).reshape(shape)
+    reads = _read(config, field, x)
+    _, _, c_y = _moduli(config, material, x, reads.y)
+    return _dilatation(config, reads, c_y).reshape(shape)
 
 
-def _state(config: OperatorConfig, material: Material, field: PiecewiseField,
-           x) -> np.ndarray:
-    """Bond plus dilatational part at a batch x."""
-    mu_x, mu_y, c_y = _moduli(config, material, x)
-    return (_bond(config, _bond_differences(config, field, x), mu_x, mu_y)
-            + _dilatation(config, field, x, c_y))
+def _state(config: OperatorConfig, material: Material, reads: _Reads) -> np.ndarray:
+    """Bond plus dilatational part at a batch, from its reads."""
+    mu_x, mu_y, c_y = _moduli(config, material, reads.x, reads.y)
+    return (_bond(config, _bond_differences(config, reads), mu_x, mu_y)
+            + _dilatation(config, reads, c_y))
 
 
 def state_operator(config: OperatorConfig, material: Material,
                    field: PiecewiseField, x) -> Vec3:
     """The full linear peridynamic operator: bond plus dilatational part."""
     x, shape = _batch(x)
-    return _state(config, material, field, x).reshape(shape)
+    return _state(config, material, _read(config, field, x)).reshape(shape)
 
 
 def _normal_term(config: OperatorConfig, mu_y, p, normal) -> np.ndarray:
@@ -420,8 +523,9 @@ def normal_correction_term(config: OperatorConfig, material: Material,
     form of that node's own phase (see :func:`_nested_moments`)."""
     x, shape = _batch(x)
     normal = _check_unit_normal(normal)
-    _, mu_y, _ = _moduli(config, material, x)
-    _, p = _nested_moments(config, field, x)
+    reads = _read(config, field, x)
+    _, mu_y, _ = _moduli(config, material, x, reads.y)
+    _, p = _nested_moments(config, reads)
     return _normal_term(config, mu_y, p, normal).reshape(shape)
 
 
@@ -436,18 +540,17 @@ def _in_slab(config: OperatorConfig, material: TwoPhaseMaterial, x) -> np.ndarra
     return np.abs(material.interface.signed_distance(x)) < config.delta
 
 
-def _slab_parts(config: OperatorConfig, material: TwoPhaseMaterial,
-                field: PiecewiseField, x):
+def _slab_parts(config: OperatorConfig, material: TwoPhaseMaterial, reads: _Reads):
     """(mu at the points, mu at the outer nodes, the projected bond
-    differences, dilatational part, interface correction) at a batch x in
-    the slab, from one nested pass and one read of the bond differences:
-    ``g`` feeds the dilatational part and the correction's quarter of it,
-    ``p`` the normal-projected term, and the differences both the bond part
-    and the frozen-modulus correction."""
-    g, p = _nested_moments(config, field, x)
-    mu_x, mu_y, c_y = _moduli(config, material, x)
-    dil = _dilatation(config, field, x, c_y, g)
-    dz = _bond_differences(config, field, x)
+    differences, dilatational part, interface correction) at a batch in
+    the slab, from its reads, one nested pass and one set of bond
+    differences: ``g`` feeds the dilatational part and the correction's
+    quarter of it, ``p`` the normal-projected term, and the differences
+    both the bond part and the frozen-modulus correction."""
+    g, p = _nested_moments(config, reads)
+    mu_x, mu_y, c_y = _moduli(config, material, reads.x, reads.y)
+    dil = _dilatation(config, reads, c_y, g)
+    dz = _bond_differences(config, reads)
     correction = ((_frozen_bond(config, dz, mu_x) + 0.25 * dil)
                   + _normal_term(config, mu_y, p, material.interface.normal))
     return mu_x, mu_y, dz, dil, correction
@@ -465,7 +568,7 @@ def interface_correction(config: OperatorConfig, material: Material,
     material = _require_interface(material)
     if not _in_slab(config, material, x).all():
         raise ValueError("point lies outside the extended interface slab")
-    return _slab_parts(config, material, field, x)[4].reshape(shape)
+    return _slab_parts(config, material, _read(config, field, x))[4].reshape(shape)
 
 
 def corrected_operator(config: OperatorConfig, material: Material,
@@ -474,17 +577,19 @@ def corrected_operator(config: OperatorConfig, material: Material,
 
     The points of the batch in the slab take both parts from one nested
     pass (see :func:`_slab_parts`); the others take the state operator.
+    One read of the field serves both.
     """
     x, shape = _batch(x)
+    reads = _read(config, field, x)
     if not isinstance(material, TwoPhaseMaterial):
-        return _state(config, material, field, x).reshape(shape)
+        return _state(config, material, reads).reshape(shape)
     slab = _in_slab(config, material, x)
     out = np.empty((len(x), 3))
     if not slab.all():
-        out[~slab] = _state(config, material, field, x[~slab])
+        out[~slab] = _state(config, material, reads.take(~slab))
     if slab.any():
-        xs = x[slab]
-        mu_x, mu_y, dz, dil, correction = _slab_parts(config, material, field, xs)
+        mu_x, mu_y, dz, dil, correction = _slab_parts(config, material,
+                                                      reads.take(slab))
         out[slab] = (_bond(config, dz, mu_x, mu_y) + dil) + correction
     return out.reshape(shape)
 

@@ -15,6 +15,7 @@ face is perpendicular to a requested unit normal.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -99,6 +100,12 @@ class BallQuadrature:
 
     def __len__(self) -> int:
         return self.points.shape[0]
+
+    @cached_property
+    def square_norms(self) -> np.ndarray:
+        """|z|^2 of each node (n,), which every singular kernel divides by;
+        computed once per rule."""
+        return np.einsum("qi,qi->q", self.points, self.points)
 
 
 @dataclass(frozen=True)

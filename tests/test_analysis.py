@@ -204,7 +204,25 @@ class TestNaturalLimit:
                 out[..., 2, 2, 2] = 2.0 * quad
                 return out
 
-            return F.AnalyticVectorField(value, grad, hessian)
+            # u_3(y + d) = u_3(y) * 1 + (lin + 2 quad y_3) * d_3 + quad * d_3^2,
+            # the last product constant in y
+            def outer(y):
+                out = np.zeros(y.shape[:-1] + (2, 3))
+                out[..., 0, 2] = value(y)[..., 2]
+                out[..., 1, 2] = lin + 2.0 * quad * y[..., 2]
+                return out
+
+            def step(d):
+                w = np.zeros(d.shape[:-1] + (3, 3))
+                w[..., 1, 2] = d[..., 2]
+                w[..., 2, 2] = d[..., 2] ** 2
+                return w
+
+            base = np.zeros((3, 3))
+            base[0] = 1.0
+            return F.AnalyticVectorField(
+                value, grad, hessian,
+                split=F.Split(outer, step, base, [[0.0, 0.0, quad]]))
 
         field = F.PiecewiseField(axial(2.0, 1.0), axial(1.0, -1.0), F.INTERFACE_Z)
         mat = F.TwoPhaseMaterial(1.0, 1.0, 2.0, 2.0, F.INTERFACE_Z)
@@ -408,6 +426,29 @@ class TestReportSerialization:
         with open(os.path.join(os.path.dirname(__file__), "..", "docs",
                                "report_schema.json")) as f:
             jsonschema.validate(payload, json.load(f))
+
+    def test_json_layout(self, tmp_path):
+        # one space of indent per level, keys sorted at every level, the
+        # provenance entry added, and a final newline
+        path = tmp_path / "report.json"
+        A.write_json(path, {"b": [1.5, {"d": 2, "c": None}], "a": "x"})
+        provenance = A._PROVENANCE
+        want = ("{\n"
+                ' "a": "x",\n'
+                ' "b": [\n'
+                "  1.5,\n"
+                "  {\n"
+                '   "c": null,\n'
+                '   "d": 2\n'
+                "  }\n"
+                " ],\n"
+                ' "provenance": {\n'
+                f'  "numpy": "{provenance["numpy"]}",\n'
+                f'  "peridyn": "{provenance["peridyn"]}",\n'
+                f'  "scipy": "{provenance["scipy"]}"\n'
+                " }\n"
+                "}\n")
+        assert path.read_text() == want
 
     def test_csv_is_rfc4180(self, report, tmp_path):
         path = tmp_path / "report.csv"

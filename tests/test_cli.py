@@ -277,7 +277,7 @@ class TestExitCodes:
                                                               monkeypatch):
         # star's default field is kinked: the 64.8M-node rule passes the
         # point budget at 1.94e8 points (3n), but its evaluation needs about
-        # 26 GiB; the memory is fixed so that the refusal does not depend on
+        # 17 GiB; the memory is fixed so that the refusal does not depend on
         # the host
         def build(*args):
             raise AssertionError("rule built")
@@ -288,17 +288,17 @@ class TestExitCodes:
         assert rc == 2
         err = capsys.readouterr().err
         assert err.startswith("error: quad 180,300 gives a 64800000-node rule whose "
-                              "evaluations need about 25.6 GiB, more than the 16 GiB")
+                              "evaluations need about 17.4 GiB, more than the 16 GiB")
         assert err.endswith("of physical memory\n") and err.count("\n") == 1
 
     def test_quad_memory_bound_is_the_batch(self, monkeypatch):
         # a 288-node rule: each thread's batch holds up to
-        # analysis.BATCH_FIELD_POINTS = 4096 field points of 424 bytes
-        assert (analysis.BATCH_FIELD_POINTS, cli.EVALUATION_BYTES_PER_NODE) == (4096, 424)
+        # analysis.BATCH_FIELD_POINTS = 4096 field points of 288 bytes
+        assert (analysis.BATCH_FIELD_POINTS, cli.EVALUATION_BYTES_PER_NODE) == (4096, 288)
         ns = build_parser().parse_args(["converge", "--quad", "4,6", "--threads", "3"])
         cfg = _load_config(ns)
         field, _ = make_manufactured("smooth_material_trig")
-        need = 4096 * 424 * 3
+        need = 4096 * 288 * 3
         monkeypatch.setattr(cli, "_physical_memory", lambda: need)
         cli._check_quad_budget(cfg, field, split=False)
         monkeypatch.setattr(cli, "_physical_memory", lambda: need - 1)

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from peridyn import fields as F
 
@@ -247,35 +247,68 @@ class TestSplit:
         }
 
     def test_products_are_the_shifted_value(self, rng):
+        # u(y + d) = sum F(y) (V(0) + W(d)), u(y) = sum F(y) V(0), and the
+        # steps alone give the difference u(y + d) - u(y), with W(0) = 0
         y = rng.uniform(-1.0, 1.0, size=(200, 3))
         d = rng.uniform(-0.2, 0.2, size=(200, 3))
         for name, field in self._declared().items():
-            outer, inner = field.split
-            got = np.sum(outer(y) * inner(d), axis=-2)
-            assert_allclose(got, field.value(y + d), rtol=0, atol=1e-15, err_msg=name)
+            split = field.split
+            f, w = split.factors(y), split.step(d)
+            assert_allclose(np.sum(f * (split.base + w), axis=-2), field.value(y + d),
+                            rtol=0, atol=1e-15, err_msg=name)
+            assert_allclose(np.sum(f * split.base, axis=-2), field.value(y),
+                            rtol=0, atol=1e-15, err_msg=name)
+            assert_allclose(np.sum(f * w, axis=-2), field.value(y + d) - field.value(y),
+                            rtol=0, atol=1e-14, err_msg=name)
+            assert_array_equal(split.step(np.zeros(3)), 0.0, err_msg=name)
+
+    def test_steps_keep_their_digits_far_from_the_origin(self):
+        # u = (sin x_2, sin x_3, sin x_1) at 1e4, a step of 1e-6: the steps
+        # give the difference to rounding, where the difference of the two
+        # values loses six digits to the rounding of 1e4 + 1e-6
+        trig, _ = F.make_manufactured("trig_smooth")
+        split = trig.plus_side.split
+        y = np.full((1, 3), 1e4)
+        d = np.full((1, 3), 1e-6)
+        want = np.cos(1e4) * np.sin(1e-6) - 2.0 * np.sin(1e4) * np.sin(5e-7) ** 2
+        step = np.sum(split.factors(y) * split.step(d), axis=-2)
+        assert_allclose(step, want, rtol=1e-15)
+        values = trig.value(y + d) - trig.value(y)
+        assert np.abs(values - want).max() > 1e-9 * np.abs(want).max()
 
     def test_manufactured_non_affine_fields_declare_it(self):
-        # the affine ones too: four products for a linear field, one for a
-        # constant field
+        # the affine ones too: a linear field splits as u(y) * 1 + 1 * G d,
+        # the second product constant in y; a constant field as c * 1
         for name in F.MANUFACTURED_NAMES:
             field, _ = F.make_manufactured(name)
             for side in (field.plus_side, field.minus_side):
-                assert side.split is not None, name
+                assert isinstance(side.split, F.Split), name
         y = np.zeros((2, 3))
-        assert F.linear_field(np.ones(3), np.eye(3)).split[0](y).shape == (2, 4, 3)
-        assert F.constant_field(np.ones(3)).split[1](y).shape == (2, 1, 3)
+        linear = F.linear_field(np.ones(3), np.eye(3)).split
+        assert linear.outer(y).shape == (2, 1, 3)
+        assert linear.constant.shape == (1, 3) and linear.terms == 1
+        assert linear.base.shape == (2, 3) and linear.step(y).shape == (2, 2, 3)
+        constant = F.constant_field(np.ones(3)).split
+        assert constant.outer(y).shape == (2, 0, 3) and constant.terms == 0
+        assert constant.base.shape == (1, 3) and constant.step(y).shape == (2, 1, 3)
 
     def test_survives_sum_and_scaling(self, rng):
         trig, _ = F.make_manufactured("trig_smooth")
         quadratic, _ = F.make_manufactured("quadratic")
-        combo = 2.0 * trig + quadratic * -0.5 + trig
-        outer, inner = combo.plus_side.split
+        linear, _ = F.make_manufactured("linear")
+        combo = 2.0 * trig + quadratic * -0.5 + trig + linear
+        split = combo.plus_side.split
         y = rng.normal(size=(5, 3))
-        assert outer(y).shape == inner(y).shape == (5, 2 + 3 + 2, 3)
+        assert split.outer(y).shape == (5, 2 + 2 + 2 + 1, 3)
+        assert split.constant.shape == (0 + 1 + 0 + 1, 3)
         d = 0.1 * rng.normal(size=(5, 3))
-        assert_allclose(np.sum(outer(y) * inner(d), axis=-2),
-                        3.0 * trig.value(y + d) - 0.5 * quadratic.value(y + d),
-                        rtol=0, atol=1e-14)
+        w = split.step(d)
+        assert w.shape == (5, 7 + 2, 3) and split.base.shape == (7 + 2, 3)
+        want = (3.0 * trig.value(y + d) - 0.5 * quadratic.value(y + d)
+                + linear.value(y + d))
+        f = split.factors(y)
+        assert_allclose(np.sum(f * (split.base + w), axis=-2), want, rtol=0, atol=1e-14)
+        assert_allclose(np.sum(f * w, axis=-2), want - combo.value(y), rtol=0, atol=1e-14)
 
     def test_dropped_when_an_operand_lacks_it(self, rng):
         trig, _ = F.make_manufactured("trig_smooth")

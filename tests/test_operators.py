@@ -36,15 +36,16 @@ class TestNonFiniteFieldValues:
     @staticmethod
     def _poisoned():
         # finite at the origin, NaN elsewhere; the split's outer factor is
-        # the value, so the nested pass reads the poison too
+        # the value, and its step W is NaN at every nonzero offset, so both
+        # the nested pass and the bond sums read the poison
         def value(p):
             out = np.where((np.abs(p) < 1e-30).all(axis=-1)[..., None], 0.0, np.nan)
             return np.broadcast_to(out, p.shape).copy()
 
         zeros3 = lambda p: np.zeros(p.shape[:-1] + (3, 3))
         zeros4 = lambda p: np.zeros(p.shape[:-1] + (3, 3, 3))
-        split = (lambda y: value(y)[..., None, :],
-                 lambda d: np.ones(d.shape[:-1] + (1, 3)))
+        split = F.Split(lambda y: value(y)[..., None, :],
+                        lambda d: value(d)[..., None, :], np.ones((1, 3)))
         return F.PiecewiseField.smooth(F.AnalyticVectorField(value, zeros3, zeros4,
                                                              split=split))
 
@@ -387,9 +388,11 @@ def counted_split(field, count):
         return wrapped
 
     def twin(side):
-        outer, inner = side.split
-        return F.AnalyticVectorField(side.value, side.grad, side.hessian,
-                                     split=(counted(outer), counted(inner)))
+        split = side.split
+        return F.AnalyticVectorField(
+            side.value, side.grad, side.hessian,
+            split=F.Split(counted(split.outer), counted(split.step), split.base,
+                          split.constant))
 
     plus = twin(field.plus_side)
     minus = plus if field.minus_side is field.plus_side else twin(field.minus_side)
@@ -424,11 +427,20 @@ class TestFusedNestedPass:
         factors = [0]
         O.corrected_operator(cfg, mat, counted_split(field, factors), x)
         # one pass: the outer factors at the n outer nodes, each in the closed
-        # form of its phase, and each side's inner factors at the n offsets
-        assert factors[0] == 3 * n == O.nested_pass_points(n, field) == 1728
-        # the bond sum and the bond correction share one read of the n outer
-        # nodes and x
-        assert reads[0] == n + 1 == 577
+        # form of its phase, and each side's steps W at the n offsets, which
+        # serve the bond sums too; beyond the pass, the bond sums read each
+        # side's outer factors at x, and for the gap between the sides at x,
+        # at x's projection on the interface, with its steps at the offset
+        # between the two
+        assert O.nested_pass_points(n, field) == 3 * n == 1728
+        assert factors[0] == 3 * n + 2 * 3 == 1734
+        # and no value of the field
+        assert reads[0] == 0
+
+
+def nested_moments(cfg, field, xs):
+    """(g, p) of the nested pass at the batch xs, from one read of the field."""
+    return O._nested_moments(cfg, O._read(cfg, field, xs))
 
 
 def _one_point(moments, cfg, field, x):
@@ -487,13 +499,13 @@ class TestAffineNestedPass:
     @pytest.mark.parametrize("name,field,cfg,x", AFFINE_CASES,
                              ids=[c[0] for c in AFFINE_CASES])
     def test_matches_untiled_reference(self, name, field, cfg, x):
-        _assert_matches_reference(_one_point(O._nested_moments, cfg, field, x), cfg, field, x)
+        _assert_matches_reference(_one_point(nested_moments, cfg, field, x), cfg, field, x)
 
     @pytest.mark.parametrize("name,field,cfg,x", AFFINE_CASES,
                              ids=[c[0] for c in AFFINE_CASES])
     def test_two_calls_agree_bit_for_bit(self, name, field, cfg, x):
-        first = _one_point(O._nested_moments, cfg, field, x)
-        second = _one_point(O._nested_moments, cfg, field, x)
+        first = _one_point(nested_moments, cfg, field, x)
+        second = _one_point(nested_moments, cfg, field, x)
         assert_array_equal(first[0], second[0])
         assert_array_equal(first[1], second[1])
 
@@ -505,7 +517,8 @@ class TestAffineNestedPass:
             cfg = O.make_config(0.1, 4, 6, split_normal=mat.interface.normal)
             got = O.corrected_operator(cfg, mat, field, x)
             with monkeypatch.context() as m:
-                m.setattr(O, "_nested_moments", reference_batch_moments)
+                m.setattr(O, "_nested_moments", lambda cfg, reads, normal=True:
+                          reference_batch_moments(cfg, reads.field, reads.x))
                 want = O.corrected_operator(cfg, mat, field, x)
             assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
@@ -541,15 +554,15 @@ class TestSplitNestedPass:
     def test_matches_untiled_reference(self, name, field, mat, delta):
         cfg = O.make_config(delta, 3, 5)
         for x in SPLIT_POINTS:
-            _assert_matches_reference(_one_point(O._nested_moments, cfg, field, x),
+            _assert_matches_reference(_one_point(nested_moments, cfg, field, x),
                                       cfg, field, x)
 
     @pytest.mark.parametrize("name,field,mat", SPLIT_CASES,
                              ids=[c[0] for c in SPLIT_CASES])
     def test_two_calls_agree_bit_for_bit(self, name, field, mat):
         cfg = O.make_config(0.1, 4, 6)
-        first = _one_point(O._nested_moments, cfg, field, SPLIT_POINTS[0])
-        second = _one_point(O._nested_moments, cfg, field, SPLIT_POINTS[0])
+        first = _one_point(nested_moments, cfg, field, SPLIT_POINTS[0])
+        second = _one_point(nested_moments, cfg, field, SPLIT_POINTS[0])
         assert_array_equal(first[0], second[0])
         assert_array_equal(first[1], second[1])
 
@@ -562,7 +575,7 @@ class TestSplitNestedPass:
         n = len(cfg.rule)
         for field in (trig, trig + quadratic):
             count = [0]
-            _one_point(O._nested_moments, cfg, counted_split(field, count), SPLIT_POINTS[0])
+            _one_point(nested_moments, cfg, counted_split(field, count), SPLIT_POINTS[0])
             assert count[0] == O.nested_pass_points(n, field) == 2 * n == 576
 
 
@@ -590,34 +603,46 @@ class TestNestedPass:
     @pytest.mark.parametrize("name,field,cfg,xs", NESTED_CASES,
                              ids=[c[0] for c in NESTED_CASES])
     def test_batch_matches_reference(self, name, field, cfg, xs):
-        g, p = O._nested_moments(cfg, field, xs)
+        g, p = nested_moments(cfg, field, xs)
         for row, x in enumerate(xs):
             _assert_matches_reference((g[row], p[row]), cfg, field, x)
 
-    def test_closed_form_without_split_refused(self):
-        # one line, before the pass reads anything, also when only one side
-        # of a kinked field declares no split
-        def unread(pts):
-            raise AssertionError("the pass read the field")
+    @pytest.mark.parametrize("name,field,cfg,xs", NESTED_CASES,
+                             ids=[c[0] for c in NESTED_CASES])
+    def test_bond_differences_match_values(self, name, field, cfg, xs):
+        # the definition, (u(x + delta z) - u(x)) . z from values, with the
+        # rounding of values of size |u|; off the plane of a kinked field the
+        # outer nodes across it take the gap between the sides at x
+        reads = O._read(cfg, field, xs)
+        u_y, u_x = field.value(reads.y), field.value(xs)
+        want = np.einsum("pqj,qj->pq", u_y - u_x[:, None, :], cfg.rule.points)
+        scale = np.abs(u_y).max() + np.abs(u_x).max()
+        assert np.abs(O._bond_differences(cfg, reads) - want).max() <= 1e-14 * scale
 
-        declared = F.AnalyticVectorField(unread, unread, unread, split=(unread, unread))
+    def test_closed_form_without_split_refused(self):
+        # one line, before anything is read, also when only one side of a
+        # kinked field declares no split
+        def unread(pts):
+            raise AssertionError("the operator read the field")
+
+        declared = F.AnalyticVectorField(unread, unread, unread,
+                                         split=F.Split(unread, unread, np.ones((1, 3))))
         undeclared = F.AnalyticVectorField(unread, unread, unread)
         cfg = O.make_config(0.1, 2, 4, split_normal=EZ)
         for field in (F.PiecewiseField.smooth(undeclared),
                       F.PiecewiseField(declared, undeclared, F.INTERFACE_Z),
                       F.PiecewiseField(undeclared, declared, F.INTERFACE_Z)):
             with pytest.raises(TypeError) as err:
-                O._nested_moments(cfg, field, np.array([[0.0, 0.0, 0.5]]))
-            assert str(err.value) == "the nested pass needs closed forms that declare a split"
-        # through an operator: lambda != mu makes a pass, lambda = mu does not
+                nested_moments(cfg, field, np.array([[0.0, 0.0, 0.5]]))
+            assert str(err.value) == "the point operators need closed forms that declare a split"
+        # through every operator: the bond sums read the split too, so
+        # lambda = mu, where no pass is made, refuses as lambda != mu does
         trig, _ = F.make_manufactured("trig_smooth")
-        side = trig.plus_side
-        field = F.PiecewiseField.smooth(F.AnalyticVectorField(side.value, side.grad,
-                                                              side.hessian))
-        with pytest.raises(TypeError, match="declare a split"):
-            O.state_operator(cfg, F.constant_material(3.0, 1.0), field, X0)
-        assert_array_equal(O.state_operator(cfg, F.constant_material(1.0, 1.0), field, X0),
-                           O.state_operator(cfg, F.constant_material(1.0, 1.0), trig, X0))
+        field = without_split(trig)
+        for mat in (F.constant_material(3.0, 1.0), F.constant_material(1.0, 1.0)):
+            for _, op in OPERATORS:
+                with pytest.raises(TypeError, match="declare a split"):
+                    op(cfg, mat, field, X0)
 
 
 def without_split(field):
@@ -645,8 +670,8 @@ def _batch_cases():
     lambda != mu, so that the state operator makes a nested pass, and a twin
     of each that declares no split, on its own material, for each operator
     that makes no nested pass there (lambda = mu and, for the corrected
-    operator, a smooth material); where a pass is made the twin is refused,
-    which ``TestNestedPass::test_closed_form_without_split_refused`` pins."""
+    operator, a smooth material).  The bond sums read the split too, so the
+    twin is refused alike on a batch and on each of its points."""
     cfg = O.make_config(0.1, 2, 4, split_normal=EZ)
     cases = []
     for name in F.MANUFACTURED_NAMES:
@@ -674,6 +699,11 @@ class TestBatches:
     @pytest.mark.parametrize("field,mat,op", BATCH_CASES)
     def test_batch_equals_single_points(self, field, mat, op):
         cfg = O.make_config(0.1, 2, 4, split_normal=EZ)
+        if field.plus_side.split is None:
+            for x in (BATCH_POINTS, *BATCH_POINTS):
+                with pytest.raises(TypeError, match="declare a split"):
+                    op(cfg, mat, field, x)
+            return
         batch = op(cfg, mat, field, BATCH_POINTS)
         assert batch.shape == BATCH_POINTS.shape
         points = np.array([op(cfg, mat, field, x) for x in BATCH_POINTS])
@@ -916,3 +946,42 @@ class TestObliqueKinkInvariances:
                                        x0 + t, n, moduli)
             _assert_close(op(cfg, moved_mat, moved, x + t),
                           op(cfg, mat, field, x), moduli, plus[1], minus[1])
+
+
+FAR_DELTA = 0.001
+FAR_OPS = [
+    ("base", lambda cfg, mat, f, x: O.base_operator(cfg, f, x)),
+    ("bond", O.bond_operator),
+    ("bond_correction", O.bond_correction_term),
+    ("delta_state", lambda cfg, mat, f, x: FAR_DELTA * O.state_operator(cfg, mat, f, x)),
+    ("delta_corrected",
+     lambda cfg, mat, f, x: FAR_DELTA * O.corrected_operator(cfg, mat, f, x)),
+]
+
+
+@pytest.mark.parametrize("name,op", FAR_OPS, ids=[n for n, _ in FAR_OPS])
+def test_translation_far_from_the_origin(name, op):
+    """Seeded oblique kinks on 3,1,5,2, with the plane, the field and the
+    point moved by |t| = 10, at horizon 0.001 and quadrature (4, 6).
+
+    The bond differences are read through the split, so no value of u, of
+    size |u| ~ |G| |t|, is subtracted from another.  At a point on the plane
+    the moved evaluation reads the same sums: every operator here changed
+    by 0 relative (7.2e-13 to 1.4e-11 when the differences were values).
+    0.4 horizons off the plane its distance to the plane is known only to
+    the rounding of positions of size 10, 2e-15 against 4e-4, and the
+    change is at most 3.1e-12 (6.4e-12 from values)."""
+    moduli = (3.0, 1.0, 5.0, 2.0)
+    for seed in (11, 12, 13):
+        rng = np.random.default_rng(seed)
+        plus, minus, x0, n = _oblique_kink(rng)
+        t = rng.normal(size=3)
+        t *= 10.0 / np.linalg.norm(t)
+        cfg = O.make_config(FAR_DELTA, 4, 6, split_normal=n)
+        field, mat = _kinked(plus, minus, x0, n, moduli)
+        moved, moved_mat = _kinked((plus[0] - plus[1] @ t, plus[1]),
+                                   (minus[0] - minus[1] @ t, minus[1]), x0 + t, n, moduli)
+        for x, bound in ((x0, 1e-14), (x0 + 0.4 * FAR_DELTA * n, 5e-12)):
+            want = op(cfg, mat, field, x)
+            got = op(cfg, moved_mat, moved, x + t)
+            assert np.abs(got - want).max() <= bound * np.abs(want).max(), seed
