@@ -1,10 +1,11 @@
 """Command-line front end: studies with embedded pass/fail checks.
 
-Each subcommand runs one study, writes a CSV (plot-ready records) and a JSON
-report into the output directory, prints one PASS/FAIL line per embedded
-check, and exits 0 only if every check passed (1 if a check failed, 2 on
-configuration errors and numerical refusals such as an overflowing horizon
-or a singular solve).
+``peridyn <study> [flags]`` runs one study, writes a CSV (plot-ready
+records) and a JSON report into the output directory, prints one PASS/FAIL
+line per embedded check, and exits 0 only if every check passed (1 if a
+check failed, 2 on configuration errors, runs that would need more than the
+physical memory, and numerical refusals such as an overflowing horizon or a
+singular solve).
 Outputs are deterministic: identical configuration produces byte-identical
 CSV regardless of thread count.
 """
@@ -12,6 +13,7 @@ CSV regardless of thread count.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -28,11 +30,7 @@ from .fields import (
     TwoPhaseMaterial,
     make_manufactured,
 )
-from .operators import (
-    EVALUATION_BYTES_PER_NODE,
-    half_ball_moment_tensor,
-    nested_pass_points,
-)
+from .operators import EVALUATION_BYTES_PER_NODE, half_ball_moment_tensor
 from .quadrature import (
     DEFAULT_ANGULAR_ORDER,
     DEFAULT_RADIAL_ORDER,
@@ -184,18 +182,18 @@ def _field_material(cfg: StudyConfig, default_field: str):
     return name, field, material
 
 
-# Field points one nested pass may evaluate, checked before the rule is
-# built.  One pass is the cost of one operator evaluation.  Every field the
-# CLI builds declares a split of each closed form, and the pass reads it at
-# O(n) points: the outer factors at the n rule nodes and each closed form's
-# inner factors at the n offsets, so 2n points for one closed form and 3n
-# for a field with a kink (see ``operators.nested_pass_points``).  The budget
-# stays as a check on the input: it refuses rules beyond 1e8 nodes for one
-# closed form and about 6.7e7 with a kink.  Below that the pass is bounded
-# by memory: each worker evaluates a batch of up to max(n,
-# ``analysis.BATCH_FIELD_POINTS``) field points, and holds about
-# ``operators.EVALUATION_BYTES_PER_NODE`` per field point.
-NESTED_POINT_BUDGET = 2 * 10**8
+# The memory gate: a run is refused before it allocates when its estimated
+# peak, from its configuration alone, exceeds the machine's physical memory.
+# A point operator holds about ``operators.EVALUATION_BYTES_PER_NODE`` per
+# field point, and each worker evaluates a batch of up to max(n,
+# ``analysis.BATCH_FIELD_POINTS``) field points on an n-node rule; a solve
+# holds about ``solver.SOLVE_BYTES_PER_NODE`` per lattice node.  The moments
+# and kdelta studies hold their rule and a few n-sized temporaries: their
+# peak bytes per rule node, the rule included, are 48.5-50.3 for moments
+# and 72.4-73.7 for kdelta by tracemalloc, on rules of 128,000 to 576,000
+# nodes.
+MOMENTS_BYTES_PER_NODE = 8 * 7
+KDELTA_BYTES_PER_NODE = 8 * 10
 
 
 def _physical_memory() -> int:
@@ -203,24 +201,24 @@ def _physical_memory() -> int:
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
-def _check_quad_budget(cfg: StudyConfig, field, split: bool) -> None:
-    """Refuse a ``quad`` whose nested pass on ``field`` exceeds the budget,
-    or whose evaluations would need more than the physical memory."""
-    n = ball_rule_size(*cfg.quad, split=split)
-    points = nested_pass_points(n, field)
-    if points > NESTED_POINT_BUDGET:
-        raise ConfigError(
-            f"quad {cfg.quad[0]},{cfg.quad[1]} gives a {n}-node rule whose "
-            f"nested pass evaluates {points:.3g} field points, more than the "
-            f"budget of {NESTED_POINT_BUDGET:.3g}")
-    batch = max(n, analysis.BATCH_FIELD_POINTS)  # field points per evaluation
-    need = batch * EVALUATION_BYTES_PER_NODE * cfg.threads
+def _check_memory(need: float, what: str) -> None:
+    """Refuse a run whose estimated peak of ``need`` bytes exceeds the
+    physical memory; ``what`` opens the message and says what needs it."""
     memory = _physical_memory()
     if need > memory:
         raise ConfigError(
-            f"quad {cfg.quad[0]},{cfg.quad[1]} gives a {n}-node rule whose "
-            f"evaluations need about {need / 2**30:.3g} GiB, more than the "
+            f"{what} about {need / 2**30:.3g} GiB, more than the "
             f"{memory / 2**30:.3g} GiB of physical memory")
+
+
+def _check_quad(cfg: StudyConfig, bytes_per_node: float, split: bool = False,
+                batch: int = 0) -> None:
+    """Refuse a ``quad`` whose n-node rule, at ``bytes_per_node`` for each of
+    max(n, ``batch``) nodes, would need more than the physical memory."""
+    n = ball_rule_size(*cfg.quad, split=split)
+    _check_memory(max(n, batch) * bytes_per_node,
+                  f"quad {cfg.quad[0]},{cfg.quad[1]} gives a {n}-node rule "
+                  f"whose evaluations need")
 
 
 def _deltas(cfg: StudyConfig, default):
@@ -242,6 +240,7 @@ def _outdir(cfg: StudyConfig) -> str:
 
 
 def _run_moments(cfg: StudyConfig) -> None:
+    _check_quad(cfg, MOMENTS_BYTES_PER_NODE)
     out = _outdir(cfg)
     rule = build_ball_rule(*cfg.quad)
     rows = []
@@ -290,6 +289,7 @@ def _run_moments(cfg: StudyConfig) -> None:
 
 
 def _run_kdelta(cfg: StudyConfig) -> None:
+    _check_quad(cfg, KDELTA_BYTES_PER_NODE)
     out = _outdir(cfg)
     n = np.asarray(cfg.normal, dtype=float)
     if not np.all(np.isfinite(n)):
@@ -344,7 +344,8 @@ def _report_outputs(cfg: StudyConfig, report: analysis.ConvergenceReport) -> Non
 
 def _run_converge(cfg: StudyConfig) -> None:
     name, field, material = _field_material(cfg, "trig_smooth")
-    _check_quad_budget(cfg, field, split=False)
+    _check_quad(cfg, EVALUATION_BYTES_PER_NODE * cfg.threads,
+                batch=analysis.BATCH_FIELD_POINTS)
     deltas = _deltas(cfg, analysis.DEFAULT_DELTAS)
     iface = material.interface if isinstance(material, TwoPhaseMaterial) else None
     pts = analysis.default_sample_grid(cfg.sample_count, 0.45, iface,
@@ -376,7 +377,8 @@ def _two_phase(cfg: StudyConfig, default_field: str):
     name, field, material = _field_material(cfg, default_field)
     if not isinstance(material, TwoPhaseMaterial):
         raise ConfigError(f"{cfg.study} study needs a two-phase material")
-    _check_quad_budget(cfg, field, split=True)
+    _check_quad(cfg, EVALUATION_BYTES_PER_NODE * cfg.threads, split=True,
+                batch=analysis.BATCH_FIELD_POINTS)
     return name, field, material
 
 
@@ -434,13 +436,8 @@ def _run_solve(cfg: StudyConfig) -> None:
     # anything else is for build_grid to refuse
     if cfg.h > 0 and np.all(np.isfinite(lo) & np.isfinite(hi) & (hi > lo)):
         nodes = float(np.prod(np.rint((hi - lo) / cfg.h) + 1.0))
-        need = nodes * solver.SOLVE_BYTES_PER_NODE
-        memory = _physical_memory()
-        if need > memory:
-            raise ConfigError(
-                f"box and h give a lattice of {nodes:.3g} nodes, which needs "
-                f"about {need / 2**30:.3g} GiB, more than the "
-                f"{memory / 2**30:.3g} GiB of physical memory")
+        _check_memory(nodes * solver.SOLVE_BYTES_PER_NODE,
+                      f"box and h give a lattice of {nodes:.3g} nodes, which needs")
     out = _outdir(cfg)
     name, field, material = _field_material(cfg, "patch_jump_zero_traction")
     iface = material.interface if isinstance(material, TwoPhaseMaterial) else None
@@ -510,27 +507,28 @@ _RUNNERS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every study: the study, and flags that may come before
+    or after it.  Built once per process; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="peridyn",
         description="Nonlocal-operator studies: moment identities, interface "
                     "limits, convergence rates, and equilibrium solves.")
-    sub = parser.add_subparsers(dest="study", required=True)
-    for study in _RUNNERS:
-        p = sub.add_parser(study)
-        p.add_argument("--config", help="JSON study configuration file")
-        p.add_argument("--out", help="output directory (default: current)")
-        p.add_argument("--delta-series", dest="deltas",
-                       help="comma-separated decreasing horizons")
-        p.add_argument("--delta-min",
-                       help="smallest horizon of a geometric series from 0.1")
-        p.add_argument("--quad", help="quadrature orders R,A")
-        p.add_argument("--material", help="two-phase:l+,m+,l-,m-")
-        p.add_argument("--field", help=f"one of {', '.join(MANUFACTURED_NAMES)}")
-        p.add_argument("--normal", help="unit normal x,y,z")
-        p.add_argument("--p", help="exponent of the discrete norm")
-        p.add_argument("--threads",
-                       help="worker threads (default: PERIDYN_THREADS or 1)")
+    parser.add_argument("study", choices=_RUNNERS)
+    parser.add_argument("--config", help="JSON study configuration file")
+    parser.add_argument("--out", help="output directory (default: current)")
+    parser.add_argument("--delta-series", dest="deltas",
+                        help="comma-separated decreasing horizons")
+    parser.add_argument("--delta-min",
+                        help="smallest horizon of a geometric series from 0.1")
+    parser.add_argument("--quad", help="quadrature orders R,A")
+    parser.add_argument("--material", help="two-phase:l+,m+,l-,m-")
+    parser.add_argument("--field", help=f"one of {', '.join(MANUFACTURED_NAMES)}")
+    parser.add_argument("--normal", help="unit normal x,y,z")
+    parser.add_argument("--p", help="exponent of the discrete norm")
+    parser.add_argument("--threads",
+                        help="worker threads (default: PERIDYN_THREADS or 1)")
     return parser
 
 

@@ -127,28 +127,21 @@ class AnalyticVectorField:
     ``split`` declares how a shifted value separates into products (a
     :class:`Split`), so that the point operators read the field from rule
     sums (see :mod:`peridyn.operators`): the nested pass from the factors
-    of u(y + d), the bond sums from those of u(y + d) - u(y).  Every
-    manufactured field declares one; a field that declares none (``split``
-    None) is refused by every point operator.
-
-    ``+`` keeps the split only when both operands declare one (it
-    concatenates the terms) and ``*`` scales it.
+    of u(y + d), the bond sums from those of u(y + d) - u(y).  ``+``
+    concatenates the splits' terms and ``*`` scales them.
     """
 
     value: Callable[[np.ndarray], np.ndarray]
     grad: Callable[[np.ndarray], np.ndarray]
     hessian: Callable[[np.ndarray], np.ndarray]
-    split: Optional[Split] = dataclasses.field(default=None, compare=False)
+    split: Split = dataclasses.field(compare=False)
 
     def __add__(self, other: "AnalyticVectorField") -> "AnalyticVectorField":
-        split = None
-        if self.split is not None and other.split is not None:
-            split = self.split + other.split
         return AnalyticVectorField(
             value=lambda p: self.value(p) + other.value(p),
             grad=lambda p: self.grad(p) + other.grad(p),
             hessian=lambda p: self.hessian(p) + other.hessian(p),
-            split=split,
+            split=self.split + other.split,
         )
 
     def __mul__(self, a: float) -> "AnalyticVectorField":
@@ -157,7 +150,7 @@ class AnalyticVectorField:
             value=lambda p: a * self.value(p),
             grad=lambda p: a * self.grad(p),
             hessian=lambda p: a * self.hessian(p),
-            split=None if self.split is None else self.split * a,
+            split=self.split * a,
         )
 
     __rmul__ = __mul__

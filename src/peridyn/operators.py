@@ -19,15 +19,15 @@ the outer nodes x_p + delta z_q once, reads the material at the P points and
 the P x n outer nodes, and forms each sum over the nodes as one matrix
 product over the batch.  It reads the field only through each closed form's
 declared split of u(y + d) into products of factors of y and of d (see
-:class:`peridyn.fields.Split`), and refuses a field that declares none.  The
-steps W(d) = V(d) - V(0) of the inner factors are read once, at the n
-offsets delta z_q, and serve every sum.  With the outer factors at the P
-points they give the bond sums the differences u(x + delta z) - u(x), with
-no value of u subtracted from another.  With V(0) they give the inner
-factors V of the nested double integrals, which reuse one reference ball
-rule for the inner and outer integral and compute both inner integrals at
-every outer node in one nested pass from the outer factors there, each
-read in the closed form of the node's phase, O(n m) work per point.
+:class:`peridyn.fields.Split`).  The steps W(d) = V(d) - V(0) of the inner
+factors are read once, at the n offsets delta z_q, and serve every sum.
+With the outer factors at the P points they give the bond sums the
+differences u(x + delta z) - u(x), with no value of u subtracted from
+another.  With V(0) they give the inner factors V of the nested double
+integrals, which reuse one reference ball rule for the inner and outer
+integral and compute both inner integrals at every outer node in one nested
+pass from the outer factors there, each read in the closed form of the
+node's phase, O(n m) work per point.
 
 Every summation order is fixed for a given batch, so results are
 reproducible bit for bit.  A point's value in a batch agrees with its value
@@ -183,11 +183,8 @@ def _read(config: OperatorConfig, field: PiecewiseField, x) -> _Reads:
     """The reads of ``field`` at the batch x, which every sum of an
     evaluation shares: each closed form's steps W are read once at the n
     offsets, and its inner factors V = V(0) + W enter the pass only as
-    their inner sums Q.  A closed form that declares no split is refused
-    before anything is read."""
+    their inner sums Q."""
     sides = _closed_forms(field)
-    if any(side.split is None for side in sides):
-        raise TypeError("the point operators need closed forms that declare a split")
     y = _outer_nodes(config, x)
     dz = config.delta * config.rule.points
     if len(sides) == 1:
@@ -358,8 +355,7 @@ def nested_pass_points(n: int, field: PiecewiseField) -> int:
     """Field points one nested pass over an n-node rule evaluates on
     ``field`` at one point: the outer factors at the n outer nodes, each in
     the closed form of its phase, and each closed form's steps at the n
-    offsets (see :func:`_nested_moments`), which the bond sums share.
-    Closed form, so it also counts passes too large to enumerate."""
+    offsets (see :func:`_nested_moments`), which the bond sums share."""
     return n + len(_closed_forms(field)) * n
 
 

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -10,8 +11,6 @@ import pytest
 import peridyn
 from lattice_matrix import MatrixOperator, reference_matrix
 from peridyn import analysis, cli, solver
-from peridyn.fields import make_manufactured
-from peridyn.operators import nested_pass_points
 from peridyn.cli import _load_config, build_parser, main
 
 DOCS = os.path.join(os.path.dirname(__file__), "..", "docs")
@@ -240,45 +239,87 @@ class TestExitCodes:
         assert capsys.readouterr() == ("", "error: box corners must be finite\n")
 
     @pytest.mark.parametrize("argv,nodes", [
-        # smooth fields that declare a split, so a pass reads 2n points:
-        # 2.16e8 on this split rule and 2.56e8 on this ball rule
+        # about 29 GiB on this split rule and 34 GiB on this ball rule, at 288
+        # bytes a node
         (["star", "--quad", "300,300", "--field", "quadratic",
           "--material", "two-phase:3,1,5,2"], 108_000_000),
         (["converge", "--quad", "400,400"], 128_000_000),
     ])
     def test_quad_beyond_budget_refused_before_the_rule(self, argv, nodes, tmp_path,
                                                         capsys, monkeypatch):
+        # the memory is fixed so that the refusal does not depend on the host
         def build(*args):
             raise AssertionError("rule built")
 
         monkeypatch.setattr(analysis, "build_ball_rule", build)
         monkeypatch.setattr(analysis, "build_split_ball_rule", build)
+        monkeypatch.setattr(cli, "_physical_memory", lambda: 16 * 2**30)
         rc = main([*argv, "--out", str(tmp_path)])
         assert rc == 2
         err = capsys.readouterr().err
-        assert err.startswith(f"error: quad {argv[2]} gives a {nodes}-node rule")
-        assert err.endswith("budget of 2e+08\n") and err.count("\n") == 1
+        assert err.startswith(f"error: quad {argv[2]} gives a {nodes}-node rule "
+                              "whose evaluations need about ")
+        assert err.endswith("more than the 16 GiB of physical memory\n")
+        assert err.count("\n") == 1
 
-    def test_quad_budget_admits_12_16_on_the_split_rule(self):
-        ns = build_parser().parse_args(["star", "--quad", "12,16"])
-        field, _ = make_manufactured("gradient_jump")  # star's default, kinked
-        cli._check_quad_budget(_load_config(ns), field, split=True)
+    @staticmethod
+    def _reaches_the_rule(argv, memory, monkeypatch):
+        """Whether ``main(argv)`` passes the memory gate, with the physical
+        memory fixed at ``memory`` bytes and one thread: a run that passes
+        it stops where the rule is built."""
+        class RuleBuilt(Exception):
+            pass
 
-    def test_quad_budget_admits_16_16_on_an_affine_field(self):
-        # star's default field is affine on each side, so its pass reads the
-        # outer factors at the 16384 nodes and each side's inner factors at
-        # the 16384 offsets
-        ns = build_parser().parse_args(["star", "--quad", "16,16"])
-        field, _ = make_manufactured("gradient_jump")
-        assert nested_pass_points(16384, field) == 3 * 16384
-        cli._check_quad_budget(_load_config(ns), field, split=True)
+        def build(*args):
+            raise RuleBuilt
+
+        monkeypatch.delenv("PERIDYN_THREADS", raising=False)
+        for module, name in ((analysis, "build_ball_rule"),
+                             (analysis, "build_split_ball_rule"),
+                             (cli, "build_ball_rule"), (cli, "build_half_ball_rule")):
+            monkeypatch.setattr(module, name, build)
+        monkeypatch.setattr(cli, "_physical_memory", lambda: memory)
+        try:
+            main(argv)
+        except RuleBuilt:
+            return True
+        return False
+
+    def test_quad_budget_admits_12_16_on_the_split_rule(self, tmp_path, monkeypatch):
+        # 12,288 nodes of 288 bytes: 3.4 MiB
+        assert self._reaches_the_rule(["star", "--quad", "12,16", "--out", str(tmp_path)],
+                                      2**30, monkeypatch)
+
+    def test_quad_budget_admits_16_16_on_an_affine_field(self, tmp_path, capsys,
+                                                         monkeypatch):
+        # star's default field is affine on each side; the 16,384-node rule
+        # is one batch, and its 288 bytes a node fit a memory of exactly that
+        argv = ["star", "--quad", "16,16", "--out", str(tmp_path)]
+        assert self._reaches_the_rule(argv, 16384 * 288, monkeypatch)
+        assert not self._reaches_the_rule(argv, 16384 * 288 - 1, monkeypatch)
+        assert capsys.readouterr().err.startswith(
+            "error: quad 16,16 gives a 16384-node rule whose evaluations need")
+
+    @pytest.mark.parametrize("study,gib", [("moments", "22.5"), ("kdelta", "32.2")])
+    def test_rule_study_beyond_memory_refused_before_the_rule(
+            self, study, gib, tmp_path, capsys, monkeypatch):
+        # the 432M-node rule of 600,600 at 56 (moments) or 80 (kdelta) bytes
+        # a node; each study builds its rule in one thread, so --threads
+        # does not scale the need
+        argv = [study, "--quad", "600,600", "--threads", "4", "--out", str(tmp_path)]
+        assert not self._reaches_the_rule(argv, 16 * 2**30, monkeypatch)
+        assert capsys.readouterr() == ("", (
+            f"error: quad 600,600 gives a 432000000-node rule whose evaluations "
+            f"need about {gib} GiB, more than the 16 GiB of physical memory\n"))
+        need = 432_000_000 * getattr(cli, f"{study.upper()}_BYTES_PER_NODE")
+        assert self._reaches_the_rule(argv, need, monkeypatch)
+        assert not self._reaches_the_rule(argv, need - 1, monkeypatch)
 
     def test_affine_rule_beyond_memory_refused_before_the_rule(self, tmp_path, capsys,
                                                               monkeypatch):
-        # star's default field is kinked: the 64.8M-node rule passes the
-        # point budget at 1.94e8 points (3n), but its evaluation needs about
-        # 17 GiB; the memory is fixed so that the refusal does not depend on
-        # the host
+        # star's default field is kinked: the 64.8M-node rule's evaluation
+        # needs about 17 GiB; the memory is fixed so that the refusal does not
+        # depend on the host
         def build(*args):
             raise AssertionError("rule built")
 
@@ -291,20 +332,14 @@ class TestExitCodes:
                               "evaluations need about 17.4 GiB, more than the 16 GiB")
         assert err.endswith("of physical memory\n") and err.count("\n") == 1
 
-    def test_quad_memory_bound_is_the_batch(self, monkeypatch):
+    def test_quad_memory_bound_is_the_batch(self, tmp_path, monkeypatch):
         # a 288-node rule: each thread's batch holds up to
         # analysis.BATCH_FIELD_POINTS = 4096 field points of 288 bytes
         assert (analysis.BATCH_FIELD_POINTS, cli.EVALUATION_BYTES_PER_NODE) == (4096, 288)
-        ns = build_parser().parse_args(["converge", "--quad", "4,6", "--threads", "3"])
-        cfg = _load_config(ns)
-        field, _ = make_manufactured("smooth_material_trig")
+        argv = ["converge", "--quad", "4,6", "--threads", "3", "--out", str(tmp_path)]
         need = 4096 * 288 * 3
-        monkeypatch.setattr(cli, "_physical_memory", lambda: need)
-        cli._check_quad_budget(cfg, field, split=False)
-        monkeypatch.setattr(cli, "_physical_memory", lambda: need - 1)
-        with pytest.raises(cli.ConfigError,
-                           match="gives a 288-node rule whose evaluations need about"):
-            cli._check_quad_budget(cfg, field, split=False)
+        assert self._reaches_the_rule(argv, need, monkeypatch)
+        assert not self._reaches_the_rule(argv, need - 1, monkeypatch)
 
     def test_internal_type_error_propagates(self, tmp_path, monkeypatch):
         # every bad input that could raise a TypeError is refused as a
@@ -321,6 +356,51 @@ class TestExitCodes:
         # check fails and the run exits 1
         rc = main(["moments", "--quad", "1,1", "--out", str(tmp_path)])
         assert rc == 1
+
+
+# every flag, and the string each sets in the parsed namespace
+ALL_FLAGS = {"config": ("--config", "c.json"), "out": ("--out", "o"),
+             "deltas": ("--delta-series", "0.1,0.05"), "delta_min": ("--delta-min", "1e-3"),
+             "quad": ("--quad", "4,6"), "material": ("--material", "two-phase:3,1,5,2"),
+             "field": ("--field", "linear"), "normal": ("--normal", "0,0,1"),
+             "p": ("--p", "inf"), "threads": ("--threads", "2")}
+
+
+class TestParser:
+    """One parser serves every study, and main builds it once per process."""
+
+    @pytest.mark.parametrize("study", cli._RUNNERS)
+    def test_every_flag_parses_for_every_study(self, study):
+        flags = [text for flag in ALL_FLAGS.values() for text in flag]
+        want = {"study": study, **{key: value for key, (_, value) in ALL_FLAGS.items()}}
+        assert vars(build_parser().parse_args([study, *flags])) == want
+        # flags may also come before the study
+        assert vars(build_parser().parse_args([*flags, study])) == want
+
+    def test_unknown_study_exits_2(self, capsys):
+        with pytest.raises(SystemExit) as stop:
+            main(["nope"])
+        assert stop.value.code == 2
+        assert "invalid choice: 'nope'" in capsys.readouterr().err
+
+    def test_built_once_per_process(self, tmp_path, monkeypatch):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+        build_parser.cache_clear()
+        try:
+            argv = ["kdelta", "--quad", "2,2", "--out", str(tmp_path)]
+            assert main(argv) == 0
+            assert built == ["peridyn"]
+            assert main(argv) == 0
+            assert built == ["peridyn"]
+        finally:
+            build_parser.cache_clear()
 
 
 class TestConfigTable:

@@ -309,15 +309,3 @@ class TestSplit:
         f = split.factors(y)
         assert_allclose(np.sum(f * (split.base + w), axis=-2), want, rtol=0, atol=1e-14)
         assert_allclose(np.sum(f * w, axis=-2), want - combo.value(y), rtol=0, atol=1e-14)
-
-    def test_dropped_when_an_operand_lacks_it(self, rng):
-        trig, _ = F.make_manufactured("trig_smooth")
-        affine = F.linear_field(rng.normal(size=3), rng.normal(size=(3, 3)))
-        undeclared = F.AnalyticVectorField(trig.plus_side.value, trig.plus_side.grad,
-                                           trig.plus_side.hessian)
-        assert (affine + undeclared).split is None
-        assert (undeclared + affine).split is None
-        assert (trig.plus_side + undeclared).split is None
-        assert (3.0 * undeclared).split is None
-        linear, _ = F.make_manufactured("linear")
-        assert (linear + F.PiecewiseField.smooth(undeclared)).plus_side.split is None

@@ -619,42 +619,6 @@ class TestNestedPass:
         scale = np.abs(u_y).max() + np.abs(u_x).max()
         assert np.abs(O._bond_differences(cfg, reads) - want).max() <= 1e-14 * scale
 
-    def test_closed_form_without_split_refused(self):
-        # one line, before anything is read, also when only one side of a
-        # kinked field declares no split
-        def unread(pts):
-            raise AssertionError("the operator read the field")
-
-        declared = F.AnalyticVectorField(unread, unread, unread,
-                                         split=F.Split(unread, unread, np.ones((1, 3))))
-        undeclared = F.AnalyticVectorField(unread, unread, unread)
-        cfg = O.make_config(0.1, 2, 4, split_normal=EZ)
-        for field in (F.PiecewiseField.smooth(undeclared),
-                      F.PiecewiseField(declared, undeclared, F.INTERFACE_Z),
-                      F.PiecewiseField(undeclared, declared, F.INTERFACE_Z)):
-            with pytest.raises(TypeError) as err:
-                nested_moments(cfg, field, np.array([[0.0, 0.0, 0.5]]))
-            assert str(err.value) == "the point operators need closed forms that declare a split"
-        # through every operator: the bond sums read the split too, so
-        # lambda = mu, where no pass is made, refuses as lambda != mu does
-        trig, _ = F.make_manufactured("trig_smooth")
-        field = without_split(trig)
-        for mat in (F.constant_material(3.0, 1.0), F.constant_material(1.0, 1.0)):
-            for _, op in OPERATORS:
-                with pytest.raises(TypeError, match="declare a split"):
-                    op(cfg, mat, field, X0)
-
-
-def without_split(field):
-    """A twin of ``field`` whose closed forms declare no split, so that an
-    operator which makes a nested pass refuses it."""
-    def twin(side):
-        return F.AnalyticVectorField(side.value, side.grad, side.hessian)
-
-    plus = twin(field.plus_side)
-    minus = plus if field.minus_side is field.plus_side else twin(field.minus_side)
-    return F.PiecewiseField(plus, minus, field.interface)
-
 
 # at horizon 0.1 about the plane z = 0: on it, in the slab on either side,
 # and out of it on either side
@@ -666,13 +630,8 @@ BATCH_OPS = (("state", O.state_operator), ("corrected", O.corrected_operator))
 
 def _batch_cases():
     """pytest params (field, material, operator) for batches against single
-    points: every manufactured configuration, the same field on moduli with
-    lambda != mu, so that the state operator makes a nested pass, and a twin
-    of each that declares no split, on its own material, for each operator
-    that makes no nested pass there (lambda = mu and, for the corrected
-    operator, a smooth material).  The bond sums read the split too, so the
-    twin is refused alike on a batch and on each of its points."""
-    cfg = O.make_config(0.1, 2, 4, split_normal=EZ)
+    points: every manufactured configuration, and the same field on moduli
+    with lambda != mu, so that the state operator makes a nested pass."""
     cases = []
     for name in F.MANUFACTURED_NAMES:
         field, mat = F.make_manufactured(name)
@@ -682,10 +641,6 @@ def _batch_cases():
         for op_name, op in BATCH_OPS:
             cases += [pytest.param(field, mat, op, id=f"{name}-{op_name}"),
                       pytest.param(field, lam_ne_mu, op, id=f"{name}_3152-{op_name}")]
-            if not O._makes_nested_pass(cfg, mat, BATCH_POINTS,
-                                        op is O.corrected_operator):
-                cases.append(pytest.param(without_split(field), mat, op,
-                                          id=f"{name}_undeclared-{op_name}"))
     return cases
 
 
@@ -699,11 +654,6 @@ class TestBatches:
     @pytest.mark.parametrize("field,mat,op", BATCH_CASES)
     def test_batch_equals_single_points(self, field, mat, op):
         cfg = O.make_config(0.1, 2, 4, split_normal=EZ)
-        if field.plus_side.split is None:
-            for x in (BATCH_POINTS, *BATCH_POINTS):
-                with pytest.raises(TypeError, match="declare a split"):
-                    op(cfg, mat, field, x)
-            return
         batch = op(cfg, mat, field, BATCH_POINTS)
         assert batch.shape == BATCH_POINTS.shape
         points = np.array([op(cfg, mat, field, x) for x in BATCH_POINTS])
