@@ -19,7 +19,7 @@ import os
 import sys
 import time
 from dataclasses import dataclass, field as dataclass_field
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -131,6 +131,9 @@ _SETTINGS = {
 
 
 def _load_config(ns: argparse.Namespace) -> StudyConfig:
+    """Every setting of the run, resolved once: flag over file over the
+    study's default over StudyConfig's.  A study that reads horizons takes
+    ``deltas``, else geomspace(0.1, ``delta_min``, 5), else its default."""
     data = {}
     if ns.config:
         try:
@@ -148,12 +151,10 @@ def _load_config(ns: argparse.Namespace) -> StudyConfig:
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
 
-    # flags override the file; PERIDYN_THREADS applies where neither sets threads
-    settings = {"threads": os.environ.get("PERIDYN_THREADS", 1), **data}
-    settings.update((key, getattr(ns, key)) for key in _SETTINGS
-                    if getattr(ns, key, None) is not None)
+    data.update((key, getattr(ns, key)) for key in _SETTINGS
+                if getattr(ns, key, None) is not None)
     cfg = StudyConfig(study=ns.study)
-    for key, value in settings.items():
+    for key, value in data.items():
         try:
             setattr(cfg, key, _SETTINGS[key](value))
         except ValueError as e:
@@ -165,13 +166,42 @@ def _load_config(ns: argparse.Namespace) -> StudyConfig:
         raise ConfigError("quadrature orders must be >= 1")
     if not cfg.p > 0:
         raise ConfigError(f"p must be > 0, got {cfg.p}")
+    if cfg.sample_count < 1:
+        raise ConfigError(f"sample_count must be >= 1, got {cfg.sample_count}")
+    defaults = _STUDIES[ns.study].defaults
+    reads_horizons = "deltas" in defaults
+    if reads_horizons and cfg.deltas is None and cfg.delta_min is not None:
+        if not 0 < cfg.delta_min < 0.1:
+            raise ConfigError(f"delta_min must be in (0, 0.1), got {cfg.delta_min}")
+        cfg.deltas = analysis.geometric_deltas(0.1, cfg.delta_min, 5)
+    for key, value in defaults.items():
+        if getattr(cfg, key) is None:
+            setattr(cfg, key, value)
+    if reads_horizons:
+        cfg.deltas = analysis.as_delta_series(cfg.deltas)
     return cfg
 
 
-def _field_material(cfg: StudyConfig, default_field: str):
-    name = cfg.field or default_field
+@dataclass(frozen=True)
+class Study:
+    """A study's runner, its defaults where they differ from StudyConfig's
+    (None there), and its memory need: ``bytes_per_node`` for each of max(n,
+    ``batch``) nodes of its n-node rule, in each of ``threads`` workers if
+    it has a ``batch``.  A study with a default field is run on its field
+    and material; an ``interface`` study needs two phases and runs on the
+    rule split along the interface."""
+    run: Callable
+    defaults: dict = dataclass_field(default_factory=dict)
+    bytes_per_node: float = 0.0
+    batch: int = 0
+    interface: bool = False
+
+
+def _field_material(cfg: StudyConfig, study: Study):
+    """The field and material of the study's manufactured case, on the
+    moduli of ``cfg.material`` if it is set."""
     try:
-        field, material = make_manufactured(name)
+        field, material = make_manufactured(cfg.field)
     except ValueError as e:
         raise ConfigError(str(e)) from e
     if cfg.material is not None:
@@ -179,7 +209,9 @@ def _field_material(cfg: StudyConfig, default_field: str):
         iface = material.interface if isinstance(material, TwoPhaseMaterial) \
             else PlanarInterface(np.zeros(3), np.array([0.0, 0.0, 1.0]))
         material = TwoPhaseMaterial(lamp, mup, lamm, mum, iface)
-    return name, field, material
+    if study.interface and not isinstance(material, TwoPhaseMaterial):
+        raise ConfigError(f"{cfg.study} study needs a two-phase material")
+    return field, material
 
 
 # The memory gate: a run is refused before it allocates when its estimated
@@ -211,27 +243,16 @@ def _check_memory(need: float, what: str) -> None:
             f"{memory / 2**30:.3g} GiB of physical memory")
 
 
-def _check_quad(cfg: StudyConfig, bytes_per_node: float, split: bool = False,
-                batch: int = 0) -> None:
-    """Refuse a ``quad`` whose n-node rule, at ``bytes_per_node`` for each of
-    max(n, ``batch``) nodes, would need more than the physical memory."""
-    n = ball_rule_size(*cfg.quad, split=split)
-    _check_memory(max(n, batch) * bytes_per_node,
+def _check_quad(cfg: StudyConfig, study: Study) -> None:
+    """Refuse a ``quad`` whose rule would need more than the physical memory
+    at the study's need (see :class:`Study`); ``solve`` builds no rule."""
+    if not study.bytes_per_node:
+        return
+    n = ball_rule_size(*cfg.quad, split=study.interface)
+    workers = cfg.threads if study.batch else 1
+    _check_memory(max(n, study.batch) * study.bytes_per_node * workers,
                   f"quad {cfg.quad[0]},{cfg.quad[1]} gives a {n}-node rule "
                   f"whose evaluations need")
-
-
-def _deltas(cfg: StudyConfig, default):
-    if cfg.deltas is not None:
-        return analysis.as_delta_series(cfg.deltas)
-    if cfg.delta_min is not None:
-        return analysis.geometric_deltas(0.1, cfg.delta_min, 5)
-    return analysis.as_delta_series(default)
-
-
-def _outdir(cfg: StudyConfig) -> str:
-    os.makedirs(cfg.out, exist_ok=True)
-    return cfg.out
 
 
 # ---------------------------------------------------------------------------
@@ -240,8 +261,6 @@ def _outdir(cfg: StudyConfig) -> str:
 
 
 def _run_moments(cfg: StudyConfig) -> None:
-    _check_quad(cfg, MOMENTS_BYTES_PER_NODE)
-    out = _outdir(cfg)
     rule = build_ball_rule(*cfg.quad)
     rows = []
     # np.maximum keeps a NaN error, so it fails its check
@@ -251,12 +270,7 @@ def _run_moments(cfg: StudyConfig) -> None:
         fm = fourth_moment(rule, delta)
         for idx in np.ndindex(3, 3, 3, 3):
             i, j, k, l = idx
-            if i == j == k == l:
-                ref = 6.0
-            elif (i == j and k == l) or (i == k and j == l) or (i == l and j == k):
-                ref = 2.0
-            else:
-                ref = 0.0
+            ref = 2.0 * ((i == j) * (k == l) + (i == k) * (j == l) + (i == l) * (j == k))
             err = abs(fm[idx] - ref)
             worst4 = np.maximum(worst4, err)
             rows.append(["fourth", str(delta), i, j, k, l, fm[idx], ref, err])
@@ -272,15 +286,14 @@ def _run_moments(cfg: StudyConfig) -> None:
     for delta in (1.0, 0.5):
         tm = third_moment(rule, delta)
         worst3 = np.maximum(worst3, float(np.abs(tm).max()) / delta**2)
-    analysis.write_table(os.path.join(out, "moments.csv"),
+    analysis.write_table(os.path.join(cfg.out, "moments.csv"),
                          ["quantity", "delta", "i", "j", "k", "l", "value",
                           "reference", "abs_err"],
                          rows)
-    ok = True
-    ok &= cfg.record("fourth_moment", worst4 < 1e-10, f"max entry error {worst4:.3e} (tol 1e-10)")
-    ok &= cfg.record("second_moment", worst2 < 1e-10, f"max scaled error {worst2:.3e} (tol 1e-10)")
-    ok &= cfg.record("third_moment", worst3 < 1e-12, f"max scaled entry {worst3:.3e} (tol 1e-12)")
-    analysis.write_json(os.path.join(out, "moments.json"), {
+    cfg.record("fourth_moment", worst4 < 1e-10, f"max entry error {worst4:.3e} (tol 1e-10)")
+    cfg.record("second_moment", worst2 < 1e-10, f"max scaled error {worst2:.3e} (tol 1e-10)")
+    cfg.record("third_moment", worst3 < 1e-12, f"max scaled entry {worst3:.3e} (tol 1e-12)")
+    analysis.write_json(os.path.join(cfg.out, "moments.json"), {
         "study": "moments", "quad": list(cfg.quad),
         "fourth_moment_max_err": worst4, "second_moment_max_scaled_err": worst2,
         "third_moment_max_scaled": worst3,
@@ -289,8 +302,6 @@ def _run_moments(cfg: StudyConfig) -> None:
 
 
 def _run_kdelta(cfg: StudyConfig) -> None:
-    _check_quad(cfg, KDELTA_BYTES_PER_NODE)
-    out = _outdir(cfg)
     n = np.asarray(cfg.normal, dtype=float)
     if not np.all(np.isfinite(n)):
         raise ConfigError("normal must be finite")
@@ -307,11 +318,10 @@ def _run_kdelta(cfg: StudyConfig) -> None:
     n = n / nrm
     rule = build_half_ball_rule(*cfg.quad)
     closed = half_ball_moment_tensor(n)
-    deltas = analysis.as_delta_series(cfg.deltas or (1.0, 0.1, 0.01))
     rows = []
     scaled = []
     worst = 0.0
-    for delta in deltas:
+    for delta in cfg.deltas:
         kd = delta * half_ball_third_moment_numeric(rule, delta, n)
         scaled.append(kd)
         for idx in np.ndindex(3, 3, 3):
@@ -319,42 +329,39 @@ def _run_kdelta(cfg: StudyConfig) -> None:
             worst = np.maximum(worst, err)
             rows.append([delta, *idx, kd[idx], closed[idx], err])
     spread = float(np.ptp(scaled, axis=0).max())
-    analysis.write_table(os.path.join(out, "kdelta.csv"),
+    analysis.write_table(os.path.join(cfg.out, "kdelta.csv"),
                          ["delta", "i", "j", "k", "numeric_scaled",
                           "closed_form", "abs_err"],
                          rows)
-    ok = cfg.record("closed_form", worst < 1e-9,
-                    f"max |scaled numeric - closed| {worst:.3e} (tol 1e-9)")
-    ok &= cfg.record("delta_independence", spread < 1e-11,
-                     f"max spread across horizons {spread:.3e} (tol 1e-11)")
-    analysis.write_json(os.path.join(out, "kdelta.json"), {
+    cfg.record("closed_form", worst < 1e-9,
+               f"max |scaled numeric - closed| {worst:.3e} (tol 1e-9)")
+    cfg.record("delta_independence", spread < 1e-11,
+               f"max spread across horizons {spread:.3e} (tol 1e-11)")
+    analysis.write_json(os.path.join(cfg.out, "kdelta.json"), {
         "study": "kdelta", "normal": [float(v) for v in n],
-        "deltas": [float(d) for d in deltas],
+        "deltas": [float(d) for d in cfg.deltas],
         "quad": list(cfg.quad), "max_err": worst, "delta_spread": spread,
         "checks": [list(c) for c in cfg.checks],
     })
 
 
 def _report_outputs(cfg: StudyConfig, report: analysis.ConvergenceReport) -> None:
-    out = _outdir(cfg)
-    report.write_csv(os.path.join(out, f"{cfg.study}.csv"))
+    report.write_csv(os.path.join(cfg.out, f"{cfg.study}.csv"))
     report.params["checks"] = [list(c) for c in cfg.checks]
-    report.write_json(os.path.join(out, f"{cfg.study}.json"))
+    report.write_json(os.path.join(cfg.out, f"{cfg.study}.json"))
 
 
-def _run_converge(cfg: StudyConfig) -> None:
-    name, field, material = _field_material(cfg, "trig_smooth")
-    _check_quad(cfg, EVALUATION_BYTES_PER_NODE * cfg.threads,
-                batch=analysis.BATCH_FIELD_POINTS)
-    deltas = _deltas(cfg, analysis.DEFAULT_DELTAS)
+def _run_converge(cfg: StudyConfig, field, material) -> None:
     iface = material.interface if isinstance(material, TwoPhaseMaterial) else None
-    pts = analysis.default_sample_grid(cfg.sample_count, 0.45, iface,
-                                       2.0 * float(deltas.max()))
-    report = analysis.converge_to_navier(material, field, deltas, pts, p=cfg.p,
-                                         radial_order=cfg.quad[0],
-                                         angular_order=cfg.quad[1],
-                                         threads=cfg.threads)
-    report.params["field"] = name
+    collar = 2.0 * float(cfg.deltas.max())
+    pts = analysis.default_sample_grid(cfg.sample_count, 0.45, iface, collar)
+    if len(pts) == 0:
+        raise ConfigError(f"the interface collar of {collar:g} (twice the largest "
+                          f"horizon) excludes every sample point")
+    report = analysis.converge_to_navier(
+        material, field, cfg.deltas, pts, p=cfg.p, radial_order=cfg.quad[0],
+        angular_order=cfg.quad[1], threads=cfg.threads)
+    report.params["field"] = cfg.field
     monotone = bool(np.all(np.diff(report.norms) < 0))
     if report.exact:
         cfg.record("exact", True, "errors below 1e-12 at every horizon (exact regime)")
@@ -365,34 +372,14 @@ def _run_converge(cfg: StudyConfig) -> None:
     _report_outputs(cfg, report)
 
 
-def _material_jumps(material) -> bool:
-    return (isinstance(material, TwoPhaseMaterial)
-            and (material.lambda_plus != material.lambda_minus
-                 or material.mu_plus != material.mu_minus))
-
-
-def _two_phase(cfg: StudyConfig, default_field: str):
-    """Field and material of an interface study, which needs two phases and
-    runs on the split rule."""
-    name, field, material = _field_material(cfg, default_field)
-    if not isinstance(material, TwoPhaseMaterial):
-        raise ConfigError(f"{cfg.study} study needs a two-phase material")
-    _check_quad(cfg, EVALUATION_BYTES_PER_NODE * cfg.threads, split=True,
-                batch=analysis.BATCH_FIELD_POINTS)
-    return name, field, material
-
-
-def _run_blowup(cfg: StudyConfig) -> None:
-    name, field, material = _two_phase(cfg, "patch_jump_zero_traction")
-    deltas = _deltas(cfg, analysis.geometric_deltas(0.1, 1e-3, 5))
-    x0 = material.interface.point
-    report = analysis.interface_blowup(material, field, x0, deltas,
-                                       radial_order=cfg.quad[0],
-                                       angular_order=cfg.quad[1],
-                                       threads=cfg.threads)
-    report.params["field"] = name
-    jumps = _material_jumps(material) or field.plus_side is not field.minus_side
-    if jumps:
+def _run_blowup(cfg: StudyConfig, field, material) -> None:
+    report = analysis.interface_blowup(
+        material, field, material.interface.point, cfg.deltas,
+        radial_order=cfg.quad[0], angular_order=cfg.quad[1], threads=cfg.threads)
+    report.params["field"] = cfg.field
+    if (field.plus_side is not field.minus_side
+            or material.lambda_plus != material.lambda_minus
+            or material.mu_plus != material.mu_minus):
         ok = report.slope is not None and abs(report.slope + 1.0) <= 0.05
         cfg.record("blowup_rate", ok,
                    f"fitted slope {report.slope} (need -1 +- 0.05)")
@@ -402,19 +389,20 @@ def _run_blowup(cfg: StudyConfig) -> None:
     _report_outputs(cfg, report)
 
 
-def _run_limit(cfg: StudyConfig, study, default_field: str, check: str,
-               label: str) -> None:
-    """An interface limit study, checked against the target it reports."""
-    name, field, material = _two_phase(cfg, default_field)
-    deltas = _deltas(cfg, analysis.geometric_deltas(0.1, 1e-3, 5))
-    report = study(material, field, material.interface.point, deltas,
+def _run_limit(cfg: StudyConfig, field, material) -> None:
+    """The natural or star limit study, checked against the target it
+    reports.  Its analysis function is looked up per run, so a wrapped or
+    patched one is called."""
+    study = getattr(analysis, f"{cfg.study}_limit_check")
+    label = {"natural": "formula", "star": "45/32 traction jump"}[cfg.study]
+    report = study(material, field, material.interface.point, cfg.deltas,
                    radial_order=cfg.quad[0], angular_order=cfg.quad[1],
                    threads=cfg.threads)
-    report.params["field"] = name
+    report.params["field"] = cfg.field
     target = np.asarray(report.params["target"])
     err = float(np.linalg.norm(report.limit_estimate - target))
     tol = max(5e-3, 0.01 * float(np.linalg.norm(target)))
-    cfg.record(check, err <= tol,
+    cfg.record(f"{cfg.study}_limit", err <= tol,
                f"|limit - {label}| = {err:.3e} (tol {tol:.3e}); "
                f"limit {np.array2string(report.limit_estimate, precision=6)}")
     _report_outputs(cfg, report)
@@ -431,15 +419,13 @@ def _residual_scale(opr) -> float:
     return max(float(np.max(opr.lam + 2.0 * opr.mu)) / opr.grid.h**2, 1.0)
 
 
-def _run_solve(cfg: StudyConfig) -> None:
+def _run_solve(cfg: StudyConfig, field, material) -> None:
     lo, hi = (np.asarray(c, dtype=float) for c in cfg.box)
     # anything else is for build_grid to refuse
     if cfg.h > 0 and np.all(np.isfinite(lo) & np.isfinite(hi) & (hi > lo)):
         nodes = float(np.prod(np.rint((hi - lo) / cfg.h) + 1.0))
         _check_memory(nodes * solver.SOLVE_BYTES_PER_NODE,
                       f"box and h give a lattice of {nodes:.3g} nodes, which needs")
-    out = _outdir(cfg)
-    name, field, material = _field_material(cfg, "patch_jump_zero_traction")
     iface = material.interface if isinstance(material, TwoPhaseMaterial) else None
     try:
         grid = solver.build_grid((lo, hi), cfg.h, cfg.ratio, iface)
@@ -458,27 +444,27 @@ def _run_solve(cfg: StudyConfig) -> None:
     rows = []
     for pt, u, tag in zip(grid.points, result.u, grid.tags):
         rows.append([*pt, *u, solver.NodeTag(tag).name.lower()])
-    analysis.write_table(os.path.join(out, "solution.csv"),
+    analysis.write_table(os.path.join(cfg.out, "solution.csv"),
                          ["x", "y", "z", "ux", "uy", "uz", "tag"], rows)
 
     res_scale = _residual_scale(opr)
     worst_res = max(v["max"] for v in result.residuals.values())
-    ok = cfg.record("residual", worst_res <= 1e-10 * res_scale,
-                    f"max residual {worst_res:.3e} (tol {1e-10 * res_scale:.3e})")
+    cfg.record("residual", worst_res <= 1e-10 * res_scale,
+               f"max residual {worst_res:.3e} (tol {1e-10 * res_scale:.3e})")
     recovery = None
     if cfg.b is None:
         exact = field.value(grid.points)
         recovery = float(np.linalg.norm(result.u[free] - exact[free], axis=1).max())
-        kind = _SOLVE_TOLS.get(name)
+        kind = _SOLVE_TOLS.get(cfg.field)
         if kind is not None:
             tol = kind[1] if kind[0] == "abs" else kind[1] * cfg.h
-            ok &= cfg.record("recovery", recovery <= tol,
-                             f"max nodal error {recovery:.3e} (tol {tol:.3e})")
+            cfg.record("recovery", recovery <= tol,
+                       f"max nodal error {recovery:.3e} (tol {tol:.3e})")
         else:
             cfg.record("recovery_info", True,
-                       f"max nodal error {recovery:.3e} (no tolerance for field {name!r})")
-    analysis.write_json(os.path.join(out, "solve_report.json"), {
-        "study": "solve", "field": name, "h": cfg.h, "ratio": cfg.ratio,
+                       f"max nodal error {recovery:.3e} (no tolerance for field {cfg.field!r})")
+    analysis.write_json(os.path.join(cfg.out, "solve_report.json"), {
+        "study": "solve", "field": cfg.field, "h": cfg.h, "ratio": cfg.ratio,
         "n_nodes": int(grid.n_nodes), "n_free": int(free.sum()),
         "residuals": result.residuals, "iterations": result.iterations,
         "residual_history": result.residual_history,
@@ -491,19 +477,26 @@ def _run_solve(cfg: StudyConfig) -> None:
     })
 
 
-_RUNNERS = {
-    "moments": _run_moments,
-    "kdelta": _run_kdelta,
-    "converge": _run_converge,
-    "blowup": _run_blowup,
-    # looked up per run, so a wrapped or patched study function is called
-    "natural": lambda cfg: _run_limit(cfg, analysis.natural_limit_check,
-                                      "patch_jump_zero_traction",
-                                      "natural_limit", "formula"),
-    "star": lambda cfg: _run_limit(cfg, analysis.star_limit_check,
-                                   "gradient_jump", "star_limit",
-                                   "45/32 traction jump"),
-    "solve": _run_solve,
+_SERIES = {"bytes_per_node": EVALUATION_BYTES_PER_NODE,
+           "batch": analysis.BATCH_FIELD_POINTS}
+_AT_INTERFACE = {"interface": True, **_SERIES}
+# geomspace(0.1, 1e-3, 5), written out: computing it on import would add
+# about 0.25 MiB to the peak RSS of every process that imports the CLI
+_INTERFACE_DELTAS = (0.1, 0.03162277660168379, 0.01, 0.0031622776601683794, 0.001)
+
+_STUDIES = {
+    "moments": Study(_run_moments, bytes_per_node=MOMENTS_BYTES_PER_NODE),
+    "kdelta": Study(_run_kdelta, {"deltas": (1.0, 0.1, 0.01)},
+                    bytes_per_node=KDELTA_BYTES_PER_NODE),
+    "converge": Study(_run_converge, {"field": "trig_smooth",
+                                      "deltas": analysis.DEFAULT_DELTAS}, **_SERIES),
+    "blowup": Study(_run_blowup, {"field": "patch_jump_zero_traction",
+                                  "deltas": _INTERFACE_DELTAS}, **_AT_INTERFACE),
+    "natural": Study(_run_limit, {"field": "patch_jump_zero_traction",
+                                  "deltas": _INTERFACE_DELTAS}, **_AT_INTERFACE),
+    "star": Study(_run_limit, {"field": "gradient_jump",
+                               "deltas": _INTERFACE_DELTAS}, **_AT_INTERFACE),
+    "solve": Study(_run_solve, {"field": "patch_jump_zero_traction"}),
 }
 
 
@@ -515,7 +508,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="peridyn",
         description="Nonlocal-operator studies: moment identities, interface "
                     "limits, convergence rates, and equilibrium solves.")
-    parser.add_argument("study", choices=_RUNNERS)
+    parser.add_argument("study", choices=_STUDIES)
     parser.add_argument("--config", help="JSON study configuration file")
     parser.add_argument("--out", help="output directory (default: current)")
     parser.add_argument("--delta-series", dest="deltas",
@@ -527,8 +520,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--field", help=f"one of {', '.join(MANUFACTURED_NAMES)}")
     parser.add_argument("--normal", help="unit normal x,y,z")
     parser.add_argument("--p", help="exponent of the discrete norm")
-    parser.add_argument("--threads",
-                        help="worker threads (default: PERIDYN_THREADS or 1)")
+    parser.add_argument("--threads", help="worker threads (default: 1)")
     return parser
 
 
@@ -536,7 +528,12 @@ def main(argv=None) -> int:
     ns = build_parser().parse_args(argv)
     try:
         cfg = _load_config(ns)
-        _RUNNERS[ns.study](cfg)
+        study = _STUDIES[ns.study]
+        # field and material errors come before the memory gate
+        case = _field_material(cfg, study) if "field" in study.defaults else ()
+        _check_quad(cfg, study)
+        os.makedirs(cfg.out, exist_ok=True)
+        study.run(cfg, *case)
     # LinAlgError is a ValueError, so the numerical refusals come first
     except (OverflowError, FloatingPointError, np.linalg.LinAlgError) as e:
         print(f"error: numerical refusal ({type(e).__name__}): {e}",

@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import json
 import os
 import subprocess
@@ -140,7 +141,8 @@ class TestExitCodes:
         ("nan", "horizons must be finite"),
         ("-1", "horizons must be positive"),
         ("0.01,0.1,1", "delta series must be strictly decreasing"),
-    ], ids=["zero", "nan", "negative", "increasing"])
+        ("", "delta series must be a non-empty sequence"),
+    ], ids=["zero", "nan", "negative", "increasing", "empty"])
     def test_kdelta_bad_horizons(self, series, message, tmp_path, capsys):
         rc = main(["kdelta", "--quad", "2,2", f"--delta-series={series}",
                    "--out", str(tmp_path)])
@@ -273,7 +275,6 @@ class TestExitCodes:
         def build(*args):
             raise RuleBuilt
 
-        monkeypatch.delenv("PERIDYN_THREADS", raising=False)
         for module, name in ((analysis, "build_ball_rule"),
                              (analysis, "build_split_ball_rule"),
                              (cli, "build_ball_rule"), (cli, "build_half_ball_rule")):
@@ -347,7 +348,8 @@ class TestExitCodes:
         def broken(cfg):
             raise TypeError("internal")
 
-        monkeypatch.setitem(cli._RUNNERS, "moments", broken)
+        monkeypatch.setitem(cli._STUDIES, "moments",
+                            dataclasses.replace(cli._STUDIES["moments"], run=broken))
         with pytest.raises(TypeError, match="internal"):
             main(["moments", "--out", str(tmp_path)])
 
@@ -369,7 +371,7 @@ ALL_FLAGS = {"config": ("--config", "c.json"), "out": ("--out", "o"),
 class TestParser:
     """One parser serves every study, and main builds it once per process."""
 
-    @pytest.mark.parametrize("study", cli._RUNNERS)
+    @pytest.mark.parametrize("study", cli._STUDIES)
     def test_every_flag_parses_for_every_study(self, study):
         flags = [text for flag in ALL_FLAGS.values() for text in flag]
         want = {"study": study, **{key: value for key, (_, value) in ALL_FLAGS.items()}}
@@ -446,22 +448,129 @@ class TestConfigTable:
             assert (tmp_path / "file" / name).read_bytes() == \
                 (tmp_path / "flag" / name).read_bytes()
 
-    def test_precedence(self, tmp_path, monkeypatch):
-        # flag > file > PERIDYN_THREADS > default
+    def test_precedence(self, tmp_path):
+        # flag > file > default
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps({"threads": 4, "quad": [4, 6]}))
 
         def load(*argv):
             return _load_config(build_parser().parse_args(["converge", *argv]))
 
-        monkeypatch.delenv("PERIDYN_THREADS", raising=False)
         assert load().threads == 1
-        monkeypatch.setenv("PERIDYN_THREADS", "3")
-        assert load().threads == 3
         loaded = load("--config", str(cfg))
         assert (loaded.threads, loaded.quad) == (4, (4, 6))
         loaded = load("--config", str(cfg), "--threads", "5", "--quad", "2,2")
         assert (loaded.threads, loaded.quad) == (5, (2, 2))
+
+
+HORIZON_STUDIES = ["kdelta", "converge", "blowup", "natural", "star"]
+
+
+def load(*argv):
+    return _load_config(build_parser().parse_args(list(argv)))
+
+
+class TestStudyTable:
+    """Each study's defaults and the horizons of every study that reads
+    them are resolved in one place."""
+
+    @pytest.mark.parametrize("study,field,deltas", [
+        ("moments", None, None),
+        ("kdelta", None, (1.0, 0.1, 0.01)),
+        ("converge", "trig_smooth", analysis.DEFAULT_DELTAS),
+        ("blowup", "patch_jump_zero_traction", np.geomspace(0.1, 1e-3, 5)),
+        ("natural", "patch_jump_zero_traction", np.geomspace(0.1, 1e-3, 5)),
+        ("star", "gradient_jump", np.geomspace(0.1, 1e-3, 5)),
+        ("solve", "patch_jump_zero_traction", None),
+    ])
+    def test_defaults(self, study, field, deltas):
+        cfg = load(study)
+        assert cfg.field == field
+        if deltas is None:
+            assert cfg.deltas is None
+        else:
+            assert cfg.deltas.tolist() == list(deltas)
+
+    def test_file_over_study_default(self, tmp_path):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"field": "linear", "deltas": [0.2, 0.1]}))
+        loaded = load("converge", "--config", str(cfg))
+        assert (loaded.field, loaded.deltas.tolist()) == ("linear", [0.2, 0.1])
+        loaded = load("converge", "--config", str(cfg), "--field", "quadratic")
+        assert loaded.field == "quadratic"
+
+    @pytest.mark.parametrize("study", HORIZON_STUDIES)
+    @pytest.mark.parametrize("smallest", [1e-3, 0.02])
+    def test_delta_min_gives_a_geometric_series(self, study, smallest, tmp_path):
+        want = np.geomspace(0.1, smallest, 5).tolist()
+        assert load(study, "--delta-min", str(smallest)).deltas.tolist() == want
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"delta_min": smallest}))
+        assert load(study, "--config", str(cfg)).deltas.tolist() == want
+
+    def test_kdelta_reports_the_delta_min_series(self, tmp_path):
+        assert main(["kdelta", "--quad", "2,2", "--delta-min", "1e-3",
+                     "--out", str(tmp_path)]) in (0, 1)
+        with open(tmp_path / "kdelta.json") as f:
+            assert json.load(f)["deltas"] == np.geomspace(0.1, 1e-3, 5).tolist()
+
+    @pytest.mark.parametrize("study", HORIZON_STUDIES)
+    def test_delta_series_over_delta_min(self, study, tmp_path):
+        # the series wins, so the delta_min it overrides is not checked
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"delta_min": 0.5}))
+        for argv in (["--delta-min", "0.5"], ["--config", str(cfg)]):
+            loaded = load(study, *argv, "--delta-series", "0.2,0.1")
+            assert loaded.deltas.tolist() == [0.2, 0.1]
+
+    @pytest.mark.parametrize("study", HORIZON_STUDIES)
+    @pytest.mark.parametrize("smallest", ["0.5", "0.1", "0", "-1e-3", "nan"])
+    def test_delta_min_out_of_range_refused(self, study, smallest, tmp_path, capsys):
+        rc = main([study, "--quad", "2,2", f"--delta-min={smallest}",
+                   "--out", str(tmp_path)])
+        assert rc == 2
+        assert capsys.readouterr() == (
+            "", f"error: delta_min must be in (0, 0.1), got {float(smallest)}\n")
+
+    @pytest.mark.parametrize("study", ["moments", "solve"])
+    def test_unread_horizons_ignored(self, study):
+        # a study that reads no horizons accepts the flags and ignores them
+        loaded = load(study, "--delta-min", "0.5", "--delta-series=")
+        assert (loaded.delta_min, loaded.deltas) == (0.5, ())
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("count", [0, -1])
+    def test_empty_sample_grid_refused(self, count, tmp_path, capsys):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"sample_count": count}))
+        rc = main(["converge", "--config", str(cfg), *FAST, "--out", str(tmp_path)])
+        assert rc == 2
+        assert capsys.readouterr() == (
+            "", f"error: sample_count must be >= 1, got {count}\n")
+
+    @pytest.mark.filterwarnings("error")
+    def test_collar_excluding_every_sample_refused(self, tmp_path, capsys):
+        # the collar of 2 x 0.3 about z = 0 holds the whole grid |z| <= 0.45
+        rc = main(["converge", "--material", "two-phase:1,1,1,1",
+                   "--delta-series", "0.3,0.2,0.1", *FAST, "--out", str(tmp_path)])
+        assert rc == 2
+        assert capsys.readouterr() == (
+            "", "error: the interface collar of 0.6 (twice the largest horizon) "
+                "excludes every sample point\n")
+
+    @pytest.mark.parametrize("argv,message", [
+        (["converge", "--field", "nope"], "unknown manufactured configuration 'nope'"),
+        (["solve", "--field", "nope"], "unknown manufactured configuration 'nope'"),
+        (["star", "--field", "trig_smooth"], "star study needs a two-phase material"),
+        (["blowup", "--material", "two-phase:nan,1,1,1"], "lambda and mu must be finite"),
+    ])
+    def test_field_and_material_before_the_memory_gate(self, argv, message,
+                                                        tmp_path, capsys, monkeypatch):
+        # every quad and lattice would be refused by a memory of one byte
+        monkeypatch.setattr(cli, "_physical_memory", lambda: 1)
+        rc = main([*argv, "--quad", "2,2", "--out", str(tmp_path)])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(f"error: {message}")
 
 
 class TestStudyOutputs:
@@ -647,12 +756,6 @@ class TestDeterminism:
             reports.append(payload)
         assert reports[0]["iterations"] > 0
         assert reports[0] == reports[1]
-
-    def test_env_thread_fallback(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("PERIDYN_THREADS", "3")
-        ns = build_parser().parse_args(["kdelta", "--out", str(tmp_path)])
-        assert _load_config(ns).threads == 3
-        assert main(["kdelta", "--out", str(tmp_path)]) == 0
 
 
 _LAZY_SOLVER_SCRIPT = """
