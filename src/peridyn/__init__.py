@@ -3,8 +3,8 @@ media, an interface-corrected variant, and their local elasticity limits.
 
 Layers:
 
-* :mod:`peridyn.tensor` -- small fixed-size tensor algebra and the two
-  contraction conventions used everywhere.
+* :mod:`peridyn.tensor` -- the array aliases of the fixed-size tensors and
+  the constant tensors.
 * :mod:`peridyn.quadrature` -- product Gauss rules on balls and half-balls
   with singular-kernel weights, and the geometric moment integrals.
 * :mod:`peridyn.fields` -- two-phase materials and manufactured
@@ -39,7 +39,6 @@ from .fields import (
     traction_jump,
 )
 from .operators import (
-    Horizon,
     OperatorConfig,
     base_operator,
     base_operator_scalar,
@@ -73,4 +72,3 @@ from .quadrature import (
     second_moment,
     third_moment,
 )
-from .tensor import contract_t3_mat, contract_t4_mat, outer, outer3, outer4

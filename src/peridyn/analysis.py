@@ -37,7 +37,6 @@ from .fields import (
     traction_jump,
 )
 from .operators import (
-    Horizon,
     OperatorConfig,
     _makes_nested_pass,
     corrected_operator,
@@ -233,7 +232,7 @@ def _series(corrected: bool, material: Material, field: PiecewiseField, deltas,
         rule = build_split_ball_rule(split_normal, radial_order, angular_order)
     else:
         rule = build_ball_rule(radial_order, angular_order)
-    cfgs = [OperatorConfig(Horizon(float(d)), rule) for d in deltas]
+    cfgs = [OperatorConfig(float(d), rule) for d in deltas]
     size = max(1, BATCH_FIELD_POINTS // len(rule))
     tasks = [(i, slice(a, a + size)) for i in range(len(cfgs))
              for a in range(0, len(pts), size)]
@@ -274,8 +273,8 @@ def _navier_refs(material: Material, field: PiecewiseField, pts) -> np.ndarray:
     """The local limit at each point, on the point's own side."""
     if not isinstance(material, TwoPhaseMaterial):
         return navier(material, field, pts)
-    plus = material.interface.signed_distance(pts) >= 0
-    return np.where(plus[:, None], navier(material, field, pts, SideTag.PLUS),
+    return np.where(material.interface.side_of(pts)[:, None],
+                    navier(material, field, pts, SideTag.PLUS),
                     navier(material, field, pts, SideTag.MINUS))
 
 
@@ -288,6 +287,8 @@ def converge_to_navier(material: Material, field: PiecewiseField, deltas,
     limit over a sample grid, per horizon, with fitted rate."""
     deltas = as_delta_series(deltas)
     pts = np.asarray(sample_points, dtype=float).reshape(-1, 3)
+    if len(pts) == 0:
+        raise ValueError("sample_points is empty: the study needs at least one point")
     if isinstance(material, TwoPhaseMaterial):
         dist = np.abs(material.interface.signed_distance(pts))
         if np.any(dist < 2.0 * deltas.max()):

@@ -125,7 +125,7 @@ _SETTINGS = {
     "box": _box,
     "h": _scalar(float),
     "ratio": _scalar(float),
-    "b": _numbers(),
+    "b": _numbers(3),
     "sample_count": _scalar(int),
 }
 

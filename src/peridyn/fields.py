@@ -162,13 +162,6 @@ class AnalyticScalarField:
 
     value: Callable[[np.ndarray], np.ndarray]
     grad: Callable[[np.ndarray], np.ndarray]
-    hessian: Optional[Callable[[np.ndarray], np.ndarray]] = None
-
-
-def _select(mask, plus, minus):
-    # broadcast a (...,) side mask against (..., 3, ...) component axes
-    extra = plus.ndim - mask.ndim
-    return np.where(mask.reshape(mask.shape + (1,) * extra), plus, minus)
 
 
 @dataclass(frozen=True)
@@ -200,22 +193,13 @@ class PiecewiseField:
     def hessian_on(self, x, side: SideTag) -> np.ndarray:
         return self._side(side).hessian(np.asarray(x, dtype=float))
 
-    def _eval(self, x, attr):
+    def value(self, x) -> np.ndarray:
+        """u at points x (..., 3), each from the closed form of its side."""
         x = np.asarray(x, dtype=float)
         if self.interface is None or self.plus_side is self.minus_side:
-            return getattr(self.plus_side, attr)(x)
-        mask = self.interface.side_of(x)
-        return _select(mask, getattr(self.plus_side, attr)(x),
-                       getattr(self.minus_side, attr)(x))
-
-    def value(self, x) -> np.ndarray:
-        return self._eval(x, "value")
-
-    def grad(self, x) -> np.ndarray:
-        return self._eval(x, "grad")
-
-    def hessian(self, x) -> np.ndarray:
-        return self._eval(x, "hessian")
+            return self.plus_side.value(x)
+        return np.where(self.interface.side_of(x)[..., None], self.plus_side.value(x),
+                        self.minus_side.value(x))
 
     def __add__(self, other: "PiecewiseField") -> "PiecewiseField":
         if (other.interface is None) != (self.interface is None):
@@ -276,15 +260,10 @@ class SmoothMaterial:
 
     lam: AnalyticScalarField
     mu: AnalyticScalarField
-    interface: Optional[PlanarInterface] = None
 
     def lame_at(self, x):
         x = np.asarray(x, dtype=float)
         return self.lam.value(x), self.mu.value(x)
-
-    def lame_on(self, side: SideTag):
-        raise TypeError("a smooth material has no one-sided constants; "
-                        "evaluate lame_at at a point instead")
 
     def lame_grad_at(self, x):
         x = np.asarray(x, dtype=float)

@@ -52,14 +52,16 @@ from .quadrature import (
     build_split_ball_rule,
     _check_unit_normal,
 )
-from .tensor import Mat3, Tensor3, Vec3
+from .tensor import IDENTITY, Mat3, Tensor3, Vec3
 
 
 @dataclass(frozen=True)
-class Horizon:
-    """The interaction radius of the nonlocal model."""
+class OperatorConfig:
+    """The horizon delta, the interaction radius of the nonlocal model, and
+    the reference ball rule that every evaluation scales by it."""
 
     delta: float
+    rule: BallQuadrature
 
     def __post_init__(self):
         if not self.delta > 0:
@@ -71,16 +73,6 @@ class Horizon:
             raise FloatingPointError(
                 f"horizon {self.delta!r} is too small: the nested operators' "
                 "prefactor 9/|B_delta|^2 is not finite")
-
-
-@dataclass(frozen=True)
-class OperatorConfig:
-    horizon: Horizon
-    rule: BallQuadrature
-
-    @property
-    def delta(self) -> float:
-        return self.horizon.delta
 
 
 def make_config(delta: float,
@@ -97,7 +89,7 @@ def make_config(delta: float,
         rule = build_split_ball_rule(split_normal, radial_order, angular_order)
     else:
         rule = build_ball_rule(radial_order, angular_order)
-    return OperatorConfig(Horizon(delta), rule)
+    return OperatorConfig(delta, rule)
 
 
 def weight_mass(delta: float, r: float) -> float:
@@ -147,8 +139,8 @@ def _closed_forms(field: PiecewiseField):
 
 class _Form(NamedTuple):
     """One closed form's reads at a batch: its declared split, the mask
-    (P, n) of the outer nodes in its phase (signed distance >= 0 for the
-    plus side; None for a field with one closed form), the inner sums
+    (P, n) of the outer nodes in its phase (by the interface's ``side_of``;
+    None for a field with one closed form), the inner sums
     Q (3, m + m_c, 3) of its inner factors V at the n offsets delta z (see
     :func:`_nested_moments`) and its steps W (n, m + m_c, 3) there."""
 
@@ -169,15 +161,6 @@ class _Reads:
     y: np.ndarray
     forms: tuple
 
-    def take(self, rows) -> "_Reads":
-        """The reads of the points ``rows`` (a mask) of the batch."""
-        if rows.all():
-            return self
-        return _Reads(self.field, self.x[rows], self.y[rows],
-                      tuple(form._replace(phase=None if form.phase is None
-                                          else form.phase[rows])
-                            for form in self.forms))
-
 
 def _read(config: OperatorConfig, field: PiecewiseField, x) -> _Reads:
     """The reads of ``field`` at the batch x, which every sum of an
@@ -190,7 +173,7 @@ def _read(config: OperatorConfig, field: PiecewiseField, x) -> _Reads:
     if len(sides) == 1:
         phases = (None,)
     else:
-        plus = field.interface.signed_distance(y) >= 0.0
+        plus = field.interface.side_of(y)
         phases = (plus, ~plus)
     # the inner nodes' weights bw_k = (w_k/|z_k|^2) z_k, as (3, n)
     bw = config.rule.points.T * (config.rule.weights / config.rule.square_norms)
@@ -252,7 +235,7 @@ def _bond_differences(config: OperatorConfig, reads: _Reads):
     e = sd[:, None] * iface.normal
     rises = [np.einsum("pmi,pmi->pi", form.split.factors(x - e), form.split.step(e))
              for form in reads.forms]  # u_s(x) - u_s(x')
-    own = np.where((sd >= 0.0)[:, None], *rises)
+    own = np.where(iface.side_of(x)[:, None], *rises)
     dz = np.where(reads.forms[0].phase, steps[0] + (rises[0] - own) @ z.T,
                   steps[1] + (rises[1] - own) @ z.T)
     return _require_finite(dz)
@@ -455,22 +438,22 @@ def _dilatation(config: OperatorConfig, reads: _Reads, c_y, g=None) -> np.ndarra
     nodes, ``c_y``, and the inner divergence integrals ``g`` of a nested
     pass there, or of one made here from ``reads`` if ``g`` is None.
 
-    Where lambda - mu vanishes at every outer node of a point the integrand
-    is zero, and the result is an exact zero vector without a nested pass.
+    Where lambda - mu vanishes at every outer node of the batch the
+    integrand is zero, and the result is exact zero vectors without a nested
+    pass; a point whose outer nodes all have lambda = mu gets zero from the
+    product.
     """
-    z = config.rule.points
-    w = config.rule.weights
-    delta = config.delta
+    # the result is allocated before the pass: allocated after it, it lets
+    # glibc trim the heap's top when the pass's temporaries are freed, and
+    # every evaluation faults those pages in again (about 75 minor faults
+    # an evaluation of 5 points on the 768-node ball rule)
     out = np.zeros((len(c_y), 3))
-    active = c_y.any(axis=1)
-    if not active.any():
-        return out
-    if g is None:
-        g, _ = _nested_moments(config, reads.take(active), normal=False)
-    else:
-        g = g[active]
-    s = ((w / config.rule.square_norms) * c_y[active] * g) @ z
-    out[active] = (9.0 / ball_volume(delta) ** 2) * delta**4 * s
+    if c_y.any():
+        if g is None:
+            g, _ = _nested_moments(config, reads, normal=False)
+        delta = config.delta
+        s = ((config.rule.weights / config.rule.square_norms) * c_y * g) @ config.rule.points
+        out[:] = (9.0 / ball_volume(delta) ** 2) * delta**4 * s
     return out
 
 
@@ -538,11 +521,11 @@ def _in_slab(config: OperatorConfig, material: TwoPhaseMaterial, x) -> np.ndarra
 
 def _slab_parts(config: OperatorConfig, material: TwoPhaseMaterial, reads: _Reads):
     """(mu at the points, mu at the outer nodes, the projected bond
-    differences, dilatational part, interface correction) at a batch in
-    the slab, from its reads, one nested pass and one set of bond
-    differences: ``g`` feeds the dilatational part and the correction's
-    quarter of it, ``p`` the normal-projected term, and the differences
-    both the bond part and the frozen-modulus correction."""
+    differences, dilatational part, interface correction) at a batch, from
+    its reads, one nested pass and one set of bond differences: ``g`` feeds
+    the dilatational part and the correction's quarter of it, ``p`` the
+    normal-projected term, and the differences both the bond part and the
+    frozen-modulus correction."""
     g, p = _nested_moments(config, reads)
     mu_x, mu_y, c_y = _moduli(config, material, reads.x, reads.y)
     dil = _dilatation(config, reads, c_y, g)
@@ -571,23 +554,19 @@ def corrected_operator(config: OperatorConfig, material: Material,
                        field: PiecewiseField, x) -> Vec3:
     """State operator plus the indicator-gated interface correction.
 
-    The points of the batch in the slab take both parts from one nested
-    pass (see :func:`_slab_parts`); the others take the state operator.
-    One read of the field serves both.
+    A batch with a point in the slab takes both parts from one nested pass
+    (see :func:`_slab_parts`), and its points outside the slab keep the
+    state part; a batch without one takes the state operator.
     """
     x, shape = _batch(x)
     reads = _read(config, field, x)
-    if not isinstance(material, TwoPhaseMaterial):
-        return _state(config, material, reads).reshape(shape)
-    slab = _in_slab(config, material, x)
-    out = np.empty((len(x), 3))
-    if not slab.all():
-        out[~slab] = _state(config, material, reads.take(~slab))
-    if slab.any():
-        mu_x, mu_y, dz, dil, correction = _slab_parts(config, material,
-                                                      reads.take(slab))
-        out[slab] = (_bond(config, dz, mu_x, mu_y) + dil) + correction
-    return out.reshape(shape)
+    if isinstance(material, TwoPhaseMaterial):
+        slab = _in_slab(config, material, x)
+        if slab.any():
+            mu_x, mu_y, dz, dil, correction = _slab_parts(config, material, reads)
+            state = _bond(config, dz, mu_x, mu_y) + dil
+            return np.where(slab[:, None], state + correction, state).reshape(shape)
+    return _state(config, material, reads).reshape(shape)
 
 
 # ---------------------------------------------------------------------------
@@ -598,38 +577,18 @@ def corrected_operator(config: OperatorConfig, material: Material,
 def half_ball_moment_tensor(normal) -> Tensor3:
     """Closed form of the scaled third moment of a half-ball direction kernel.
 
-    The fully symmetric tensor K with K : (a (x) b (x) c) built from the
-    spherical angles of the unit normal; contracting it against any matrix A
-    reproduces :func:`half_ball_moment_apply`.  It equals the limit of
+    K_ijk = (3/32) (delta_ij n_k + delta_ik n_j + delta_jk n_i - n_i n_j n_k),
+    fully symmetric; contracting it against any matrix A over its last two
+    slots gives :func:`half_ball_moment_apply`.  It equals the limit of
     delta times the numeric half-ball moment of
     :func:`peridyn.quadrature.half_ball_third_moment_numeric` (exactly
     delta-independent for a planar split).
     """
     n = _check_unit_normal(normal)
-    theta = np.arccos(np.clip(n[2], -1.0, 1.0))
-    phi = np.arctan2(n[1], n[0])
-    c, s = np.cos(phi), np.sin(phi)
-    ct, st = np.cos(theta), np.sin(theta)
-
-    k = np.zeros((3, 3, 3))
-
-    def fill(i, j, l, value):
-        # the tensor is fully symmetric: set every distinct permutation
-        for perm in {(i, j, l), (i, l, j), (j, i, l), (j, l, i), (l, i, j), (l, j, i)}:
-            k[perm] = value
-
-    f = 3.0 / 32.0
-    fill(0, 0, 0, f * c * st * (3.0 - c**2 * st**2))
-    fill(0, 0, 1, f * s * st * (1.0 - c**2 * st**2))
-    fill(0, 0, 2, f * ct * (1.0 - c**2 * st**2))
-    fill(0, 1, 1, f * c * st * (1.0 - s**2 * st**2))
-    fill(0, 1, 2, -f * s * c * st**2 * ct)
-    fill(0, 2, 2, f * c * st**3)
-    fill(1, 1, 2, f * ct * (1.0 - s**2 * st**2))
-    fill(1, 2, 2, f * s * st**3)
-    fill(1, 1, 1, f * s * st * (3.0 - s**2 * st**2))
-    fill(2, 2, 2, f * ct * (3.0 - ct**2))
-    return k
+    return (3.0 / 32.0) * (np.einsum("ij,k->ijk", IDENTITY, n)
+                           + np.einsum("ik,j->ijk", IDENTITY, n)
+                           + np.einsum("jk,i->ijk", IDENTITY, n)
+                           - np.einsum("i,j,k->ijk", n, n, n))
 
 
 def half_ball_moment_apply(a: Mat3, normal) -> Vec3:

@@ -92,6 +92,14 @@ class TestConvergeToNavier:
             A.converge_to_navier(mat, field, (0.1, 0.05, 0.025), pts,
                                  **FAST_QUAD)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("p", [2.0, np.inf])
+    def test_no_sample_points_refused(self, p):
+        field, mat = F.make_manufactured("trig_smooth")
+        with pytest.raises(ValueError, match="sample_points is empty"):
+            A.converge_to_navier(mat, field, (0.1, 0.05, 0.025), np.empty((0, 3)),
+                                 p=p, **FAST_QUAD)
+
     def test_threads_do_not_change_results(self):
         field, mat = F.make_manufactured("trig_smooth")
         pts = A.default_sample_grid(2, 0.4)

@@ -214,6 +214,22 @@ class TestExitCodes:
         assert err.startswith("error: box and h give a lattice of 4.1e+09 nodes")
         assert err.endswith("of physical memory\n") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("b,shown", [([1, 2], "[1, 2]"), ([], "[]"),
+                                         ("1,2,3,4", "['1', '2', '3', '4']")],
+                             ids=["two", "none", "four"])
+    def test_solve_body_force_needs_3_numbers(self, b, shown, tmp_path, capsys,
+                                              monkeypatch):
+        # refused with the config, before the lattice is built
+        def build(*args):
+            raise AssertionError("build_grid called")
+
+        monkeypatch.setattr(solver, "build_grid", build)
+        cfg = tmp_path / "solve.json"
+        cfg.write_text(json.dumps({"study": "solve", "b": b}))
+        rc = main(["solve", "--config", str(cfg), "--out", str(tmp_path)])
+        assert rc == 2
+        assert capsys.readouterr() == ("", f"error: b: expected 3 numbers, got {shown}\n")
+
     @pytest.mark.parametrize("h", ["0", "-0.0625", "NaN", "Infinity"])
     def test_solve_bad_spacing_one_error_line(self, h, tmp_path):
         # refused before any arithmetic on h, so numpy prints no warning

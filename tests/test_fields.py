@@ -148,8 +148,8 @@ class TestManufactured:
     def test_constant_has_zero_derivatives(self):
         field, _ = F.make_manufactured("constant")
         pts = np.array([[0.0, 0.0, 0.0], [1.0, -2.0, 0.5]])
-        assert_allclose(field.grad(pts), 0.0)
-        assert_allclose(field.hessian(pts), 0.0)
+        assert_allclose(field.grad_on(pts, F.SideTag.PLUS), 0.0)
+        assert_allclose(field.hessian_on(pts, F.SideTag.PLUS), 0.0)
 
     def test_all_names_build(self):
         for name in F.MANUFACTURED_NAMES:
@@ -212,7 +212,9 @@ class TestManufactured:
         combo = 2.0 * f1 + f2 * (-0.5)
         x = rng.normal(size=3)
         assert_allclose(combo.value(x), 2.0 * f1.value(x) - 0.5 * f2.value(x))
-        assert_allclose(combo.hessian(x), 2.0 * f1.hessian(x) - 0.5 * f2.hessian(x))
+        plus = F.SideTag.PLUS
+        assert_allclose(combo.hessian_on(x, plus),
+                        2.0 * f1.hessian_on(x, plus) - 0.5 * f2.hessian_on(x, plus))
 
     def test_mixed_interface_combination_rejected(self):
         smooth, _ = F.make_manufactured("trig_smooth")

@@ -5,7 +5,6 @@ from numpy.polynomial.legendre import leggauss
 
 from peridyn import fields as F
 from peridyn import operators as O
-from peridyn.tensor import contract_t3_mat
 from nested_reference import (moment_scale, reference_batch_moments,
                               reference_moments, term_scale)
 
@@ -80,6 +79,17 @@ def _seeded_oblique_kinks(rng, count=3):
 
 def _lam_ne_mu(mat):
     return mat.lambda_plus != mat.mu_plus and mat.lambda_minus != mat.mu_minus
+
+
+class TestConfig:
+    @pytest.mark.parametrize("delta", [0.0, -1.0, np.nan])
+    def test_nonpositive_horizon_refused(self, delta):
+        with pytest.raises(ValueError, match="horizon must be positive"):
+            O.make_config(delta, 2, 2)
+
+    def test_horizon_below_the_prefactor_range_refused(self):
+        with pytest.raises(FloatingPointError, match="too small"):
+            O.make_config(1e-60, 2, 2)
 
 
 class TestWeightMass:
@@ -630,9 +640,13 @@ BATCH_OPS = (("state", O.state_operator), ("corrected", O.corrected_operator))
 
 def _batch_cases():
     """pytest params (field, material, operator) for batches against single
-    points: every manufactured configuration, and the same field on moduli
-    with lambda != mu, so that the state operator makes a nested pass."""
+    points: every manufactured configuration, the same field on moduli with
+    lambda != mu, so that the state operator makes a nested pass, and on
+    two phases about the plane z = 0 with lambda = mu on the plus side only,
+    so that a batch holds points with and without a pass, in and out of the
+    slab."""
     cases = []
+    one_side = F.TwoPhaseMaterial(1.0, 1.0, 5.0, 2.0, F.INTERFACE_Z)
     for name in F.MANUFACTURED_NAMES:
         field, mat = F.make_manufactured(name)
         lam_ne_mu = (F.TwoPhaseMaterial(3.0, 1.0, 5.0, 2.0, mat.interface)
@@ -640,7 +654,8 @@ def _batch_cases():
                      else F.constant_material(3.0, 1.0))
         for op_name, op in BATCH_OPS:
             cases += [pytest.param(field, mat, op, id=f"{name}-{op_name}"),
-                      pytest.param(field, lam_ne_mu, op, id=f"{name}_3152-{op_name}")]
+                      pytest.param(field, lam_ne_mu, op, id=f"{name}_3152-{op_name}"),
+                      pytest.param(field, one_side, op, id=f"{name}_1152-{op_name}")]
     return cases
 
 
@@ -745,9 +760,13 @@ class TestHalfBallMomentClosedForm:
         for _ in range(100):
             n = random_unit(rng)
             a = rng.normal(size=(3, 3))
-            lhs = contract_t3_mat(O.half_ball_moment_tensor(n), a)
+            lhs = np.einsum("ijk,jk->i", O.half_ball_moment_tensor(n), a)
             rhs = O.half_ball_moment_apply(a, n)
             assert np.abs(lhs - rhs).max() < 1e-13
+
+    def test_contract_t3_halfball_tensor_identity(self):
+        got = np.einsum("ijk,jk->i", O.half_ball_moment_tensor(EZ), np.eye(3))
+        assert_allclose(got, [0.0, 0.0, 3.0 / 8.0], atol=1e-15)
 
     def test_non_unit_normal_rejected(self):
         with pytest.raises(ValueError):

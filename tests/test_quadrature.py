@@ -141,6 +141,15 @@ class TestMoments:
                 ref = 0.0
             assert abs(t[idx] - ref) < 1e-12
 
+    def test_contract_t4_reproduces_second_order_identity(self, ball_rule):
+        # contracting the fourth moment against half the component Hessians of
+        # u(x) = (x1^2, 0, 0) must give lap u + 2 grad(div u) = (6, 0, 0)
+        t = quad.fourth_moment(ball_rule, 1.0)
+        hess1 = np.zeros((3, 3))
+        hess1[0, 0] = 2.0
+        got = np.einsum("ijkl,lk->ij", t, 0.5 * hess1)[:, 0]
+        assert_allclose(got, [6.0, 0.0, 0.0], atol=1e-13)
+
     def test_third_moment_vanishes(self, ball_rule):
         for delta in (1.0, 0.1):
             t = quad.third_moment(ball_rule, delta)
