@@ -20,7 +20,6 @@ from peridyn import (
 )
 
 rule = build_ball_rule()
-half = build_half_ball_rule()
 print(f"ball rule: {len(rule)} nodes, weight sum error "
       f"{rule.weights.sum() - 4 * np.pi / 3:+.2e}")
 
@@ -40,14 +39,15 @@ print("fourth moment entries: "
 rng = np.random.default_rng(0)
 n = rng.normal(size=3)
 n /= np.linalg.norm(n)
+half = build_half_ball_rule(n)
 print(f"\nrandom normal n = {np.array2string(n, precision=4)}")
 print("half-ball first moment / n:",
-      np.array2string(half_ball_first_moment(half, 0.2, n) / n, precision=12))
+      np.array2string(half_ball_first_moment(half) / n, precision=12))
 
 # the scaled half-ball third moment is horizon-independent and matches the
-# closed form built from the spherical angles of n
+# closed form K_ijk = (3/32)(d_ij n_k + d_ik n_j + d_jk n_i - n_i n_j n_k)
 closed = half_ball_moment_tensor(n)
 for delta in (1.0, 0.1, 0.01):
-    k = delta * half_ball_third_moment_numeric(half, delta, n)
+    k = delta * half_ball_third_moment_numeric(half, delta)
     print(f"delta = {delta:5.2f}: max |scaled third moment - closed form| = "
           f"{np.abs(k - closed).max():.2e}")

@@ -3,10 +3,9 @@ media, an interface-corrected variant, and their local elasticity limits.
 
 Layers:
 
-* :mod:`peridyn.tensor` -- the array aliases of the fixed-size tensors and
-  the constant tensors.
 * :mod:`peridyn.quadrature` -- product Gauss rules on balls and half-balls
-  with singular-kernel weights, and the geometric moment integrals.
+  with singular-kernel weights, the geometric moment integrals, and the
+  array aliases of the fixed-size tensors and the constant tensors.
 * :mod:`peridyn.fields` -- two-phase materials and manufactured
   piecewise-smooth fields with hand-differentiated derivatives.
 * :mod:`peridyn.operators` -- point evaluation of the nonlocal operators and
@@ -54,11 +53,9 @@ from .operators import (
     normal_correction_limit,
     normal_correction_term,
     state_operator,
-    weight_mass,
 )
 from .quadrature import (
     BallQuadrature,
-    HalfBallQuadrature,
     ball_volume,
     build_ball_rule,
     build_half_ball_rule,
@@ -67,7 +64,6 @@ from .quadrature import (
     half_ball_first_moment,
     half_ball_third_moment_numeric,
     integrate_ball,
-    integrate_half_ball,
     rotation_to_pole,
     second_moment,
     third_moment,

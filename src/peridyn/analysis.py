@@ -278,6 +278,13 @@ def _navier_refs(material: Material, field: PiecewiseField, pts) -> np.ndarray:
                     navier(material, field, pts, SideTag.MINUS))
 
 
+def _sample_points(sample_points) -> np.ndarray:
+    pts = np.asarray(sample_points, dtype=float).reshape(-1, 3)
+    if len(pts) == 0:
+        raise ValueError("sample_points is empty: the study needs at least one point")
+    return pts
+
+
 def converge_to_navier(material: Material, field: PiecewiseField, deltas,
                        sample_points, p: float = 2.0,
                        radial_order: int = DEFAULT_RADIAL_ORDER,
@@ -286,9 +293,7 @@ def converge_to_navier(material: Material, field: PiecewiseField, deltas,
     """Discrete L^p distance between the nonlocal operator and its local
     limit over a sample grid, per horizon, with fitted rate."""
     deltas = as_delta_series(deltas)
-    pts = np.asarray(sample_points, dtype=float).reshape(-1, 3)
-    if len(pts) == 0:
-        raise ValueError("sample_points is empty: the study needs at least one point")
+    pts = _sample_points(sample_points)
     if isinstance(material, TwoPhaseMaterial):
         dist = np.abs(material.interface.signed_distance(pts))
         if np.any(dist < 2.0 * deltas.max()):
@@ -378,7 +383,7 @@ def star_converges_offinterface(material: Material, field: PiecewiseField,
     of the corrected operator is recorded instead (boundedness check).
     """
     deltas = as_delta_series(deltas)
-    pts = np.asarray(sample_points, dtype=float).reshape(-1, 3)
+    pts = _sample_points(sample_points)
     star, params = _series(True, material, field, deltas, pts,
                            radial_order, angular_order, threads)
     values = star - _navier_refs(material, field, pts)

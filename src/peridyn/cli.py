@@ -266,8 +266,8 @@ def _run_moments(cfg: StudyConfig) -> None:
     # np.maximum keeps a NaN error, so it fails its check
     worst4 = 0.0
     # the horizon column of this table is written in its short form
+    fm = fourth_moment(rule)  # scale-free: one tensor serves both horizons
     for delta in (1.0, 0.5):
-        fm = fourth_moment(rule, delta)
         for idx in np.ndindex(3, 3, 3, 3):
             i, j, k, l = idx
             ref = 2.0 * ((i == j) * (k == l) + (i == k) * (j == l) + (i == l) * (j == k))
@@ -316,13 +316,13 @@ def _run_kdelta(cfg: StudyConfig) -> None:
     if not np.isfinite(nrm):
         raise ConfigError("normal is too long: its length overflows")
     n = n / nrm
-    rule = build_half_ball_rule(*cfg.quad)
+    rule = build_half_ball_rule(n, *cfg.quad)
     closed = half_ball_moment_tensor(n)
     rows = []
     scaled = []
     worst = 0.0
     for delta in cfg.deltas:
-        kd = delta * half_ball_third_moment_numeric(rule, delta, n)
+        kd = delta * half_ball_third_moment_numeric(rule, delta)
         scaled.append(kd)
         for idx in np.ndindex(3, 3, 3):
             err = abs(kd[idx] - closed[idx])

@@ -19,7 +19,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .tensor import E3, IDENTITY, Mat3, Vec3
+from .quadrature import E3, IDENTITY, Mat3, Vec3
 
 
 class SideTag(enum.Enum):

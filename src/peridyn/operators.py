@@ -47,12 +47,15 @@ from .quadrature import (
     BallQuadrature,
     DEFAULT_ANGULAR_ORDER,
     DEFAULT_RADIAL_ORDER,
+    IDENTITY,
+    Mat3,
+    Tensor3,
+    Vec3,
     ball_volume,
     build_ball_rule,
     build_split_ball_rule,
     _check_unit_normal,
 )
-from .tensor import IDENTITY, Mat3, Tensor3, Vec3
 
 
 @dataclass(frozen=True)
@@ -90,17 +93,6 @@ def make_config(delta: float,
     else:
         rule = build_ball_rule(radial_order, angular_order)
     return OperatorConfig(delta, rule)
-
-
-def weight_mass(delta: float, r: float) -> float:
-    """The scalar weight 4 pi delta^(5-r)/(5-r) of the kernel |z|^(-r) |z|^2.
-
-    For r = 2 this is the ball volume.  Exponents r >= 5 make the moment
-    diverge and are rejected.
-    """
-    if r >= 5:
-        raise ValueError("weight exponent must satisfy r < 5")
-    return 4.0 * np.pi * delta ** (5.0 - r) / (5.0 - r)
 
 
 # ---------------------------------------------------------------------------
@@ -275,7 +267,7 @@ def base_operator_scalar(config: OperatorConfig, scalar_field, x) -> Mat3:
     x, shape = _batch(x)
     delta = config.delta
     z = config.rule.points
-    r4 = np.einsum("qi,qi->q", z, z) ** 2
+    r4 = config.rule.square_norms ** 2
     y = _outer_nodes(config, x).reshape(-1, 3)
     df = _require_finite(np.asarray(scalar_field(y)).reshape(len(x), -1)
                          - np.asarray(scalar_field(x))[:, None])
@@ -580,9 +572,10 @@ def half_ball_moment_tensor(normal) -> Tensor3:
     K_ijk = (3/32) (delta_ij n_k + delta_ik n_j + delta_jk n_i - n_i n_j n_k),
     fully symmetric; contracting it against any matrix A over its last two
     slots gives :func:`half_ball_moment_apply`.  It equals the limit of
-    delta times the numeric half-ball moment of
-    :func:`peridyn.quadrature.half_ball_third_moment_numeric` (exactly
-    delta-independent for a planar split).
+    delta times the numeric half-ball moment
+    ``half_ball_third_moment_numeric(build_half_ball_rule(normal), delta)``
+    of :mod:`peridyn.quadrature` (exactly delta-independent for a planar
+    split).
     """
     n = _check_unit_normal(normal)
     return (3.0 / 32.0) * (np.einsum("ij,k->ijk", IDENTITY, n)

@@ -8,8 +8,11 @@ integrand and no singularity treatment is needed: integrands that are
 polynomial in the node coordinates times ``1/|z|^k`` are integrated to
 machine precision.
 
-Half-ball rules are built on the reference polar axis and rotated so the flat
-face is perpendicular to a requested unit normal.
+A half-ball rule is built for a given unit normal: its reference nodes are
+rotated once, at build, so the flat face is perpendicular to the normal.
+
+Tensors are plain ``numpy`` arrays of shape (3,), (3, 3), (3, 3, 3) and
+(3, 3, 3, 3); the aliases below name them in signatures.
 """
 
 from __future__ import annotations
@@ -20,7 +23,14 @@ from functools import cached_property
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .tensor import Mat3, Tensor3, Tensor4, Vec3
+Vec3 = np.ndarray
+Mat3 = np.ndarray
+Tensor3 = np.ndarray
+Tensor4 = np.ndarray
+
+IDENTITY = np.eye(3)
+
+E3 = np.array([0.0, 0.0, 1.0])
 
 DEFAULT_RADIAL_ORDER = 8
 DEFAULT_ANGULAR_ORDER = 12
@@ -91,7 +101,8 @@ def _spherical_product_nodes(radial_order, angular_order, cos_lo, cos_hi):
 
 @dataclass(frozen=True)
 class BallQuadrature:
-    """Quadrature rule on the unit ball; weights sum to 4*pi/3."""
+    """Quadrature rule on the unit ball (weights sum to 4*pi/3) or on a half
+    ball {|z| < 1, z . normal > 0} (weights sum to 2*pi/3)."""
 
     radial_order: int
     angular_order: int
@@ -108,25 +119,6 @@ class BallQuadrature:
         return np.einsum("qi,qi->q", self.points, self.points)
 
 
-@dataclass(frozen=True)
-class HalfBallQuadrature:
-    """Quadrature rule on the reference half-ball {|z| < 1, z_3 > 0};
-    weights sum to 2*pi/3."""
-
-    radial_order: int
-    angular_order: int
-    points: np.ndarray
-    weights: np.ndarray
-
-    def __len__(self) -> int:
-        return self.points.shape[0]
-
-    def oriented(self, normal: Vec3) -> np.ndarray:
-        """Reference nodes rotated so they fill {z : z . normal > 0}."""
-        rot = rotation_to_pole(normal)
-        return self.points @ rot  # row form of R^T z
-
-
 def ball_rule_size(radial_order: int, angular_order: int,
                    split: bool = False) -> int:
     """Node count of :func:`build_ball_rule`, or with ``split`` of
@@ -140,10 +132,14 @@ def build_ball_rule(radial_order: int = DEFAULT_RADIAL_ORDER,
     return BallQuadrature(radial_order, angular_order, points, weights)
 
 
-def build_half_ball_rule(radial_order: int = DEFAULT_RADIAL_ORDER,
-                         angular_order: int = DEFAULT_ANGULAR_ORDER) -> HalfBallQuadrature:
+def build_half_ball_rule(normal: Vec3,
+                         radial_order: int = DEFAULT_RADIAL_ORDER,
+                         angular_order: int = DEFAULT_ANGULAR_ORDER) -> BallQuadrature:
+    """Rule on the half ball {|z| < 1, z . normal > 0}: the reference nodes
+    on {z_3 > 0}, rotated once so they fill that side."""
     points, weights = _spherical_product_nodes(radial_order, angular_order, 0.0, 1.0)
-    return HalfBallQuadrature(radial_order, angular_order, points, weights)
+    return BallQuadrature(radial_order, angular_order,
+                          points @ rotation_to_pole(normal), weights)  # R^T z, as rows
 
 
 def build_split_ball_rule(normal: Vec3,
@@ -156,9 +152,8 @@ def build_split_ball_rule(normal: Vec3,
     Used when integrands are smooth on each side of a plane through the ball
     center but kinked across it, where a plain ball rule loses accuracy.
     """
-    half = build_half_ball_rule(radial_order, angular_order)
-    upper = half.oriented(normal)
-    points = np.concatenate([upper, -upper])
+    half = build_half_ball_rule(normal, radial_order, angular_order)
+    points = np.concatenate([half.points, -half.points])
     weights = np.concatenate([half.weights, half.weights])
     return BallQuadrature(radial_order, angular_order, points, weights)
 
@@ -183,64 +178,52 @@ def integrate_ball(rule: BallQuadrature, delta: float, center: Vec3, f):
     return delta**3 * _weighted_sum(rule.weights, f(pts))
 
 
-def integrate_half_ball(rule: HalfBallQuadrature, delta: float, center: Vec3,
-                        normal: Vec3, f):
-    """Integral of ``f`` over {y in B_delta(center) : (y - center) . normal > 0}."""
-    if delta <= 0:
-        raise ValueError("delta must be positive")
-    pts = np.asarray(center, dtype=float) + delta * rule.oriented(normal)
-    return delta**3 * _weighted_sum(rule.weights, f(pts))
-
-
 def second_moment(rule: BallQuadrature, delta: float) -> Mat3:
     """integral over B_delta(0) of z (x) z / |z|^2; equals |B_delta|/3 times I."""
     z = rule.points
-    r2 = np.einsum("qi,qi->q", z, z)
-    return delta**3 * np.einsum("q,qi,qj->ij", rule.weights / r2, z, z)
+    return delta**3 * np.einsum("q,qi,qj->ij", rule.weights / rule.square_norms, z, z)
 
 
 def third_moment(rule: BallQuadrature, delta: float) -> Tensor3:
     """integral over B_delta(0) of z (x) z (x) z / |z|^4; zero by symmetry."""
     z = rule.points
-    r4 = np.einsum("qi,qi->q", z, z) ** 2
+    r4 = rule.square_norms ** 2
     return delta**2 * np.einsum("q,qi,qj,qk->ijk", rule.weights / r4, z, z, z)
 
 
-def fourth_moment(rule: BallQuadrature, delta: float = 1.0) -> Tensor4:
+def fourth_moment(rule: BallQuadrature) -> Tensor4:
     """(30/|B_delta|) integral of z_i z_j z_k z_l / |z|^4 over B_delta(0).
 
-    Independent of ``delta``; entries are 6 where all indices agree, 2 where
+    Independent of delta; entries are 6 where all indices agree, 2 where
     the indices form two distinct pairs, 0 otherwise.
     """
     z = rule.points
-    r4 = np.einsum("qi,qi->q", z, z) ** 2
+    r4 = rule.square_norms ** 2
     raw = np.einsum("q,qi,qj,qk,ql->ijkl", rule.weights / r4, z, z, z, z)
     return (30.0 / UNIT_BALL_VOLUME) * raw
 
 
-def half_ball_third_moment_numeric(rule: HalfBallQuadrature, delta: float,
-                                   normal: Vec3) -> Tensor3:
+def half_ball_third_moment_numeric(rule: BallQuadrature, delta: float) -> Tensor3:
     """(1/|B_delta|) integral of z (x) z (x) z / |z|^4 over the half-ball
-    {z . normal > 0} of radius delta.
+    {z . normal > 0} of radius delta that the half-ball ``rule`` fills.
 
     The integrand is homogeneous of degree -1, so the result is exactly
     ``1/delta`` times a delta-independent tensor; see
     :func:`peridyn.operators.half_ball_moment_tensor` for its closed form.
     """
-    p = rule.oriented(normal)
-    r4 = np.einsum("qi,qi->q", p, p) ** 2
+    p = rule.points
+    r4 = rule.square_norms ** 2
     raw = np.einsum("q,qi,qj,qk->ijk", rule.weights / r4, p, p, p)
     return raw / (UNIT_BALL_VOLUME * delta)
 
 
-def half_ball_first_moment(rule: HalfBallQuadrature, delta: float,
-                           normal: Vec3) -> Vec3:
+def half_ball_first_moment(rule: BallQuadrature) -> Vec3:
     """(3 delta/|B_delta|) integral of (y - x)/|y - x|^2 over the half-ball
-    {(y - x) . normal > 0} of radius delta around x.
+    {(y - x) . normal > 0} of radius delta around x that the half-ball
+    ``rule`` fills.
 
-    Independent of ``delta`` for a planar split; equals (9/8) normal.
+    Independent of delta for a planar split; equals (9/8) normal.
     """
-    p = rule.oriented(normal)
-    r2 = np.einsum("qi,qi->q", p, p)
-    raw = np.einsum("q,qi->i", rule.weights / r2, p)
+    p = rule.points
+    raw = np.einsum("q,qi->i", rule.weights / rule.square_norms, p)
     return (3.0 / UNIT_BALL_VOLUME) * raw

@@ -10,11 +10,6 @@ def ball_rule():
 
 
 @pytest.fixture(scope="session")
-def half_rule():
-    return quad.build_half_ball_rule()
-
-
-@pytest.fixture(scope="session")
 def split_rule_z():
     return quad.build_split_ball_rule(np.array([0.0, 0.0, 1.0]))
 

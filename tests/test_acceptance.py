@@ -40,7 +40,7 @@ def random_unit(rng):
 
 def test_criterion_01_moment_identities(ball_rule):
     worst4 = 0.0
-    t = Q.fourth_moment(ball_rule, 1.0)
+    t = Q.fourth_moment(ball_rule)
     for idx in np.ndindex(3, 3, 3, 3):
         i, j, k, l = idx
         if i == j == k == l:
@@ -61,14 +61,15 @@ def test_criterion_01_moment_identities(ball_rule):
                   f"(tol 1e-10)")
 
 
-def test_criterion_02_k_tensor_oracle(half_rule):
+def test_criterion_02_k_tensor_oracle():
     rng = np.random.default_rng(2)
     worst = 0.0
     spread = 0.0
     for _ in range(20):
         n = random_unit(rng)
         closed = O.half_ball_moment_tensor(n)
-        scaled = [d * Q.half_ball_third_moment_numeric(half_rule, d, n)
+        rule = Q.build_half_ball_rule(n)
+        scaled = [d * Q.half_ball_third_moment_numeric(rule, d)
                   for d in (1.0, 0.1, 0.01)]
         worst = max(worst, max(float(np.abs(k - closed).max()) for k in scaled))
         spread = max(spread, max(float(np.abs(a - b).max())
@@ -87,12 +88,12 @@ def test_criterion_02_k_tensor_oracle(half_rule):
                   f"(tol 1e-13)")
 
 
-def test_criterion_03_half_ball_first_moment(half_rule):
+def test_criterion_03_half_ball_first_moment():
     rng = np.random.default_rng(3)
     worst = 0.0
     for _ in range(20):
         n = random_unit(rng)
-        got = Q.half_ball_first_moment(half_rule, 0.05, n)
+        got = Q.half_ball_first_moment(Q.build_half_ball_rule(n))
         worst = max(worst, float(np.abs(got - 9.0 / 8.0 * n).max()))
     assert report(3, "half-ball first moment equals 9/8 n", worst < 1e-10,
                   f"max error {worst:.2e} (tol 1e-10)")

@@ -283,6 +283,14 @@ class TestStarLimit:
 
 
 class TestStarOffInterface:
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("p", [2.0, np.inf])
+    def test_no_sample_points_refused(self, p):
+        field, mat = F.make_manufactured("patch_jump_zero_traction")
+        with pytest.raises(ValueError, match="sample_points is empty"):
+            A.star_converges_offinterface(mat, field, (0.1, 0.05, 0.025),
+                                          np.empty((0, 3)), p=p, **FAST_QUAD)
+
     def test_patch_per_side_consistency(self):
         field, mat = F.make_manufactured("patch_jump_zero_traction")
         deltas = (0.05, 0.025)

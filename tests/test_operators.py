@@ -92,18 +92,6 @@ class TestConfig:
             O.make_config(1e-60, 2, 2)
 
 
-class TestWeightMass:
-    def test_ball_volume_case(self):
-        assert abs(O.weight_mass(1.0, 2.0) - 4 * np.pi / 3) < 1e-15
-
-    def test_general_exponent(self):
-        assert abs(O.weight_mass(2.0, 0.0) - 4 * np.pi * 32 / 5) < 1e-13
-
-    def test_divergent_exponent_rejected(self):
-        with pytest.raises(ValueError):
-            O.weight_mass(1.0, 5.0)
-
-
 class TestBaseOperator:
     def test_constant_field(self):
         field, _ = F.make_manufactured("constant")

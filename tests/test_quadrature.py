@@ -2,15 +2,11 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from conftest import random_unit
 from peridyn import quadrature as quad
 from peridyn.operators import half_ball_moment_tensor
 
 EZ = np.array([0.0, 0.0, 1.0])
-
-
-def random_unit(rng):
-    v = rng.normal(size=3)
-    return v / np.linalg.norm(v)
 
 
 class TestRuleInvariants:
@@ -21,13 +17,27 @@ class TestRuleInvariants:
         assert np.all(ball_rule.weights > 0)
         assert np.linalg.norm(ball_rule.points, axis=1).min() > 1e-3
 
-    def test_half_weight_sum(self, half_rule):
-        assert abs(half_rule.weights.sum() - 2 * np.pi / 3) < 1e-12
+    def test_half_weight_sum(self):
+        half = quad.build_half_ball_rule(EZ)
+        assert abs(half.weights.sum() - 2 * np.pi / 3) < 1e-12
 
-    def test_half_oriented_side(self, half_rule, rng):
+    def test_half_oriented_side(self, rng):
         for _ in range(5):
             n = random_unit(rng)
-            assert np.all(half_rule.oriented(n) @ n > 0)
+            assert np.all(quad.build_half_ball_rule(n).points @ n > 0)
+
+    def test_split_rule_is_the_half_rule_and_its_reflection(self, rng):
+        # bit for bit: both rules rotate the reference nodes once, the same way
+        n = random_unit(rng)
+        reference, weights = quad._spherical_product_nodes(8, 12, 0.0, 1.0)
+        rotated = reference @ quad.rotation_to_pole(n)
+        half = quad.build_half_ball_rule(n)
+        split = quad.build_split_ball_rule(n)
+        assert np.array_equal(half.points, rotated)
+        assert np.array_equal(split.points[:len(half)], rotated)
+        assert np.array_equal(split.points[len(half):], -rotated)
+        assert np.array_equal(half.weights, weights)
+        assert np.array_equal(split.weights, np.concatenate([weights, weights]))
 
     def test_split_rule_weight_sum_and_symmetry(self, split_rule_z):
         assert abs(split_rule_z.weights.sum() - 4 * np.pi / 3) < 1e-12
@@ -89,48 +99,49 @@ class TestIntegrateBall:
 
         got = quad.integrate_ball(ball_rule, 0.7, np.zeros(3), f)
         assert got.shape == (3, 3, 3, 3)
-        ref = quad.fourth_moment(ball_rule, 0.7) * quad.ball_volume(0.7) / 30.0
+        ref = quad.fourth_moment(ball_rule) * quad.ball_volume(0.7) / 30.0
         assert np.abs(got - ref).max() < 1e-12
 
 
 class TestIntegrateHalfBall:
-    def test_half_volume(self, half_rule):
-        v = quad.integrate_half_ball(half_rule, 0.8, np.zeros(3), EZ,
-                                     lambda p: np.ones(len(p)))
+    """``integrate_ball`` on a half-ball rule integrates over
+    {y in B_delta(center) : (y - center) . normal > 0}."""
+
+    def test_half_volume(self):
+        v = quad.integrate_ball(quad.build_half_ball_rule(EZ), 0.8, np.zeros(3),
+                                lambda p: np.ones(len(p)))
         assert abs(v - quad.ball_volume(0.8) / 2) < 1e-12
 
-    def test_kernel_first_moment(self, half_rule, rng):
+    def test_kernel_first_moment(self, rng):
         x = np.array([0.2, 0.1, -0.3])
         delta = 0.7
         for _ in range(3):
             n = random_unit(rng)
-            v = quad.integrate_half_ball(
-                half_rule, delta, x, n,
+            v = quad.integrate_ball(
+                quad.build_half_ball_rule(n), delta, x,
                 lambda p: (p - x) / np.sum((p - x) ** 2, axis=1)[:, None])
             assert np.abs(v - np.pi * delta**2 / 2 * n).max() < 1e-10 * delta**2
 
-    def test_halves_sum_to_ball(self, half_rule, ball_rule, rng):
+    def test_halves_sum_to_ball(self, ball_rule, rng):
         x = np.array([0.1, 0.0, -0.2])
 
         def f(p):
             return np.sin(p[:, 0]) * np.cos(2 * p[:, 1]) + p[:, 2] ** 2
 
         n = random_unit(rng)
-        up = quad.integrate_half_ball(half_rule, 0.5, x, n, f)
-        dn = quad.integrate_half_ball(half_rule, 0.5, x, -n, f)
+        up = quad.integrate_ball(quad.build_half_ball_rule(n), 0.5, x, f)
+        dn = quad.integrate_ball(quad.build_half_ball_rule(-n), 0.5, x, f)
         full = quad.integrate_ball(ball_rule, 0.5, x, f)
         assert abs(up + dn - full) < 1e-10
 
-    def test_non_unit_normal_rejected(self, half_rule):
-        with pytest.raises(ValueError):
-            quad.integrate_half_ball(half_rule, 1.0, np.zeros(3),
-                                     np.array([0.0, 0.0, 2.0]),
-                                     lambda p: np.ones(len(p)))
+    def test_non_unit_normal_rejected(self):
+        with pytest.raises(ValueError, match="unit 3-vector"):
+            quad.build_half_ball_rule(np.array([0.0, 0.0, 2.0]))
 
 
 class TestMoments:
     def test_fourth_moment_pattern(self, ball_rule):
-        t = quad.fourth_moment(ball_rule, 0.37)
+        t = quad.fourth_moment(ball_rule)
         for idx in np.ndindex(3, 3, 3, 3):
             i, j, k, l = idx
             if i == j == k == l:
@@ -144,7 +155,7 @@ class TestMoments:
     def test_contract_t4_reproduces_second_order_identity(self, ball_rule):
         # contracting the fourth moment against half the component Hessians of
         # u(x) = (x1^2, 0, 0) must give lap u + 2 grad(div u) = (6, 0, 0)
-        t = quad.fourth_moment(ball_rule, 1.0)
+        t = quad.fourth_moment(ball_rule)
         hess1 = np.zeros((3, 3))
         hess1[0, 0] = 2.0
         got = np.einsum("ijkl,lk->ij", t, 0.5 * hess1)[:, 0]
@@ -157,48 +168,57 @@ class TestMoments:
 
 
 class TestHalfBallMoments:
-    def test_scaled_third_moment_entries_at_pole(self, half_rule):
+    def test_scaled_third_moment_entries_at_pole(self):
+        half = quad.build_half_ball_rule(EZ)
         for delta in (1.0, 0.1, 0.01):
-            k = delta * quad.half_ball_third_moment_numeric(half_rule, delta, EZ)
+            k = delta * quad.half_ball_third_moment_numeric(half, delta)
             assert abs(k[2, 2, 2] - 3.0 / 16.0) < 1e-10
             assert abs(k[0, 0, 0]) < 1e-12
 
-    def test_scaled_third_moment_matches_closed_form(self, half_rule, rng):
+    def test_scaled_third_moment_matches_closed_form(self, rng):
         for _ in range(10):
             n = random_unit(rng)
-            k = quad.half_ball_third_moment_numeric(half_rule, 0.1, n)
+            k = quad.half_ball_third_moment_numeric(quad.build_half_ball_rule(n), 0.1)
             assert np.abs(0.1 * k - half_ball_moment_tensor(n)).max() < 1e-9
 
-    def test_rotation_invariance(self, half_rule, rng):
+    def test_rotation_invariance(self, rng):
         for _ in range(5):
             n = random_unit(rng)
             q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
             if np.linalg.det(q) < 0:
                 q[:, 0] = -q[:, 0]
-            kn = quad.half_ball_third_moment_numeric(half_rule, 0.2, n)
-            krot = quad.half_ball_third_moment_numeric(half_rule, 0.2, q @ n)
+            kn = quad.half_ball_third_moment_numeric(quad.build_half_ball_rule(n), 0.2)
+            krot = quad.half_ball_third_moment_numeric(
+                quad.build_half_ball_rule(q @ n), 0.2)
             transported = np.einsum("ia,jb,kc,abc->ijk", q, q, q, kn)
             assert np.abs(krot - transported).max() < 1e-10
 
-    def test_first_moment_along_pole(self, half_rule):
-        assert_allclose(quad.half_ball_first_moment(half_rule, 0.3, EZ),
+    def test_first_moment_along_pole(self):
+        assert_allclose(quad.half_ball_first_moment(quad.build_half_ball_rule(EZ)),
                         [0.0, 0.0, 9.0 / 8.0], atol=1e-10)
-        assert_allclose(quad.half_ball_first_moment(half_rule, 0.3, -EZ),
+        assert_allclose(quad.half_ball_first_moment(quad.build_half_ball_rule(-EZ)),
                         [0.0, 0.0, -9.0 / 8.0], atol=1e-10)
 
-    def test_first_moment_random_normals(self, half_rule, rng):
+    def test_first_moment_random_normals(self, rng):
         for _ in range(10):
             n = random_unit(rng)
-            assert np.abs(quad.half_ball_first_moment(half_rule, 0.05, n)
+            assert np.abs(quad.half_ball_first_moment(quad.build_half_ball_rule(n))
                           - 9.0 / 8.0 * n).max() < 1e-10
 
-    def test_delta_independence(self, half_rule, rng):
+    def test_delta_independence(self, rng):
         n = random_unit(rng)
-        k_ref = 1.0 * quad.half_ball_third_moment_numeric(half_rule, 1.0, n)
-        f_ref = quad.half_ball_first_moment(half_rule, 1.0, n)
+        half = quad.build_half_ball_rule(n)
+        k_ref = 1.0 * quad.half_ball_third_moment_numeric(half, 1.0)
+        f_ref = quad.half_ball_first_moment(half)
+        x = np.array([0.2, 0.1, -0.3])
         for delta in (0.1, 0.01):
-            k = delta * quad.half_ball_third_moment_numeric(half_rule, delta, n)
-            f = quad.half_ball_first_moment(half_rule, delta, n)
+            k = delta * quad.half_ball_third_moment_numeric(half, delta)
+            # the first moment takes no horizon: its integral at each horizon,
+            # scaled by 3 delta/|B_delta|, is the same vector
+            v = quad.integrate_ball(
+                half, delta, x,
+                lambda p: (p - x) / np.sum((p - x) ** 2, axis=1)[:, None])
+            f = 3.0 * delta / quad.ball_volume(delta) * v
             assert np.abs(k - k_ref).max() < 1e-11
             assert np.abs(f - f_ref).max() < 1e-11
 
