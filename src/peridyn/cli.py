@@ -24,12 +24,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import analysis, solver
-from .fields import (
-    MANUFACTURED_NAMES,
-    PlanarInterface,
-    TwoPhaseMaterial,
-    make_manufactured,
-)
+from .fields import INTERFACE_Z, MANUFACTURED_NAMES, TwoPhaseMaterial, make_manufactured
 from .operators import EVALUATION_BYTES_PER_NODE, half_ball_moment_tensor
 from .quadrature import (
     DEFAULT_ANGULAR_ORDER,
@@ -205,10 +200,12 @@ def _field_material(cfg: StudyConfig, study: Study):
     except ValueError as e:
         raise ConfigError(str(e)) from e
     if cfg.material is not None:
-        lamp, mup, lamm, mum = cfg.material
-        iface = material.interface if isinstance(material, TwoPhaseMaterial) \
-            else PlanarInterface(np.zeros(3), np.array([0.0, 0.0, 1.0]))
-        material = TwoPhaseMaterial(lamp, mup, lamm, mum, iface)
+        iface = (material.interface if isinstance(material, TwoPhaseMaterial)
+                 else INTERFACE_Z)
+        try:
+            material = TwoPhaseMaterial(*cfg.material, iface)
+        except ValueError as e:
+            raise ConfigError(f"material: {e}") from e
     if study.interface and not isinstance(material, TwoPhaseMaterial):
         raise ConfigError(f"{cfg.study} study needs a two-phase material")
     return field, material
@@ -223,9 +220,12 @@ def _field_material(cfg: StudyConfig, study: Study):
 # and kdelta studies hold their rule and a few n-sized temporaries: their
 # peak bytes per rule node, the rule included, are 48.5-50.3 for moments
 # and 72.4-73.7 for kdelta by tracemalloc, on rules of 128,000 to 576,000
-# nodes.
+# nodes.  The converge study also holds its sample grid and, per sample point
+# and horizon, the values and the report's records: 1,667-1,725 bytes by
+# tracemalloc, on grids of 512 to 64,000 points at 3 and 5 horizons.
 MOMENTS_BYTES_PER_NODE = 8 * 7
 KDELTA_BYTES_PER_NODE = 8 * 10
+CONVERGE_BYTES_PER_SAMPLE = 1800
 
 
 def _physical_memory() -> int:
@@ -352,6 +352,10 @@ def _report_outputs(cfg: StudyConfig, report: analysis.ConvergenceReport) -> Non
 
 
 def _run_converge(cfg: StudyConfig, field, material) -> None:
+    points = float(cfg.sample_count) ** 3
+    _check_memory(points * len(cfg.deltas) * CONVERGE_BYTES_PER_SAMPLE,
+                  f"sample_count {cfg.sample_count} gives {points:.3g} sample points "
+                  f"whose values at {len(cfg.deltas)} horizons need")
     iface = material.interface if isinstance(material, TwoPhaseMaterial) else None
     collar = 2.0 * float(cfg.deltas.max())
     pts = analysis.default_sample_grid(cfg.sample_count, 0.45, iface, collar)

@@ -62,14 +62,6 @@ class PlanarInterface:
 INTERFACE_Z = PlanarInterface(np.zeros(3), E3)
 
 
-def _terms(a, m_a, b, m_b):
-    """Inner factors (..., m_a + c_a, 3) and (..., m_b + c_b, 3), each with
-    its m y-dependent terms first, as those of the summed split: the
-    y-dependent terms of both, then the y-constant terms of both."""
-    return np.concatenate([a[..., :m_a, :], b[..., :m_b, :],
-                           a[..., m_a:, :], b[..., m_b:, :]], axis=-2)
-
-
 @dataclass(frozen=True, eq=False)
 class Split:
     """How a closed form's shifted value separates into products::
@@ -98,26 +90,11 @@ class Split:
             object.__setattr__(self, name,
                                np.asarray(getattr(self, name), dtype=float).reshape(-1, 3))
 
-    @property
-    def terms(self) -> int:
-        """m, the number of y-dependent terms."""
-        return len(self.base) - len(self.constant)
-
     def factors(self, y) -> np.ndarray:
         """All m + m_c outer factors at points y (..., 3): U(y), then C."""
         u = self.outer(y)
         c = np.broadcast_to(self.constant, u.shape[:-2] + self.constant.shape)
         return np.concatenate([u, c], axis=-2)
-
-    def __add__(self, other: "Split") -> "Split":
-        m1, m2 = self.terms, other.terms
-        return Split(lambda y: np.concatenate([self.outer(y), other.outer(y)], axis=-2),
-                     lambda d: _terms(self.step(d), m1, other.step(d), m2),
-                     _terms(self.base, m1, other.base, m2),
-                     np.concatenate([self.constant, other.constant]))
-
-    def __mul__(self, a: float) -> "Split":
-        return Split(lambda y: a * self.outer(y), self.step, self.base, a * self.constant)
 
 
 @dataclass(frozen=True)
@@ -127,33 +104,13 @@ class AnalyticVectorField:
     ``split`` declares how a shifted value separates into products (a
     :class:`Split`), so that the point operators read the field from rule
     sums (see :mod:`peridyn.operators`): the nested pass from the factors
-    of u(y + d), the bond sums from those of u(y + d) - u(y).  ``+``
-    concatenates the splits' terms and ``*`` scales them.
+    of u(y + d), the bond sums from those of u(y + d) - u(y).
     """
 
     value: Callable[[np.ndarray], np.ndarray]
     grad: Callable[[np.ndarray], np.ndarray]
     hessian: Callable[[np.ndarray], np.ndarray]
     split: Split = dataclasses.field(compare=False)
-
-    def __add__(self, other: "AnalyticVectorField") -> "AnalyticVectorField":
-        return AnalyticVectorField(
-            value=lambda p: self.value(p) + other.value(p),
-            grad=lambda p: self.grad(p) + other.grad(p),
-            hessian=lambda p: self.hessian(p) + other.hessian(p),
-            split=self.split + other.split,
-        )
-
-    def __mul__(self, a: float) -> "AnalyticVectorField":
-        a = float(a)
-        return AnalyticVectorField(
-            value=lambda p: a * self.value(p),
-            grad=lambda p: a * self.grad(p),
-            hessian=lambda p: a * self.hessian(p),
-            split=self.split * a,
-        )
-
-    __rmul__ = __mul__
 
 
 @dataclass(frozen=True)
@@ -200,19 +157,6 @@ class PiecewiseField:
             return self.plus_side.value(x)
         return np.where(self.interface.side_of(x)[..., None], self.plus_side.value(x),
                         self.minus_side.value(x))
-
-    def __add__(self, other: "PiecewiseField") -> "PiecewiseField":
-        if (other.interface is None) != (self.interface is None):
-            raise ValueError("cannot combine fields with and without an interface")
-        return PiecewiseField(self.plus_side + other.plus_side,
-                              self.minus_side + other.minus_side, self.interface)
-
-    def __mul__(self, a: float) -> "PiecewiseField":
-        if self.plus_side is self.minus_side:
-            return PiecewiseField.smooth(a * self.plus_side)
-        return PiecewiseField(a * self.plus_side, a * self.minus_side, self.interface)
-
-    __rmul__ = __mul__
 
 
 @dataclass(frozen=True)
@@ -364,24 +308,6 @@ def navier_d(material: Material, field: PiecewiseField, x, side: SideTag = SideT
 # ---------------------------------------------------------------------------
 
 
-def constant_field(c) -> AnalyticVectorField:
-    c = np.asarray(c, dtype=float)
-
-    def value(p):
-        out = np.empty(p.shape)
-        out[...] = c
-        return out
-
-    # u(y + d) = c * 1: one product, constant in y, whose step is 0
-    return AnalyticVectorField(
-        value=value,
-        grad=lambda p: np.zeros(p.shape[:-1] + (3, 3)),
-        hessian=lambda p: np.zeros(p.shape[:-1] + (3, 3, 3)),
-        split=Split(lambda y: np.empty(y.shape[:-1] + (0, 3)),
-                    lambda d: np.zeros(d.shape[:-1] + (1, 3)), np.ones((1, 3)), c[None]),
-    )
-
-
 def linear_field(c, g) -> AnalyticVectorField:
     c = np.asarray(c, dtype=float)
     g = np.asarray(g, dtype=float)
@@ -512,7 +438,7 @@ _CONTRAST_MATERIAL = dict(lambda_plus=1.0, mu_plus=1.0,
 
 
 def _build_constant():
-    field = PiecewiseField.smooth(constant_field([0.5, -0.25, 1.0]))
+    field = PiecewiseField.smooth(linear_field([0.5, -0.25, 1.0], np.zeros((3, 3))))
     return field, constant_material(1.0, 1.0)
 
 

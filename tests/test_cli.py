@@ -94,7 +94,7 @@ class TestExitCodes:
         rc = main(["natural", "--quad", "2,2", "--material", f"two-phase:{moduli}",
                    "--out", str(tmp_path)])
         assert rc == 2
-        assert capsys.readouterr() == ("", "error: lambda and mu must be finite\n")
+        assert capsys.readouterr() == ("", "error: material: lambda and mu must be finite\n")
 
     def test_bad_delta_series(self, tmp_path):
         assert main(["blowup", "--out", str(tmp_path),
@@ -358,6 +358,43 @@ class TestExitCodes:
         assert self._reaches_the_rule(argv, need, monkeypatch)
         assert not self._reaches_the_rule(argv, need - 1, monkeypatch)
 
+    @staticmethod
+    def _reaches_the_grid(count, memory, tmp_path, monkeypatch):
+        """Whether converge at ``sample_count`` ``count`` passes the memory
+        gate, with the physical memory fixed at ``memory`` bytes: a run that
+        passes it stops where the sample grid is built."""
+        class GridBuilt(Exception):
+            pass
+
+        def build(*args):
+            raise GridBuilt
+
+        monkeypatch.setattr(analysis, "default_sample_grid", build)
+        monkeypatch.setattr(cli, "_physical_memory", lambda: memory)
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"sample_count": count}))
+        try:
+            main(["converge", "--config", str(cfg), "--out", str(tmp_path)])
+        except GridBuilt:
+            return True
+        return False
+
+    def test_sample_grid_beyond_memory_refused_before_the_grid(self, tmp_path, capsys,
+                                                               monkeypatch):
+        # 3000^3 points at the 5 default horizons, at 1800 bytes each
+        assert not self._reaches_the_grid(3000, 16 * 2**30, tmp_path, monkeypatch)
+        assert capsys.readouterr() == ("", (
+            "error: sample_count 3000 gives 2.7e+10 sample points whose values at 5 "
+            "horizons need about 2.26e+05 GiB, more than the 16 GiB of physical "
+            "memory\n"))
+
+    def test_sample_grid_memory_bound(self, tmp_path, monkeypatch):
+        # 1000 points at 5 horizons need more than the rule's batch, 4096 x 288
+        need = 1000 * 5 * cli.CONVERGE_BYTES_PER_SAMPLE
+        assert need > 4096 * 288
+        assert self._reaches_the_grid(10, need, tmp_path, monkeypatch)
+        assert not self._reaches_the_grid(10, need - 1, tmp_path, monkeypatch)
+
     def test_internal_type_error_propagates(self, tmp_path, monkeypatch):
         # every bad input that could raise a TypeError is refused as a
         # ConfigError first, so a TypeError is a bug and not exit code 2
@@ -424,20 +461,26 @@ class TestParser:
 class TestConfigTable:
     """Config-file values and flags go through the same converters."""
 
-    @pytest.mark.parametrize("payload,key", [
-        ({"quad": 8}, "quad"),
-        ({"box": 1}, "box"),
-        ({"material": [1, 2]}, "material"),
-        ({"threads": "two"}, "threads"),
-        ({"normal": [0, 0, "z"]}, "normal"),
-    ], ids=["quad", "box", "material", "threads", "normal"])
-    def test_bad_value_names_its_key(self, payload, key, tmp_path, capsys):
+    @pytest.mark.parametrize("payload,message", [
+        ({"quad": 8}, "quad: expected "),
+        ({"box": 1}, "box: expected "),
+        ({"material": [1, 2]}, "material: expected "),
+        ({"threads": "two"}, "threads: expected "),
+        ({"normal": [0, 0, "z"]}, "normal: expected "),
+        # values that convert, refused by the material they build
+        ({"material": "two-phase:1,0,1,1"}, "material: shear moduli must be positive\n"),
+        ({"material": "two-phase:1,nan,1,1"}, "material: lambda and mu must be finite\n"),
+    ], ids=["quad", "box", "material", "threads", "normal", "material_zero_shear",
+            "material_nan"])
+    def test_bad_value_names_its_key(self, payload, message, tmp_path, capsys):
+        # every value is converted as the config loads, and natural builds
+        # the material
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps(payload))
-        rc = main(["moments", "--config", str(cfg), "--out", str(tmp_path)])
+        rc = main(["natural", "--config", str(cfg), "--out", str(tmp_path)])
         assert rc == 2
         err = capsys.readouterr().err
-        assert err.startswith(f"error: {key}: expected ")
+        assert err.startswith(f"error: {message}")
         assert err.count("\n") == 1
 
     def test_bad_flag_names_its_key(self, tmp_path, capsys):
@@ -578,7 +621,9 @@ class TestStudyTable:
         (["converge", "--field", "nope"], "unknown manufactured configuration 'nope'"),
         (["solve", "--field", "nope"], "unknown manufactured configuration 'nope'"),
         (["star", "--field", "trig_smooth"], "star study needs a two-phase material"),
-        (["blowup", "--material", "two-phase:nan,1,1,1"], "lambda and mu must be finite"),
+        pytest.param(["blowup", "--material", "two-phase:nan,1,1,1"],
+                     "material: lambda and mu must be finite",
+                     id="argv3-lambda and mu must be finite"),
     ])
     def test_field_and_material_before_the_memory_gate(self, argv, message,
                                                         tmp_path, capsys, monkeypatch):

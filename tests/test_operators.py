@@ -3,6 +3,7 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 from numpy.polynomial.legendre import leggauss
 
+from peridyn import analysis as A
 from peridyn import fields as F
 from peridyn import operators as O
 from nested_reference import (moment_scale, reference_batch_moments,
@@ -521,10 +522,29 @@ class TestAffineNestedPass:
             assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
+def _trig_restated(scale, copies):
+    """scale * (sin x_2, sin x_3, sin x_1), declared by a split of its own:
+    the trig split with its outer factors times scale / copies and its two
+    terms repeated ``copies`` times, so 2 * copies terms, none constant."""
+    trig, _ = F.make_manufactured("trig_smooth")
+    side, split = trig.plus_side, trig.plus_side.split
+    a = scale / copies
+
+    def repeat(fn):
+        return lambda p: np.concatenate([fn(p)] * copies, axis=-2)
+
+    return F.PiecewiseField.smooth(F.AnalyticVectorField(
+        lambda p: scale * side.value(p), lambda p: scale * side.grad(p),
+        lambda p: scale * side.hessian(p),
+        split=F.Split(repeat(lambda y: a * split.outer(y)), repeat(split.step),
+                      np.concatenate([split.base] * copies))))
+
+
 def _split_cases():
     """(name, field, material) for the declared pass: every manufactured
-    field that declares a split, and a scaled and a summed one; each
-    material has lambda != mu, so the state operator makes a pass."""
+    field that declares a split, and the trig field declared by a scaled
+    split and by one of four terms; each material has lambda != mu, so the
+    state operator makes a pass."""
     trig, _ = F.make_manufactured("trig_smooth")
     material_trig, trig_material = F.make_manufactured("smooth_material_trig")
     quadratic, _ = F.make_manufactured("quadratic")
@@ -533,8 +553,8 @@ def _split_cases():
         ("trig_smooth", trig, lam_ne_mu),
         ("smooth_material_trig", material_trig, trig_material),
         ("quadratic", quadratic, lam_ne_mu),
-        ("trig_scaled", 2.5 * trig, lam_ne_mu),
-        ("trig_plus_trig", trig + trig, trig_material),
+        ("trig_scaled", _trig_restated(2.5, 1), lam_ne_mu),
+        ("trig_plus_trig", _trig_restated(2.0, 2), trig_material),
     ]
 
 
@@ -571,7 +591,7 @@ class TestSplitNestedPass:
         quadratic, _ = F.make_manufactured("quadratic")
         cfg = O.make_config(0.1, 4, 6)
         n = len(cfg.rule)
-        for field in (trig, trig + quadratic):
+        for field in (trig, quadratic, _trig_restated(2.0, 2)):
             count = [0]
             _one_point(nested_moments, cfg, counted_split(field, count), SPLIT_POINTS[0])
             assert count[0] == O.nested_pass_points(n, field) == 2 * n == 576
@@ -772,18 +792,9 @@ OPERATORS = [
 
 class TestOperatorProperties:
     @pytest.mark.parametrize("name,op", OPERATORS)
-    def test_linearity(self, name, op, rng):
-        f1, _ = F.make_manufactured("quadratic")
-        f2, _ = F.make_manufactured("trig_smooth")
-        mat = F.TwoPhaseMaterial(2.0, 1.0, 0.5, 2.0, F.INTERFACE_Z)
-        cfg = O.make_config(0.3, radial_order=4, angular_order=6)
-        x = np.array([0.05, -0.1, 0.02])
-        a, b = 1.7, -0.6
-        combo = a * f1 + b * f2
-        lhs = op(cfg, mat, combo, x)
-        rhs = a * np.asarray(op(cfg, mat, f1, x)) + b * np.asarray(op(cfg, mat, f2, x))
-        scale = max(1.0, np.abs(rhs).max())
-        assert np.abs(lhs - rhs).max() < 1e-12 * scale
+    def test_linearity(self, name, op):
+        # lambda != mu on both sides, so that the dilatational part is not 0
+        _assert_linear(op, (3.0, 1.0, 5.0, 2.0))
 
     @pytest.mark.parametrize("name,op", OPERATORS)
     def test_annihilates_constants(self, name, op):
@@ -803,6 +814,37 @@ class TestOperatorProperties:
         assert_allclose(ref, [8.0, 0.0, 0.0], atol=1e-13)
         got = O.state_operator(cfg, mat, field, x)
         assert np.abs(got - ref).max() < 1e-9
+
+
+class TestPartsLocalLimits:
+    """Each part of the state operator tends to its own local part, on the
+    quadratic field in the trig material at quadrature (6, 8)."""
+
+    DELTAS = [0.1, 0.05, 0.025, 0.0125]
+
+    @staticmethod
+    def _case(rng):
+        field, _ = F.make_manufactured("quadratic")
+        _, mat = F.make_manufactured("smooth_material_trig")
+        return field, mat, rng.uniform(-0.5, 0.5, size=(3, 3))
+
+    def test_bond_part_converges_at_rate_two(self, rng):
+        field, mat, xs = self._case(rng)
+        want = F.navier_s(mat, field, xs)
+        errors = [np.linalg.norm(O.bond_operator(O.make_config(d, 6, 8), mat, field, xs)
+                                 - want, axis=-1).max() for d in self.DELTAS]
+        # 2.5e-3 at the largest horizon, then a quarter at each halving
+        assert 1e-3 < errors[0] < 1e-2
+        assert abs(A.fit_rate(self.DELTAS, errors) - 2.0) <= 0.1
+
+    def test_dilatation_part_is_exact(self, rng):
+        # lambda - mu = 1 everywhere, so navier_d = grad div u = (2, 0, 0)
+        field, mat, xs = self._case(rng)
+        want = F.navier_d(mat, field, xs)
+        assert_allclose(want, np.tile([2.0, 0.0, 0.0], (3, 1)), rtol=0, atol=1e-14)
+        for d in self.DELTAS:
+            got = O.dilatation_operator(O.make_config(d, 6, 8), mat, field, xs)
+            assert np.abs(got - want).max() <= 1e-12 * 2.0
 
 
 def _oblique_kink(rng, x0=None, n=None):
@@ -850,6 +892,25 @@ def _assert_close(got, want, moduli, *grads):
     assert np.abs(got - want).max() <= 1e-12 * scale
 
 
+def _assert_linear(op, moduli):
+    """op(a u + b v) = a op(u) + b op(v) for each seeded kink u and a second
+    kink v across the same plane, with seeded coefficients a and b."""
+    for rng, plus, minus, x0, n, x in _invariance_cases():
+        other_plus, other_minus, _, _ = _oblique_kink(rng, x0, n)
+        a, b = rng.normal(size=2)
+        field, mat = _kinked(plus, minus, x0, n, moduli)
+        other, _ = _kinked(other_plus, other_minus, x0, n, moduli)
+        combo, _ = _kinked(
+            (a * plus[0] + b * other_plus[0], a * plus[1] + b * other_plus[1]),
+            (a * minus[0] + b * other_minus[0], a * minus[1] + b * other_minus[1]),
+            x0, n, moduli)
+        cfg = O.make_config(INVARIANCE_DELTA, 4, 6, split_normal=n)
+        got = op(cfg, mat, combo, x)
+        want = a * op(cfg, mat, field, x) + b * op(cfg, mat, other, x)
+        _assert_close(got, want, moduli, a * plus[1], a * minus[1],
+                      b * other_plus[1], b * other_minus[1])
+
+
 INVARIANCE_OPS = [("state", O.state_operator), ("corrected", O.corrected_operator)]
 INVARIANCE_MODULI = [(1.0, 1.0, 2.0, 2.0), (3.0, 1.0, 5.0, 2.0)]
 
@@ -877,20 +938,7 @@ class TestObliqueKinkInvariances:
             _assert_close(got, want, moduli, plus[1], minus[1])
 
     def test_linearity(self, name, op, moduli):
-        for rng, plus, minus, x0, n, x in _invariance_cases():
-            other_plus, other_minus, _, _ = _oblique_kink(rng, x0, n)
-            a, b = rng.normal(size=2)
-            field, mat = _kinked(plus, minus, x0, n, moduli)
-            other, _ = _kinked(other_plus, other_minus, x0, n, moduli)
-            combo, _ = _kinked(
-                (a * plus[0] + b * other_plus[0], a * plus[1] + b * other_plus[1]),
-                (a * minus[0] + b * other_minus[0], a * minus[1] + b * other_minus[1]),
-                x0, n, moduli)
-            cfg = O.make_config(INVARIANCE_DELTA, 4, 6, split_normal=n)
-            got = op(cfg, mat, combo, x)
-            want = a * op(cfg, mat, field, x) + b * op(cfg, mat, other, x)
-            _assert_close(got, want, moduli, a * plus[1], a * minus[1],
-                          b * other_plus[1], b * other_minus[1])
+        _assert_linear(op, moduli)
 
     def test_translation_invariance(self, name, op, moduli):
         # u(. - t) with the interface moved by t, evaluated at x + t
