@@ -327,8 +327,11 @@ def _interface_study(study: str, corrected: bool, material: Material,
                              split_normal=material.interface.normal)
     if target is None:
         errors = np.linalg.norm(values, axis=-1)
-        return _report(study, params, deltas, values, errors,
-                       [float(e[0]) for e in errors])
+        norms = [float(e[0]) for e in errors]
+        scales = _term_scales(material, field, x, deltas, radial_order, angular_order)
+        exact = all(v < EXACT_SERIES_FLOOR * s for v, s in zip(norms, scales))
+        return _report(study, params, deltas, values, errors, norms,
+                       slope=math.nan if exact else None)
     values = deltas[:, None, None] * values
     errors = np.linalg.norm(values - target, axis=-1)
     return _report(study, {"target": [float(t) for t in target], **params},
@@ -336,12 +339,27 @@ def _interface_study(study: str, corrected: bool, material: Material,
                    limit_estimate=richardson_limit(deltas, values[:, 0, :]))
 
 
+def _term_scales(material: TwoPhaseMaterial, field: PiecewiseField, x, deltas,
+                 radial_order: int, angular_order: int) -> list:
+    """Per horizon, the size of one term of the nested pass at ``x``: the
+    largest modulus times the largest |u| at the outer nodes, over delta^2.
+    The pass's rounding scales with it, so a series below 1e-12 of it at
+    every horizon is exact (a field the operator annihilates)."""
+    rule = build_split_ball_rule(material.interface.normal, radial_order, angular_order)
+    modulus = max(abs(m) for m in (material.lambda_plus, material.lambda_minus,
+                                   material.mu_plus, material.mu_minus))
+    return [modulus * float(np.linalg.norm(field.value(x + d * rule.points), axis=-1).max())
+            / d**2 for d in deltas]
+
+
 def interface_blowup(material: Material, field: PiecewiseField, x, deltas,
                      radial_order: int = DEFAULT_RADIAL_ORDER,
                      angular_order: int = DEFAULT_ANGULAR_ORDER,
                      threads: int = 1) -> ConvergenceReport:
     """Norm of the state operator at an interface point per horizon; the
-    fitted log-log slope is -1 when the material jumps (no local limit)."""
+    fitted log-log slope is -1 when the natural condition's limit is nonzero
+    (no local limit).  The series is flagged exact when every norm is below
+    1e-12 of its horizon's term scale (see :func:`_term_scales`)."""
     return _interface_study("blowup", False, material, field, x,
                             deltas, radial_order, angular_order, threads)
 

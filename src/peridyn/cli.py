@@ -25,7 +25,8 @@ import numpy as np
 
 from . import analysis, solver
 from .fields import INTERFACE_Z, MANUFACTURED_NAMES, TwoPhaseMaterial, make_manufactured
-from .operators import EVALUATION_BYTES_PER_NODE, half_ball_moment_tensor
+from .operators import (EVALUATION_BYTES_PER_NODE, half_ball_moment_tensor,
+                        natural_condition_limit)
 from .quadrature import (
     DEFAULT_ANGULAR_ORDER,
     DEFAULT_RADIAL_ORDER,
@@ -233,13 +234,23 @@ def _physical_memory() -> int:
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
-def _check_memory(need: float, what: str) -> None:
+def _approx(n, unit: int = 1) -> str:
+    """``n / unit`` to three significant digits; an integer ``n`` whose
+    quotient overflows a float is divided exactly."""
+    try:
+        return f"{n / unit:.3g}"
+    except OverflowError:
+        from decimal import Decimal  # not loaded by the common path
+        return f"{Decimal(n) / unit:.3g}"
+
+
+def _check_memory(need, what: str) -> None:
     """Refuse a run whose estimated peak of ``need`` bytes exceeds the
     physical memory; ``what`` opens the message and says what needs it."""
     memory = _physical_memory()
     if need > memory:
         raise ConfigError(
-            f"{what} about {need / 2**30:.3g} GiB, more than the "
+            f"{what} about {_approx(need, 2**30)} GiB, more than the "
             f"{memory / 2**30:.3g} GiB of physical memory")
 
 
@@ -352,10 +363,10 @@ def _report_outputs(cfg: StudyConfig, report: analysis.ConvergenceReport) -> Non
 
 
 def _run_converge(cfg: StudyConfig, field, material) -> None:
-    points = float(cfg.sample_count) ** 3
+    points = cfg.sample_count ** 3  # an integer: no count overflows
     _check_memory(points * len(cfg.deltas) * CONVERGE_BYTES_PER_SAMPLE,
-                  f"sample_count {cfg.sample_count} gives {points:.3g} sample points "
-                  f"whose values at {len(cfg.deltas)} horizons need")
+                  f"sample_count {cfg.sample_count} gives {_approx(points)} sample "
+                  f"points whose values at {len(cfg.deltas)} horizons need")
     iface = material.interface if isinstance(material, TwoPhaseMaterial) else None
     collar = 2.0 * float(cfg.deltas.max())
     pts = analysis.default_sample_grid(cfg.sample_count, 0.45, iface, collar)
@@ -381,9 +392,9 @@ def _run_blowup(cfg: StudyConfig, field, material) -> None:
         material, field, material.interface.point, cfg.deltas,
         radial_order=cfg.quad[0], angular_order=cfg.quad[1], threads=cfg.threads)
     report.params["field"] = cfg.field
-    if (field.plus_side is not field.minus_side
-            or material.lambda_plus != material.lambda_minus
-            or material.mu_plus != material.mu_minus):
+    # the operator grows as 1/delta exactly when delta times it has a
+    # nonzero limit
+    if np.any(natural_condition_limit(material, field, material.interface.point) != 0.0):
         ok = report.slope is not None and abs(report.slope + 1.0) <= 0.05
         cfg.record("blowup_rate", ok,
                    f"fitted slope {report.slope} (need -1 +- 0.05)")

@@ -24,9 +24,9 @@ applies the block on a window, the free nodes' bounding box widened by one
 stencil reach, whose transforms are shorter than the lattice's; the window is
 wide enough that no free row sees a wrapped value (``DiscreteOperator``).  A
 zero or non-finite diagonal entry, or a run that misses the residual target,
-is refused as singular or ill-conditioned.  scipy's sparse stack, which GMRES
-comes from, is loaded on the first solve, so importing this module costs no
-more than numpy.
+is refused as singular or ill-conditioned.  The Krylov loop (``_gmres``) is
+this module's own, in numpy, so neither importing the module nor solving
+loads scipy's sparse stack.
 """
 
 from __future__ import annotations
@@ -397,9 +397,10 @@ _GMRES_CYCLES = 5
 
 # estimated peak bytes per lattice node of a solve: the GMRES basis, restart
 # + 1 vectors of 3 doubles per node, and 100 doubles per node for the rest.
-# tracemalloc over assemble and solve on box +-1.0 (moduli 3,1,5,2) put the
-# rest at 59 doubles per node at h = 1/16 and 72 at h = 1/24, where 26% and
-# 43% of the nodes are free; the basis term counts every node, free or not
+# tracemalloc over assemble and solve on box +-1.0 (the kinked patch on
+# 3,1,5,2) put the rest, the peak less the basis of the free nodes, at 53
+# doubles per node at h = 1/16 and 66 at h = 1/24, where 26% and 43% of the
+# nodes are free; the basis term counts every node, free or not
 SOLVE_BYTES_PER_NODE = 8 * (3 * (_GMRES_RESTART + 1) + 100)
 
 
@@ -436,21 +437,88 @@ def build_rhs(opr: DiscreteOperator, b, g) -> np.ndarray:
     return rhs.reshape(-1)
 
 
+def _gmres(apply, diag: np.ndarray, b: np.ndarray):
+    """Restarted GMRES on ``apply`` x = ``b``, left-preconditioned by
+    1 / ``diag`` (Saad & Schultz 1986).
+
+    Each cycle builds a Krylov basis of the preconditioned operator by
+    classical Gram-Schmidt done twice, two products against the basis per
+    iteration, and tracks the least-squares residual by Givens rotations.  A
+    cycle ends when that (preconditioned) residual reaches the target, at
+    ``_GMRES_RESTART`` iterations, or on a lucky breakdown.  After it the
+    true residual is checked against ``_GMRES_RTOL`` |b|; a miss tightens
+    the target to the preconditioned residual scaled by the true residual's
+    shortfall.  Returns x, info (0 on success, else the cycles run) and the
+    preconditioned residual over |b| per iteration."""
+    n = b.size
+    restart = min(_GMRES_RESTART, n)
+    x, history = np.zeros(n), []
+    b_norm = float(np.linalg.norm(b))
+    if b_norm == 0.0:
+        return x, 0, history
+    atol = _GMRES_RTOL * b_norm
+    ptol = _GMRES_RTOL * float(np.linalg.norm(b / diag))
+    eps = np.finfo(float).eps
+    basis = np.empty((restart + 1, n))
+    r = b
+    for cycle in range(1, _GMRES_CYCLES + 1):
+        z = r / diag
+        basis[0] = z / np.linalg.norm(z)
+        hess = np.zeros((restart, restart))  # the rotated Hessenberg matrix
+        g = np.zeros(restart + 1)  # the rotated |z| e_1
+        g[0] = np.linalg.norm(z)
+        rot = []
+        for j in range(restart):
+            w = apply(basis[j]) / diag
+            w_norm = np.linalg.norm(w)
+            v = basis[:j + 1]
+            col = v @ w
+            w -= col @ v
+            again = v @ w
+            w -= again @ v
+            col += again
+            h_next = float(np.linalg.norm(w))
+            breakdown = h_next <= eps * w_norm  # the Krylov space is exact
+            if breakdown:
+                h_next = 0.0
+            else:
+                np.divide(w, h_next, out=basis[j + 1])
+            for k, (c, s) in enumerate(rot):
+                col[k], col[k + 1] = c * col[k] + s * col[k + 1], c * col[k + 1] - s * col[k]
+            mag = math.hypot(col[j], h_next)
+            c, s = (col[j] / mag, h_next / mag) if mag else (1.0, 0.0)
+            rot.append((c, s))
+            col[j] = mag
+            hess[:j + 1, j] = col
+            g[j], g[j + 1] = c * g[j], -s * g[j]
+            presid = abs(g[j + 1])
+            history.append(presid / b_norm)
+            if presid <= ptol:  # also on a breakdown, where presid is 0
+                break
+        k = j + 1 if hess[j, j] else j  # a zero pivot drops its direction
+        x += np.linalg.solve(hess[:k, :k], g[:k]) @ basis[:k]
+        r = b - apply(x)
+        r_norm = float(np.linalg.norm(r))
+        if r_norm <= atol:
+            return x, 0, history
+        if breakdown:
+            break
+        ptol = presid * atol / r_norm
+    return x, cycle, history
+
+
 def solve_equilibrium(opr: DiscreteOperator, b, g) -> SolveResult:
     """Solve the collocation system by Jacobi-preconditioned GMRES.
 
     The constraint values, applied by the operator, move to the right-hand
-    side; GMRES runs on the free-node block through the operator's action,
-    restarts every 200 iterations, makes at most 1000, and stops at a free
-    residual of 1e-12 of the free right-hand side.  ``residual_history`` holds
-    the preconditioned residual norm over the right-hand side's, per iteration.
-    Raises ``np.linalg.LinAlgError`` (singular or ill-conditioned) when a
-    diagonal entry of the free block is zero or not finite, or when GMRES
-    does not reach the target.
+    side; GMRES (``_gmres``) runs on the free-node block through the
+    operator's action, restarts every 200 iterations, makes at most 1000,
+    and stops at a free residual of 1e-12 of the free right-hand side.
+    ``residual_history`` holds the preconditioned residual norm over the
+    right-hand side's, per iteration.  Raises ``np.linalg.LinAlgError``
+    (singular or ill-conditioned) when a diagonal entry of the free block is
+    zero or not finite, or when GMRES does not reach the target.
     """
-    # loaded on the first solve, outside the timings
-    from scipy.sparse.linalg import LinearOperator, gmres
-
     rhs = build_rhs(opr, b, g).reshape(-1, 3)
     t0 = time.perf_counter()
     free = opr.grid.tags != NodeTag.CONSTRAINT
@@ -466,14 +534,7 @@ def solve_equilibrium(opr: DiscreteOperator, b, g) -> SolveResult:
             "collocation matrix is singular or ill-conditioned "
             "(zero or non-finite diagonal entry in the free block)")
 
-    shape = (diag.size, diag.size)
-    jacobi = LinearOperator(shape, matvec=lambda x: x / diag, dtype=float)
-    block = LinearOperator(shape, matvec=lambda x: opr.free_action(x).reshape(-1),
-                           dtype=float)
-    history = []
-    u_f, info = gmres(block, rhs_f, rtol=_GMRES_RTOL, atol=0.0,
-                      restart=_GMRES_RESTART, maxiter=_GMRES_CYCLES, M=jacobi,
-                      callback=history.append, callback_type="pr_norm")
+    u_f, info, history = _gmres(lambda x: opr.free_action(x).reshape(-1), diag, rhs_f)
     if info != 0:
         raise np.linalg.LinAlgError(
             f"collocation matrix is singular or ill-conditioned (GMRES info "

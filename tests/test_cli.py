@@ -388,6 +388,19 @@ class TestExitCodes:
             "horizons need about 2.26e+05 GiB, more than the 16 GiB of physical "
             "memory\n"))
 
+    def test_sample_grid_beyond_float_range_refused(self, tmp_path, capsys,
+                                                    monkeypatch):
+        # a count whose cube overflows a float is sized in integers, so the
+        # gate refuses it and names sample_count
+        count = 10**103
+        assert not self._reaches_the_grid(count, 16 * 2**30, tmp_path, monkeypatch)
+        assert capsys.readouterr() == ("", (
+            f"error: sample_count {count} gives 1.00e+309 sample points whose "
+            "values at 5 horizons need about 8.38e+303 GiB, more than the 16 GiB "
+            "of physical memory\n"))
+        cfg = tmp_path / "c.json"
+        assert main(["converge", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+
     def test_sample_grid_memory_bound(self, tmp_path, monkeypatch):
         # 1000 points at 5 horizons need more than the rule's batch, 4096 x 288
         need = 1000 * 5 * cli.CONVERGE_BYTES_PER_SAMPLE
@@ -672,6 +685,28 @@ class TestStudyOutputs:
                    "--material", "two-phase:1,1,1,1", *FAST, *FAST_DELTAS])
         assert rc == 0
 
+    def test_blowup_annihilated_field_is_exact(self, tmp_path, capsys):
+        # the constant field on two phases: delta times the operator has a
+        # zero limit, and the norms are the nested pass's rounding, which
+        # grows as 1/delta^2, above the fixed 1e-12 floor but below 1e-12 of
+        # the term scale
+        rc = main(["blowup", "--out", str(tmp_path), "--field", "constant",
+                   "--material", "two-phase:3,1,5,2"])
+        assert rc == 0
+        with open(tmp_path / "blowup.json") as f:
+            report = json.load(f)
+        assert (report["exact"], report["slope"]) == (True, None)
+        assert max(report["norms"]) > analysis.EXACT_SERIES_FLOOR
+        assert "PASS blowup/bounded" in capsys.readouterr().out
+
+    def test_blowup_gradient_jump_rate(self, tmp_path, capsys):
+        rc = main(["blowup", "--out", str(tmp_path), "--field", "gradient_jump",
+                   "--material", "two-phase:3,1,5,2"])
+        assert rc == 0
+        with open(tmp_path / "blowup.json") as f:
+            assert abs(json.load(f)["slope"] + 1.0) <= 1e-12
+        assert "PASS blowup/blowup_rate" in capsys.readouterr().out
+
     def test_converge_trig(self, tmp_path):
         rc = main(["converge", "--out", str(tmp_path), *FAST,
                    "--delta-series", "0.1,0.05,0.025"])
@@ -819,29 +854,31 @@ class TestDeterminism:
         assert reports[0] == reports[1]
 
 
-_LAZY_SOLVER_SCRIPT = """
+_SPARSE_FREE_SOLVE_SCRIPT = """
 import sys
 import numpy as np
 import peridyn, peridyn.cli, peridyn.solver as S
 from peridyn.fields import make_manufactured
 
-loaded = sorted(m for m in sys.modules if m.startswith("scipy.sparse"))
-assert not loaded, loaded
+def sparse():
+    return sorted(m for m in sys.modules if m.startswith("scipy.sparse"))
+
+assert not sparse(), sparse()
 field, material = make_manufactured("linear")
 grid = S.build_grid((np.full(3, -0.75), np.full(3, 0.75)), 0.125, 2.0)
 result = S.solve_equilibrium(S.assemble(grid, material), None, field.value)
 free = grid.tags != S.NodeTag.CONSTRAINT
 err = np.abs(result.u[free] - field.value(grid.points[free])).max()
 assert result.iterations > 0 and err < 1e-8, (result.iterations, err)
-assert "scipy.sparse.linalg" in sys.modules
+assert not sparse(), sparse()
 print("ok")
 """
 
 
 def test_import_leaves_the_solver_unloaded():
     # importing the package, the CLI or the solver loads no scipy.sparse
-    # module; the first solve loads scipy.sparse.linalg and converges
-    run = subprocess.run([sys.executable, "-c", _LAZY_SOLVER_SCRIPT],
+    # module, and neither does a solve, which converges
+    run = subprocess.run([sys.executable, "-c", _SPARSE_FREE_SOLVE_SCRIPT],
                          capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": _SRC_PATH})
     assert (run.returncode, run.stdout, run.stderr) == (0, "ok\n", "")

@@ -134,6 +134,25 @@ def matrix_scale(opr):
     return abs(reference_matrix(opr)).sum(axis=1).max()
 
 
+def dense_reference_solve(opr, rng):
+    """A body force along e3, seeded collar values and the solution of the
+    free block densified and solved by LU, with the collar values moved to
+    the right-hand side, as (b, g, u)."""
+    n = opr.grid.n_nodes
+    g = rng.normal(size=(n, 3))
+    b = lambda p: np.tile([0.0, 0.0, 1.0], p.shape[:-1] + (1,))
+    free = np.flatnonzero(opr.grid.tags != S.NodeTag.CONSTRAINT)
+    free3 = (3 * free[:, None] + np.arange(3)).reshape(-1)
+    rhs = S.build_rhs(opr, b, g)
+    collar = rhs.copy()
+    collar[free3] = 0.0
+    matrix = reference_matrix(opr)
+    a_ff = matrix[free3][:, free3].toarray()
+    ref = collar.copy()
+    ref[free3] = scipy.linalg.solve(a_ff, rhs[free3] - matrix[free3] @ collar)
+    return b, g, ref.reshape(-1, 3)
+
+
 def lattice_action(opr, nodal):
     """Matrix-free reference of the lattice operator on an (N, 3) field.
 
@@ -535,24 +554,36 @@ class TestSolve:
 
     @pytest.mark.parametrize("name", ["oblique_operator", "flagship_operator"])
     def test_matches_dense_reference_solve(self, name, request, rng):
-        # the free block densified and solved by LU, with the collar values
-        # moved to the right-hand side
         opr = request.getfixturevalue(name)
-        n = opr.grid.n_nodes
-        g = rng.normal(size=(n, 3))
-        b = lambda p: np.tile([0.0, 0.0, 1.0], p.shape[:-1] + (1,))
-        free = np.flatnonzero(opr.grid.tags != S.NodeTag.CONSTRAINT)
-        free3 = (3 * free[:, None] + np.arange(3)).reshape(-1)
-        rhs = S.build_rhs(opr, b, g)
-        collar = rhs.copy()
-        collar[free3] = 0.0
-        matrix = reference_matrix(opr)
-        a_ff = matrix[free3][:, free3].toarray()
-        ref = collar.copy()
-        ref[free3] = scipy.linalg.solve(a_ff, rhs[free3] - matrix[free3] @ collar)
+        b, g, ref = dense_reference_solve(opr, rng)
         res = S.solve_equilibrium(opr, b, g)
         assert res.iterations == len(res.residual_history) > 0
-        assert np.abs(res.u - ref.reshape(-1, 3)).max() <= 1e-10
+        assert np.abs(res.u - ref).max() <= 1e-10
+
+    @pytest.mark.parametrize("name", ["oblique_operator", "flagship_operator"])
+    def test_short_restarts_match_dense_reference(self, name, request, rng,
+                                                  monkeypatch):
+        # restarted every 5 iterations, GMRES carries its iterate across
+        # cycles and still reaches the reference
+        monkeypatch.setattr(S, "_GMRES_RESTART", 5)
+        opr = request.getfixturevalue(name)
+        b, g, ref = dense_reference_solve(opr, rng)
+        res = S.solve_equilibrium(opr, b, g)
+        assert res.iterations == len(res.residual_history) > 5
+        assert np.abs(res.u - ref).max() <= 1e-10
+
+    def test_exact_krylov_space_stops_after_one_iteration(self):
+        # a diagonal free block is its own Jacobi preconditioner: the first
+        # Krylov vector spans the solution
+        grid = S.build_grid(BOX, 1.0 / 16.0, 3.0)
+        values = np.random.default_rng(5).uniform(1.0, 3.0, size=3 * grid.n_nodes)
+        values[np.repeat(grid.tags == S.NodeTag.CONSTRAINT, 3)] = 1.0
+        opr = MatrixOperator(grid, sp.diags(values).tocsr())
+        b = lambda p: np.tile([1.0, -2.0, 0.5], p.shape[:-1] + (1,))
+        res = S.solve_equilibrium(opr, b, lambda p: np.zeros(p.shape))
+        rhs = S.build_rhs(opr, b, lambda p: np.zeros(p.shape))
+        assert res.iterations == len(res.residual_history) == 1
+        assert np.abs(res.u.reshape(-1) - rhs / values).max() <= 1e-14
 
     def test_non_convergence_refused(self):
         # free row 3q+2 copied from row 3p makes the system singular and, with
@@ -570,7 +601,8 @@ class TestSolve:
         bad_opr = MatrixOperator(grid, bad.tocsr())
         assert np.all(bad_opr.diagonal() != 0.0)
         b = lambda x: np.tile([0.0, 0.0, 1.0], x.shape[:-1] + (1,))
-        with pytest.raises(np.linalg.LinAlgError, match="singular or ill-conditioned"):
+        with pytest.raises(np.linalg.LinAlgError, match=r"singular or ill-conditioned "
+                           r"\(GMRES info 5, \d+ iterations\)"):
             S.solve_equilibrium(bad_opr, b, lambda x: np.zeros(x.shape))
 
     def test_body_force_rows_receive_rhs(self, flagship_grid, patch):
