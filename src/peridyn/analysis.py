@@ -20,6 +20,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dataclass_field
 from typing import Optional
@@ -38,7 +39,7 @@ from .fields import (
 )
 from .operators import (
     OperatorConfig,
-    _makes_nested_pass,
+    Workspace,
     corrected_operator,
     natural_condition_limit,
     nested_pass_points,
@@ -237,8 +238,13 @@ def _series(corrected: bool, material: Material, field: PiecewiseField, deltas,
     tasks = [(i, slice(a, a + size)) for i in range(len(cfgs))
              for a in range(0, len(pts), size)]
 
+    local, workspaces = threading.local(), []
+
     def task(t):
-        return operator(cfgs[t[0]], material, field, pts[t[1]])
+        if not hasattr(local, "ws"):  # one workspace per worker thread
+            local.ws = Workspace()
+            workspaces.append(local.ws)
+        return operator(cfgs[t[0]], material, field, pts[t[1]], workspace=local.ws)
 
     if threads <= 1:
         flat = [task(t) for t in tasks]
@@ -248,8 +254,7 @@ def _series(corrected: bool, material: Material, field: PiecewiseField, deltas,
     values = np.empty((len(cfgs), len(pts), 3))
     for (i, rows), v in zip(tasks, flat):
         values[i, rows] = v
-    passes = any(_makes_nested_pass(cfgs[i], material, pts[rows], corrected)
-                 for i, rows in tasks)
+    passes = any(ws.passes for ws in workspaces)
     params = {"radial_order": rule.radial_order,
               "angular_order": rule.angular_order, "nodes": len(rule),
               "nested_points": nested_pass_points(len(rule), field) if passes else 0,

@@ -68,14 +68,15 @@ class Split:
 
         u(y + d)_i = sum_m F(y)_mi V(d)_mi,  V(d) = V(0) + W(d)
 
-    with outer factors F(y) = (U(y), C).  ``outer`` maps points y (..., 3)
-    to the m factors U(y) (..., m, 3) that depend on y, and ``constant``
-    holds the m_c factors C (m_c, 3) that do not, once, so that a reader
-    need not copy them to every point.  The inner factors V, whose terms
-    pair first with U's and then with C's, are declared as ``base``, V(0)
-    (m + m_c, 3), and ``step``, which maps offsets d (..., 3) to W(d)
-    (..., m + m_c, 3) without cancellation: d for a term linear in d,
-    -2 sin^2(q/2) for cos q.  So u(y) = sum_m F(y)_m V(0)_m, and the
+    with outer factors F(y) = (U(y), C).  ``outer(y, out)`` writes the m
+    factors U(y) that depend on y, at points y (..., 3), into ``out``
+    (..., m, 3), so that the reader decides where they are held, and
+    ``constant`` holds the m_c factors C (m_c, 3) that do not, once, so
+    that a reader need not copy them to every point.  The inner factors
+    V, whose terms pair first with U's and then with C's, are declared as
+    ``base``, V(0) (m + m_c, 3), and ``step``, which maps offsets d
+    (..., 3) to W(d) (..., m + m_c, 3) without cancellation: d for a term
+    linear in d, -2 sin^2(q/2) for cos q.  So u(y) = sum_m F(y)_m V(0)_m, and the
     difference u(y + d) - u(y) = sum_m F(y)_m W(d)_m loses no digits to
     the size of u(y).
     """
@@ -90,11 +91,17 @@ class Split:
             object.__setattr__(self, name,
                                np.asarray(getattr(self, name), dtype=float).reshape(-1, 3))
 
+    @property
+    def terms(self) -> int:
+        """m, the number of outer factors that depend on y."""
+        return len(self.base) - len(self.constant)
+
     def factors(self, y) -> np.ndarray:
         """All m + m_c outer factors at points y (..., 3): U(y), then C."""
-        u = self.outer(y)
-        c = np.broadcast_to(self.constant, u.shape[:-2] + self.constant.shape)
-        return np.concatenate([u, c], axis=-2)
+        f = np.empty(np.shape(y)[:-1] + self.base.shape)
+        self.outer(y, f[..., :self.terms, :])
+        f[..., self.terms:, :] = self.constant
+        return f
 
 
 @dataclass(frozen=True)
@@ -315,6 +322,10 @@ def linear_field(c, g) -> AnalyticVectorField:
     def value(p):
         return c + p @ g.T
 
+    def outer(y, out):
+        u = np.matmul(y, g.T, out=out[..., 0, :])
+        u += c
+
     def grad(p):
         out = np.empty(p.shape[:-1] + (3, 3))
         out[...] = g
@@ -332,8 +343,7 @@ def linear_field(c, g) -> AnalyticVectorField:
         value=value,
         grad=grad,
         hessian=lambda p: np.zeros(p.shape[:-1] + (3, 3, 3)),
-        split=Split(lambda y: value(y)[..., None, :], step, [[1.0] * 3, [0.0] * 3],
-                    np.ones((1, 3))),
+        split=Split(outer, step, [[1.0] * 3, [0.0] * 3], np.ones((1, 3))),
     )
 
 
@@ -356,11 +366,10 @@ def _quadratic_x1_field() -> AnalyticVectorField:
 
     # (y_1 + d_1)^2 = y_1^2 * 1 + 2 y_1 * d_1 + 1 * d_1^2 on component 0,
     # the last product constant in y
-    def outer(y):
-        out = np.zeros(y.shape[:-1] + (2, 3))
+    def outer(y, out):
+        out[...] = 0.0
         out[..., 0, 0] = y[..., 0] ** 2
         out[..., 1, 0] = 2.0 * y[..., 0]
-        return out
 
     def step(d):
         w = np.empty(d.shape[:-1] + (3, 3))
@@ -399,9 +408,10 @@ def _trig_field() -> AnalyticVectorField:
 
     # with q = (y_2, y_3, y_1): sin(q + q_d) = sin q cos q_d + cos q sin q_d,
     # and cos q_d - 1 = -2 sin^2(q_d / 2)
-    def outer(y):
-        q = y[..., [1, 2, 0]]
-        return np.stack([np.sin(q), np.cos(q)], axis=-2)
+    def outer(y, out):
+        for i, j in enumerate((1, 2, 0)):
+            np.sin(y[..., j], out=out[..., 0, i])
+            np.cos(y[..., j], out=out[..., 1, i])
 
     def step(d):
         q = d[..., [1, 2, 0]]

@@ -29,6 +29,10 @@ integral and compute both inner integrals at every outer node in one nested
 pass from the outer factors there, each read in the closed form of the
 node's phase, O(n m) work per point.
 
+:func:`state_operator` and :func:`corrected_operator`, which the studies
+evaluate over a series of batches, take an optional :class:`Workspace` that
+the evaluations of the series share; it changes no value.
+
 Every summation order is fixed for a given batch, so results are
 reproducible bit for bit.  A point's value in a batch agrees with its value
 alone to rounding: the matrix products may add a sum in another order.
@@ -36,6 +40,7 @@ alone to rounding: the matrix products may add a sum in another order.
 
 from __future__ import annotations
 
+import math
 import sys
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
@@ -109,6 +114,36 @@ def _batch(x):
     return x.reshape(-1, 3), x.shape
 
 
+class Workspace:
+    """Arrays that the evaluations of a series reuse.
+
+    An evaluation on a batch writes its two largest arrays, the outer nodes
+    y (P, n, 3) and the outer factors U (P, n, m, 3) of the nested pass
+    there, into arrays it takes from here, and keeps each closed form's
+    steps W and inner sums Q at the offsets delta z here while the horizon
+    and the field stay the same.  So a series allocates those once, not
+    once per batch, and its batches write them to the same pages, whose
+    cost then does not hinge on whether the allocator hands them back to
+    the system between batches (which depends on where the process's
+    earlier allocations lie).  A taken array holds its contents until its
+    name is taken again, and grows to the largest batch.  One workspace
+    serves one thread; ``passes`` counts the nested passes made with it.
+    """
+
+    def __init__(self):
+        self._arrays = {}
+        self._offsets = None  # (config, field, forms) of the last horizon
+        self.passes = 0
+
+    def take(self, name: str, shape) -> np.ndarray:
+        """The array ``name`` of shape ``shape``, contents undefined."""
+        size = math.prod(shape)
+        buf = self._arrays.get(name)
+        if buf is None or buf.size < size:
+            buf = self._arrays[name] = np.empty(size)
+        return buf[:size].reshape(shape)
+
+
 def _outer_nodes(config: OperatorConfig, x) -> np.ndarray:
     """The outer nodes x_p + delta z_q of a batch, shape (P, n, 3)."""
     return x[:, None, :] + config.delta * config.rule.points
@@ -146,39 +181,56 @@ class _Form(NamedTuple):
 class _Reads:
     """What one evaluation at a batch x (P, 3) reads of the field before
     any sum: the outer nodes y = x + delta z (P, n, 3), and each closed
-    form's :class:`_Form` (see :func:`_closed_forms`)."""
+    form's :class:`_Form` (see :func:`_closed_forms`), with the
+    :class:`Workspace` it writes to."""
 
     field: PiecewiseField
     x: np.ndarray
     y: np.ndarray
     forms: tuple
+    ws: Workspace
 
 
-def _read(config: OperatorConfig, field: PiecewiseField, x) -> _Reads:
-    """The reads of ``field`` at the batch x, which every sum of an
-    evaluation shares: each closed form's steps W are read once at the n
-    offsets, and its inner factors V = V(0) + W enter the pass only as
-    their inner sums Q."""
-    sides = _closed_forms(field)
-    y = _outer_nodes(config, x)
+def _offset_reads(config: OperatorConfig, field: PiecewiseField, ws: Workspace):
+    """(split, Q, W) of each closed form at the horizon's n offsets,
+    kept in ``ws`` while the horizon and the field stay the same: each
+    closed form's steps W are read once at the n offsets, and its inner
+    factors V = V(0) + W enter the pass only as their inner sums Q."""
+    kept = ws._offsets
+    if kept is not None and kept[0] is config and kept[1] is field:
+        return kept[2]
     dz = config.delta * config.rule.points
-    if len(sides) == 1:
-        phases = (None,)
-    else:
-        plus = field.interface.side_of(y)
-        phases = (plus, ~plus)
     # the inner nodes' weights bw_k = (w_k/|z_k|^2) z_k, as (3, n)
     bw = config.rule.points.T * (config.rule.weights / config.rule.square_norms)
     bw_sum = bw @ np.ones(len(dz))  # one product: np.sum over n is slower here
     forms = []
-    for side, phase in zip(sides, phases):
+    for side in _closed_forms(field):
         split = side.split
         w = split.step(dz)
         # Q = sum_k bw_k (x) (V(0) + W(delta z_k))
         q = ((bw @ w.reshape(len(dz), -1)).reshape(3, -1, 3)
              + bw_sum[:, None, None] * split.base)
-        forms.append(_Form(split, phase, q, w))
-    return _Reads(field, x, y, tuple(forms))
+        forms.append((split, q, w))
+    ws._offsets = (config, field, tuple(forms))
+    return ws._offsets[2]
+
+
+def _read(config: OperatorConfig, field: PiecewiseField, x,
+          ws: Optional[Workspace] = None) -> _Reads:
+    """The reads of ``field`` at the batch x, which every sum of an
+    evaluation shares, with the outer nodes written to ``ws`` (a new
+    workspace if None)."""
+    ws = Workspace() if ws is None else ws
+    offsets = _offset_reads(config, field, ws)
+    y = np.add(x[:, None, :], config.delta * config.rule.points,
+               out=ws.take("y", (len(x), len(config.rule), 3)))
+    if len(offsets) == 1:
+        phases = (None,)
+    else:
+        plus = field.interface.side_of(y)
+        phases = (plus, ~plus)
+    forms = tuple(_Form(split, phase, q, w) for (split, q, w), phase in zip(offsets, phases))
+    return _Reads(field, x, y, forms, ws)
 
 
 def _moduli(config: OperatorConfig, material: Material, x, y):
@@ -388,10 +440,13 @@ def _nested_moments(config: OperatorConfig, reads: _Reads, normal: bool = True):
     """
     # the outer nodes' weights a_j = z_j/|z_j|^2, scaled by rows of n
     a = (config.rule.points.T / config.rule.square_norms).T
-    y = reads.y
+    y, ws = reads.y, reads.ws
+    ws.passes += 1
     if len(reads.forms) == 1:
         split, _, q, _ = reads.forms[0]
-        g, p = _split_channels(split, q, split.outer(y), a, normal)
+        u = ws.take("u", y.shape[:2] + (split.terms, 3))
+        split.outer(y, u)
+        g, p = _split_channels(split, q, u, a, normal)
     else:
         # the nodes of each phase by flat index: take and assignment by an
         # index are several times faster than by a mask on these layouts;
@@ -400,7 +455,8 @@ def _nested_moments(config: OperatorConfig, reads: _Reads, normal: bool = True):
         p = np.empty(y.shape) if normal else None
         for split, phase, q, _ in reads.forms:
             at = np.flatnonzero(phase)
-            u = split.outer(np.take(y.reshape(-1, 3), at, axis=0))
+            u = ws.take("u", (len(at), split.terms, 3))
+            split.outer(np.take(y.reshape(-1, 3), at, axis=0), u)
             g_at, p_at = _split_channels(split, q, u, np.take(a, at, axis=0, mode="wrap"),
                                          normal)
             g.reshape(-1)[at] = g_at
@@ -410,19 +466,6 @@ def _nested_moments(config: OperatorConfig, reads: _Reads, normal: bool = True):
     if normal:
         _require_finite(p)
     return g, p
-
-
-def _makes_nested_pass(config: OperatorConfig, material: Material, x,
-                       corrected: bool) -> bool:
-    """Whether the state operator at some point of the batch x, or the
-    corrected operator if ``corrected``, makes a nested pass: the corrected
-    operator does in the interface slab, and either does where lambda - mu
-    is nonzero at an outer node (see :func:`_dilatation`)."""
-    x, _ = _batch(x)
-    if (corrected and isinstance(material, TwoPhaseMaterial)
-            and _in_slab(config, material, x).any()):
-        return True
-    return bool(_moduli(config, material, x, _outer_nodes(config, x))[2].any())
 
 
 def _dilatation(config: OperatorConfig, reads: _Reads, c_y, g=None) -> np.ndarray:
@@ -435,10 +478,6 @@ def _dilatation(config: OperatorConfig, reads: _Reads, c_y, g=None) -> np.ndarra
     pass; a point whose outer nodes all have lambda = mu gets zero from the
     product.
     """
-    # the result is allocated before the pass: allocated after it, it lets
-    # glibc trim the heap's top when the pass's temporaries are freed, and
-    # every evaluation faults those pages in again (about 75 minor faults
-    # an evaluation of 5 points on the 768-node ball rule)
     out = np.zeros((len(c_y), 3))
     if c_y.any():
         if g is None:
@@ -471,10 +510,10 @@ def _state(config: OperatorConfig, material: Material, reads: _Reads) -> np.ndar
 
 
 def state_operator(config: OperatorConfig, material: Material,
-                   field: PiecewiseField, x) -> Vec3:
+                   field: PiecewiseField, x, workspace: Optional[Workspace] = None) -> Vec3:
     """The full linear peridynamic operator: bond plus dilatational part."""
     x, shape = _batch(x)
-    return _state(config, material, _read(config, field, x)).reshape(shape)
+    return _state(config, material, _read(config, field, x, workspace)).reshape(shape)
 
 
 def _normal_term(config: OperatorConfig, mu_y, p, normal) -> np.ndarray:
@@ -543,7 +582,8 @@ def interface_correction(config: OperatorConfig, material: Material,
 
 
 def corrected_operator(config: OperatorConfig, material: Material,
-                       field: PiecewiseField, x) -> Vec3:
+                       field: PiecewiseField, x,
+                       workspace: Optional[Workspace] = None) -> Vec3:
     """State operator plus the indicator-gated interface correction.
 
     A batch with a point in the slab takes both parts from one nested pass
@@ -551,7 +591,7 @@ def corrected_operator(config: OperatorConfig, material: Material,
     state part; a batch without one takes the state operator.
     """
     x, shape = _batch(x)
-    reads = _read(config, field, x)
+    reads = _read(config, field, x, workspace)
     if isinstance(material, TwoPhaseMaterial):
         slab = _in_slab(config, material, x)
         if slab.any():

@@ -214,11 +214,10 @@ class TestNaturalLimit:
 
             # u_3(y + d) = u_3(y) * 1 + (lin + 2 quad y_3) * d_3 + quad * d_3^2,
             # the last product constant in y
-            def outer(y):
-                out = np.zeros(y.shape[:-1] + (2, 3))
+            def outer(y, out):
+                out[...] = 0.0
                 out[..., 0, 2] = value(y)[..., 2]
                 out[..., 1, 2] = lin + 2.0 * quad * y[..., 2]
-                return out
 
             def step(d):
                 w = np.zeros(d.shape[:-1] + (3, 3))

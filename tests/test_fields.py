@@ -271,6 +271,6 @@ class TestSplit:
         constant, _ = F.make_manufactured("constant")
         for split in (F.linear_field(np.ones(3), np.eye(3)).split,
                       constant.plus_side.split):
-            assert split.outer(y).shape[-2] == 1 and split.constant.shape == (1, 3)
+            assert split.terms == 1 and split.constant.shape == (1, 3)
             assert split.base.shape == (2, 3) and split.step(y).shape == (2, 2, 3)
         assert_array_equal(constant.plus_side.split.step(d), 0.0)

@@ -44,8 +44,10 @@ class TestNonFiniteFieldValues:
 
         zeros3 = lambda p: np.zeros(p.shape[:-1] + (3, 3))
         zeros4 = lambda p: np.zeros(p.shape[:-1] + (3, 3, 3))
-        split = F.Split(lambda y: value(y)[..., None, :],
-                        lambda d: value(d)[..., None, :], np.ones((1, 3)))
+        def outer(y, out):
+            out[..., 0, :] = value(y)
+
+        split = F.Split(outer, lambda d: value(d)[..., None, :], np.ones((1, 3)))
         return F.PiecewiseField.smooth(F.AnalyticVectorField(value, zeros3, zeros4,
                                                              split=split))
 
@@ -381,9 +383,9 @@ def counted_split(field, count):
     """A twin of ``field`` whose split factors add the number of points they
     are read at to ``count[0]``."""
     def counted(fn):
-        def wrapped(pts):
+        def wrapped(pts, *out):
             count[0] += int(np.prod(np.shape(pts)[:-1]))
-            return fn(pts)
+            return fn(pts, *out)
         return wrapped
 
     def twin(side):
@@ -530,13 +532,15 @@ def _trig_restated(scale, copies):
     side, split = trig.plus_side, trig.plus_side.split
     a = scale / copies
 
-    def repeat(fn):
-        return lambda p: np.concatenate([fn(p)] * copies, axis=-2)
+    def outer(y, out):
+        one = np.empty(out.shape[:-2] + (2, 3))
+        split.outer(y, one)
+        out[...] = np.concatenate([a * one] * copies, axis=-2)
 
     return F.PiecewiseField.smooth(F.AnalyticVectorField(
         lambda p: scale * side.value(p), lambda p: scale * side.grad(p),
         lambda p: scale * side.hessian(p),
-        split=F.Split(repeat(lambda y: a * split.outer(y)), repeat(split.step),
+        split=F.Split(outer, lambda d: np.concatenate([split.step(d)] * copies, axis=-2),
                       np.concatenate([split.base] * copies))))
 
 
@@ -717,6 +721,25 @@ class TestBatches:
         assert_array_equal(O.corrected_operator(cfg, mat, field, slab),
                            O.state_operator(cfg, mat, field, slab)
                            + O.interface_correction(cfg, mat, field, slab))
+
+    def test_shared_workspace_changes_no_value(self):
+        # one workspace through horizons, fields of one and two closed forms
+        # and shrinking batches, as a series and the next one use it: every
+        # value is the bits of a call with a workspace of its own
+        trig, trig_mat = F.make_manufactured("smooth_material_trig")
+        kinked, _ = F.make_manufactured("patch_jump_zero_traction")
+        mat = F.TwoPhaseMaterial(3.0, 1.0, 5.0, 2.0, F.INTERFACE_Z)
+        rule = O.make_config(0.1, 2, 4, split_normal=EZ).rule
+        cfgs = [O.OperatorConfig(d, rule) for d in (0.1, 0.05)]
+        ws = O.Workspace()
+        for cfg in (*cfgs, cfgs[0]):
+            for op, field, material in ((O.state_operator, trig, trig_mat),
+                                        (O.corrected_operator, kinked, mat),
+                                        (O.state_operator, kinked, mat)):
+                for x in (BATCH_POINTS, BATCH_POINTS[2:], BATCH_POINTS[0]):
+                    assert_array_equal(op(cfg, material, field, x, workspace=ws),
+                                       op(cfg, material, field, x))
+        assert ws.passes == 3 * 3 * 3
 
     @pytest.mark.parametrize("x", [np.zeros(2), np.zeros((2, 4)),
                                    np.zeros((2, 2, 3))], ids=["2", "2x4", "2x2x3"])
