@@ -48,8 +48,10 @@ class PlanarInterface:
         x = np.asarray(x, dtype=float)
         return (x - self.point) @ self.normal
 
-    def side_of(self, x) -> np.ndarray:
-        return self.signed_distance(x) >= 0.0
+    def side_of(self, x, out=None) -> np.ndarray:
+        """Whether each point lies on the plus side, the plane included
+        (signed distance >= 0), written to the bool array ``out`` if given."""
+        return np.greater_equal(self.signed_distance(x), 0.0, out=out)
 
     def project(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -187,10 +189,13 @@ class TwoPhaseMaterial:
             raise ValueError("shear moduli must be positive")
 
     def lame_at(self, x):
-        x = np.asarray(x, dtype=float)
-        mask = self.interface.side_of(x)
-        lam = np.where(mask, self.lambda_plus, self.lambda_minus)
-        mu = np.where(mask, self.mu_plus, self.mu_minus)
+        return self.lame_where(self.interface.side_of(x))
+
+    def lame_where(self, plus):
+        """(lambda, mu) at points whose sides the bool array ``plus`` gives,
+        as :meth:`PlanarInterface.side_of` reads them."""
+        lam = np.where(plus, self.lambda_plus, self.lambda_minus)
+        mu = np.where(plus, self.mu_plus, self.mu_minus)
         return lam, mu
 
     def lame_on(self, side: SideTag):

@@ -31,7 +31,8 @@ node's phase, O(n m) work per point.
 
 :func:`state_operator` and :func:`corrected_operator`, which the studies
 evaluate over a series of batches, take an optional :class:`Workspace` that
-the evaluations of the series share; it changes no value.
+the evaluations of one thread share, series after series; it changes no
+value.
 
 Every summation order is fixed for a given batch, so results are
 reproducible bit for bit.  A point's value in a batch agrees with its value
@@ -115,32 +116,48 @@ def _batch(x):
 
 
 class Workspace:
-    """Arrays that the evaluations of a series reuse.
+    """Arrays that the evaluations of one thread reuse, across batches,
+    series and studies.
 
-    An evaluation on a batch writes its two largest arrays, the outer nodes
-    y (P, n, 3) and the outer factors U (P, n, m, 3) of the nested pass
-    there, into arrays it takes from here, and keeps each closed form's
-    steps W and inner sums Q at the offsets delta z here while the horizon
-    and the field stay the same.  So a series allocates those once, not
-    once per batch, and its batches write them to the same pages, whose
-    cost then does not hinge on whether the allocator hands them back to
-    the system between batches (which depends on where the process's
-    earlier allocations lie).  A taken array holds its contents until its
-    name is taken again, and grows to the largest batch.  One workspace
-    serves one thread; ``passes`` counts the nested passes made with it.
+    An evaluation on a batch writes its largest arrays into arrays it takes
+    from here, each under a name of its own: the outer nodes ``y``
+    (P, n, 3), the outer factors ``u`` (P, n, m, 3) of the nested pass
+    there, and for a field with a kink the outer nodes' phase masks
+    ``plus`` and ``minus`` (P, n) and the pass's channels ``g`` (P, n) and
+    ``p`` (P, n, 3).  Each closed form's steps W (n, m + m_c, 3) at the
+    offsets delta z go to ``w0`` and ``w1``, and stay here with their inner
+    sums Q while the horizon and the field do; the outer nodes' weights
+    z/|z|^2 (n, 3) stay while the rule does.  So the evaluations allocate
+    those once, not once per batch or per horizon, and write them to the
+    same pages, whose cost then does not hinge on whether the allocator
+    hands them back to the system between evaluations (which depends on
+    where the process's earlier allocations lie).  A taken array holds its
+    contents until its name is taken again, and grows to the largest batch
+    it has served: a workspace keeps ``nbytes``, up to two thirds of
+    :data:`EVALUATION_BYTES_PER_NODE` per field point of that batch (190
+    bytes a node on the 4608-node split rule of a kinked field).  One
+    workspace serves one thread; ``passes`` counts the nested passes made
+    with it.
     """
 
     def __init__(self):
         self._arrays = {}
+        self._rule = None  # (rule, its outer nodes' weights) of the last rule
         self._offsets = None  # (config, field, forms) of the last horizon
         self.passes = 0
 
-    def take(self, name: str, shape) -> np.ndarray:
+    @property
+    def nbytes(self) -> int:
+        """Bytes of the arrays kept here, the outer weights included."""
+        kept = sum(a.nbytes for a in self._arrays.values())
+        return kept + (self._rule[1].nbytes if self._rule is not None else 0)
+
+    def take(self, name: str, shape, dtype=float) -> np.ndarray:
         """The array ``name`` of shape ``shape``, contents undefined."""
         size = math.prod(shape)
         buf = self._arrays.get(name)
-        if buf is None or buf.size < size:
-            buf = self._arrays[name] = np.empty(size)
+        if buf is None or buf.size < size or buf.dtype != dtype:
+            buf = self._arrays[name] = np.empty(size, dtype)
         return buf[:size].reshape(shape)
 
 
@@ -166,10 +183,10 @@ def _closed_forms(field: PiecewiseField):
 
 class _Form(NamedTuple):
     """One closed form's reads at a batch: its declared split, the mask
-    (P, n) of the outer nodes in its phase (by the interface's ``side_of``;
-    None for a field with one closed form), the inner sums
-    Q (3, m + m_c, 3) of its inner factors V at the n offsets delta z (see
-    :func:`_nested_moments`) and its steps W (n, m + m_c, 3) there."""
+    (P, n) of the outer nodes in its phase (None for a field with one
+    closed form), the inner sums Q (3, m + m_c, 3) of its inner factors V
+    at the n offsets delta z (see :func:`_nested_moments`) and its steps
+    W (n, m + m_c, 3) there."""
 
     split: Split
     phase: Optional[np.ndarray]
@@ -191,24 +208,45 @@ class _Reads:
     ws: Workspace
 
 
+def _outer_weights(rule: BallQuadrature, ws: Workspace) -> np.ndarray:
+    """The outer nodes' weights a_j = z_j/|z_j|^2 (n, 3) of the nested
+    pass on ``rule``, kept in ``ws`` for the rule it last served."""
+    if ws._rule is None or ws._rule[0] is not rule:
+        ws._rule = (rule, (rule.points.T / rule.square_norms).T)
+    return ws._rule[1]
+
+
+# Offsets a closed form's declared step reads at a time, as its steps W are
+# copied into the workspace: a step allocates its result, and one read of
+# all n offsets would allocate each W afresh per horizon (442 KiB on the
+# 4608-node split rule of an affine kink).  Each row of W depends on its own
+# offset only, so the rows are the same bits however the offsets are cut.
+_STEP_ROWS = 256
+
+
 def _offset_reads(config: OperatorConfig, field: PiecewiseField, ws: Workspace):
-    """(split, Q, W) of each closed form at the horizon's n offsets,
-    kept in ``ws`` while the horizon and the field stay the same: each
-    closed form's steps W are read once at the n offsets, and its inner
-    factors V = V(0) + W enter the pass only as their inner sums Q."""
+    """(split, Q, W) of each closed form at the horizon's n offsets, kept
+    in ``ws`` while the horizon and the field stay the same: each closed
+    form's steps W are read once at the n offsets, into the workspace, and
+    its inner factors V = V(0) + W enter the pass only as their inner sums
+    Q."""
     kept = ws._offsets
     if kept is not None and kept[0] is config and kept[1] is field:
         return kept[2]
-    dz = config.delta * config.rule.points
+    ws._offsets = None  # the steps below overwrite the kept ones
+    rule = config.rule
+    n = len(rule)
     # the inner nodes' weights bw_k = (w_k/|z_k|^2) z_k, as (3, n)
-    bw = config.rule.points.T * (config.rule.weights / config.rule.square_norms)
-    bw_sum = bw @ np.ones(len(dz))  # one product: np.sum over n is slower here
+    bw = rule.points.T * (rule.weights / rule.square_norms)
+    bw_sum = bw @ np.ones(n)  # one product: np.sum over n is slower here
     forms = []
-    for side in _closed_forms(field):
+    for i, side in enumerate(_closed_forms(field)):
         split = side.split
-        w = split.step(dz)
+        w = ws.take(f"w{i}", (n,) + split.base.shape)
+        for k in range(0, n, _STEP_ROWS):
+            w[k:k + _STEP_ROWS] = split.step(config.delta * rule.points[k:k + _STEP_ROWS])
         # Q = sum_k bw_k (x) (V(0) + W(delta z_k))
-        q = ((bw @ w.reshape(len(dz), -1)).reshape(3, -1, 3)
+        q = ((bw @ w.reshape(n, -1)).reshape(3, -1, 3)
              + bw_sum[:, None, None] * split.base)
         forms.append((split, q, w))
     ws._offsets = (config, field, tuple(forms))
@@ -219,26 +257,37 @@ def _read(config: OperatorConfig, field: PiecewiseField, x,
           ws: Optional[Workspace] = None) -> _Reads:
     """The reads of ``field`` at the batch x, which every sum of an
     evaluation shares, with the outer nodes written to ``ws`` (a new
-    workspace if None)."""
+    workspace if None).  For a field with a kink the outer nodes' sides of
+    its interface are read once, into ``ws``, as both phase masks."""
     ws = Workspace() if ws is None else ws
     offsets = _offset_reads(config, field, ws)
-    y = np.add(x[:, None, :], config.delta * config.rule.points,
-               out=ws.take("y", (len(x), len(config.rule), 3)))
+    nodes = (len(x), len(config.rule))
+    # delta z + x, in place: the bits of x + delta z
+    y = np.multiply(config.delta, config.rule.points, out=ws.take("y", nodes + (3,)))
+    y += x[:, None, :]
     if len(offsets) == 1:
         phases = (None,)
     else:
-        plus = field.interface.side_of(y)
-        phases = (plus, ~plus)
+        plus = field.interface.side_of(y, out=ws.take("plus", nodes, bool))
+        phases = (plus, np.logical_not(plus, out=ws.take("minus", nodes, bool)))
     forms = tuple(_Form(split, phase, q, w) for (split, q, w), phase in zip(offsets, phases))
     return _Reads(field, x, y, forms, ws)
 
 
-def _moduli(config: OperatorConfig, material: Material, x, y):
+def _moduli(material: Material, reads: _Reads):
     """mu at the points of a batch (P,), and mu and lambda - mu at their
-    outer nodes y (P, n): one read of the material at each."""
+    outer nodes (P, n): one read of the material at each.  A two-phase
+    material on the interface of a kinked field takes its outer nodes'
+    sides from the field's plus mask, a read of the same plane."""
+    x, y = reads.x, reads.y
     shape = y.shape[:2]
     _, mu_x = material.lame_at(x)
-    lam_y, mu_y = material.lame_at(y)
+    plus = reads.forms[0].phase
+    if (isinstance(material, TwoPhaseMaterial) and plus is not None
+            and material.interface is reads.field.interface):
+        lam_y, mu_y = material.lame_where(plus)
+    else:
+        lam_y, mu_y = material.lame_at(y)
     return (np.broadcast_to(np.asarray(mu_x, dtype=float), shape[:1]),
             np.broadcast_to(np.asarray(mu_y, dtype=float), shape),
             np.broadcast_to(np.asarray(lam_y - mu_y, dtype=float), shape))
@@ -339,7 +388,7 @@ def bond_operator(config: OperatorConfig, material: Material,
     """Bond-based part: the kernel is weighted by mu(x) + mu(y)."""
     x, shape = _batch(x)
     reads = _read(config, field, x)
-    mu_x, mu_y, _ = _moduli(config, material, x, reads.y)
+    mu_x, mu_y, _ = _moduli(material, reads)
     return _bond(config, _bond_differences(config, reads), mu_x, mu_y).reshape(shape)
 
 
@@ -355,7 +404,7 @@ def bond_correction_term(config: OperatorConfig, material: Material,
     """Bond-type correction term: minus the bond kernel with mu frozen at x."""
     x, shape = _batch(x)
     reads = _read(config, field, x)
-    mu_x, _, _ = _moduli(config, material, x, reads.y)
+    mu_x, _, _ = _moduli(material, reads)
     return _frozen_bond(config, _bond_differences(config, reads), mu_x).reshape(shape)
 
 
@@ -367,14 +416,16 @@ def bond_correction_term(config: OperatorConfig, material: Material,
 # the rule included, where the field points are the P x n outer nodes of the
 # batch's points.  Measured with tracemalloc at one point per batch (rules of
 # more than 2048 nodes), where the rule's n-sized constants count per node,
-# on the first evaluation on a rule (its cached |z|^2 included): the
-# corrected operator on a kinked affine field, which holds each side's steps
-# W at the n offsets through the evaluation, peaks at 270-283 on split rules
-# of 4608 to 36,864 nodes; the state operator on one closed form at 171-194
-# for the linear field, 200-202 for the quadratic one and 240-242 for the
-# trig one, on ball rules of 1728 to 27,648 nodes.  Batches of several
-# points spread the rule's constants: 105-184 on the 288-node ball rule and
-# the 576-node split rule.
+# over the first evaluation on a new rule with a new workspace (the rule's
+# |z|^2, which a memoized rule then keeps, computed there) and two more on
+# that workspace, at a new horizon and on a new field: the corrected
+# operator on a kinked affine field, which keeps each side's steps W at the
+# n offsets in the workspace, peaks at 270-284 on split rules of 4608 to
+# 36,864 nodes; the state operator on one closed form, with lambda != mu,
+# at 192-219 for the linear field, 240-267 for the quadratic one and
+# 216-243 for the trig one, on ball rules of 1728 to 27,648 nodes.  Batches
+# of several points spread the rule's constants: 96-185 on the 288-node ball
+# rule (14 points) and the 576-node split rule (7 points).
 EVALUATION_BYTES_PER_NODE = 8 * 36
 
 
@@ -438,9 +489,8 @@ def _nested_moments(config: OperatorConfig, reads: _Reads, normal: bool = True):
     for the minus side.  That is O(n m) work per point, each sum one matrix
     product over the batch.
     """
-    # the outer nodes' weights a_j = z_j/|z_j|^2, scaled by rows of n
-    a = (config.rule.points.T / config.rule.square_norms).T
     y, ws = reads.y, reads.ws
+    a = _outer_weights(config.rule, ws)
     ws.passes += 1
     if len(reads.forms) == 1:
         split, _, q, _ = reads.forms[0]
@@ -451,8 +501,8 @@ def _nested_moments(config: OperatorConfig, reads: _Reads, normal: bool = True):
         # the nodes of each phase by flat index: take and assignment by an
         # index are several times faster than by a mask on these layouts;
         # the flat index of the P x n nodes wraps to the rule node's
-        g = np.empty(y.shape[:2])
-        p = np.empty(y.shape) if normal else None
+        g = ws.take("g", y.shape[:2])
+        p = ws.take("p", y.shape) if normal else None
         for split, phase, q, _ in reads.forms:
             at = np.flatnonzero(phase)
             u = ws.take("u", (len(at), split.terms, 3))
@@ -498,13 +548,13 @@ def dilatation_operator(config: OperatorConfig, material: Material,
     """
     x, shape = _batch(x)
     reads = _read(config, field, x)
-    _, _, c_y = _moduli(config, material, x, reads.y)
+    _, _, c_y = _moduli(material, reads)
     return _dilatation(config, reads, c_y).reshape(shape)
 
 
 def _state(config: OperatorConfig, material: Material, reads: _Reads) -> np.ndarray:
     """Bond plus dilatational part at a batch, from its reads."""
-    mu_x, mu_y, c_y = _moduli(config, material, reads.x, reads.y)
+    mu_x, mu_y, c_y = _moduli(material, reads)
     return (_bond(config, _bond_differences(config, reads), mu_x, mu_y)
             + _dilatation(config, reads, c_y))
 
@@ -534,7 +584,7 @@ def normal_correction_term(config: OperatorConfig, material: Material,
     x, shape = _batch(x)
     normal = _check_unit_normal(normal)
     reads = _read(config, field, x)
-    _, mu_y, _ = _moduli(config, material, x, reads.y)
+    _, mu_y, _ = _moduli(material, reads)
     _, p = _nested_moments(config, reads)
     return _normal_term(config, mu_y, p, normal).reshape(shape)
 
@@ -558,7 +608,7 @@ def _slab_parts(config: OperatorConfig, material: TwoPhaseMaterial, reads: _Read
     normal-projected term, and the differences both the bond part and the
     frozen-modulus correction."""
     g, p = _nested_moments(config, reads)
-    mu_x, mu_y, c_y = _moduli(config, material, reads.x, reads.y)
+    mu_x, mu_y, c_y = _moduli(material, reads)
     dil = _dilatation(config, reads, c_y, g)
     dz = _bond_differences(config, reads)
     correction = ((_frozen_bond(config, dz, mu_x) + 0.25 * dil)

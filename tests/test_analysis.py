@@ -147,6 +147,34 @@ class TestBatchSize:
         assert np.abs(A._navier_refs(mat, field, pts) - want).max() <= 1e-15
 
 
+class TestThreadWorkspace:
+    """The caller's workspace outlives a series, unless it holds more than
+    WORKSPACE_KEEP_BYTES or the series' rule is one the rule caches do not
+    keep; either way the values are the same."""
+
+    @staticmethod
+    def _blowup():
+        # lambda != mu: a nested pass on both closed forms at every horizon
+        field, _ = F.make_manufactured("gradient_jump")
+        mat = F.TwoPhaseMaterial(3.0, 1.0, 5.0, 2.0, F.INTERFACE_Z)
+        return A.interface_blowup(mat, field, X0, SHORT_DELTAS, **FAST_QUAD)
+
+    def test_kept_across_series(self):
+        self._blowup()
+        ws = A._WORKSPACES.ws
+        self._blowup()
+        assert A._WORKSPACES.ws is ws
+        assert 0 < ws.nbytes <= A.WORKSPACE_KEEP_BYTES
+
+    @pytest.mark.parametrize("cap", ["WORKSPACE_KEEP_BYTES", "RULE_CACHE_NODES"])
+    def test_dropped_past_its_caps(self, cap, monkeypatch):
+        want = self._blowup().values
+        monkeypatch.setattr(A, cap, 100)  # the 1536-node rule, and its arrays
+        got = self._blowup().values
+        assert not hasattr(A._WORKSPACES, "ws")
+        np.testing.assert_array_equal(got, want)
+
+
 class TestInterfaceBlowup:
     def test_patch_scaling(self):
         field, mat = F.make_manufactured("patch_jump_zero_traction")

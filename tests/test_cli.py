@@ -840,6 +840,44 @@ class TestDeterminism:
             outs.append((out / "converge.csv").read_bytes())
         assert outs[0] == outs[1]
 
+    # one thread's studies in turn: star on the kinked patch with lambda !=
+    # mu (a nested pass on both closed forms), converge on the trig material
+    # (one closed form, in batches), blowup on gradient_jump (lambda = mu:
+    # no nested pass)
+    IN_TURN = [
+        ("star", ["--field", "patch_jump_zero_traction", "--material", "two-phase:3,1,5,2",
+                  *FAST, *FAST_DELTAS]),
+        ("converge", ["--field", "smooth_material_trig", *FAST,
+                      "--delta-series", "0.05,0.025,0.0125"]),
+        ("blowup", ["--field", "gradient_jump", *FAST, *FAST_DELTAS]),
+    ]
+
+    @staticmethod
+    def _bits(out, study):
+        """The study's CSV bytes and its report's nested_points."""
+        with open(out / f"{study}.json") as f:
+            nested_points = json.load(f)["params"]["nested_points"]
+        return (out / f"{study}.csv").read_bytes(), nested_points
+
+    def test_studies_in_turn_give_the_bits_of_a_fresh_process(self, tmp_path):
+        # the rule cache and the thread's workspace outlive each study; no
+        # study may read what an earlier one left there, with one thread or
+        # with two
+        fresh = []
+        for study, argv in self.IN_TURN:
+            out = tmp_path / "fresh" / study
+            subprocess.run([sys.executable, "-m", "peridyn.cli", study, *argv,
+                            "--threads", "1", "--out", str(out)],
+                           check=True, capture_output=True,
+                           env={**os.environ, "PYTHONPATH": _SRC_PATH})
+            fresh.append(self._bits(out, study))
+        assert [nested > 0 for _, nested in fresh] == [True, True, False]
+        for threads in ("1", "2"):
+            for (study, argv), want in zip(self.IN_TURN, fresh):
+                out = tmp_path / threads / study
+                assert main([study, *argv, "--threads", threads, "--out", str(out)]) == 0
+                assert self._bits(out, study) == want
+
     def test_solve_report_is_reproducible(self, tmp_path):
         # everything but the wall times: residuals, GMRES iterations and
         # residual history

@@ -349,6 +349,58 @@ class TestCorrectedOperator:
         assert np.abs(limit).max() < 2e-3
 
 
+def _moduli_through_lame_at(material, reads):
+    """The moduli of a batch, read at its points and outer nodes by
+    ``lame_at`` alone."""
+    shape = reads.y.shape[:2]
+    _, mu_x = material.lame_at(reads.x)
+    lam_y, mu_y = material.lame_at(reads.y)
+    return (np.broadcast_to(mu_x, shape[:1]), np.broadcast_to(mu_y, shape),
+            np.broadcast_to(lam_y - mu_y, shape))
+
+
+class TestModuliRead:
+    """A two-phase material on the kinked field's own interface takes its
+    outer nodes' phases from the field's one read of that interface; one on
+    any other plane object reads them through ``lame_at``.  Either way the
+    operators give the bits of a read through ``lame_at`` alone."""
+
+    # on the plane z = 0 and in the slab on either side, at horizon 0.1
+    POINTS = np.array([[0.0, 0.0, 0.0], [0.03, -0.01, 0.04], [-0.02, 0.05, -0.06]])
+    OPS = [O.state_operator, O.corrected_operator]
+
+    @staticmethod
+    def _material(field, which):
+        iface = field.interface
+        planes = {
+            "own": iface,
+            "equal": F.PlanarInterface(iface.point.copy(), iface.normal.copy()),
+            # a third of the horizon up: the outer nodes between the two
+            # planes lie in the field's plus phase and the material's minus
+            "shifted": F.PlanarInterface(iface.point + 0.03 * iface.normal, iface.normal),
+        }
+        return F.TwoPhaseMaterial(3.0, 1.0, 5.0, 2.0, planes[which])
+
+    @pytest.mark.parametrize("op", OPS, ids=["state", "corrected"])
+    @pytest.mark.parametrize("which", ["own", "equal", "shifted"])
+    def test_values_are_those_read_through_lame_at(self, which, op, patch, monkeypatch):
+        field, _ = patch
+        mat = self._material(field, which)
+        cfg = O.make_config(0.1, 4, 6, split_normal=EZ)
+        got = op(cfg, mat, field, self.POINTS)
+        monkeypatch.setattr(O, "_moduli", _moduli_through_lame_at)
+        assert_array_equal(got, op(cfg, mat, field, self.POINTS))
+
+    @pytest.mark.parametrize("op", OPS, ids=["state", "corrected"])
+    def test_only_the_plane_moves_the_values(self, op, patch):
+        field, _ = patch
+        cfg = O.make_config(0.1, 4, 6, split_normal=EZ)
+        own, equal, shifted = (op(cfg, self._material(field, which), field, self.POINTS)
+                               for which in ("own", "equal", "shifted"))
+        assert_array_equal(own, equal)
+        assert np.abs(own - shifted).max() > 1e-3 * np.abs(own).max()
+
+
 def _fused_cases():
     """(name, field, material, slab point) for the fusion pins."""
     patch_field, _ = F.make_manufactured("patch_jump_zero_traction")
@@ -740,6 +792,36 @@ class TestBatches:
                     assert_array_equal(op(cfg, material, field, x, workspace=ws),
                                        op(cfg, material, field, x))
         assert ws.passes == 3 * 3 * 3
+
+    def test_failed_step_read_keeps_no_steps(self):
+        # a step that raises at the second of a horizon's 256-offset reads
+        # has overwritten the first 256 of the steps the workspace kept for
+        # another horizon: that horizon must read them again
+        field, mat = F.make_manufactured("trig_smooth")
+        split = field.plus_side.split
+        armed, reads = [False], []
+
+        def step(d):
+            if armed[0]:
+                reads.append(len(d))
+                if len(reads) == 2:
+                    raise FloatingPointError("step")
+            return split.step(d)
+
+        side = F.AnalyticVectorField(field.plus_side.value, field.plus_side.grad,
+                                     field.plus_side.hessian,
+                                     split=F.Split(split.outer, step, split.base,
+                                                   split.constant))
+        twin = F.PiecewiseField(side, side, field.interface)
+        cfg = O.make_config(0.1, 4, 6)  # 288 nodes
+        ws = O.Workspace()
+        want = O.state_operator(cfg, mat, twin, X0, workspace=ws)
+        armed[0] = True
+        with pytest.raises(FloatingPointError):
+            O.state_operator(O.OperatorConfig(0.05, cfg.rule), mat, twin, X0, workspace=ws)
+        armed[0] = False
+        assert reads == [256, 32]
+        assert_array_equal(O.state_operator(cfg, mat, twin, X0, workspace=ws), want)
 
     @pytest.mark.parametrize("x", [np.zeros(2), np.zeros((2, 4)),
                                    np.zeros((2, 2, 3))], ids=["2", "2x4", "2x2x3"])
