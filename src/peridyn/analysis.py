@@ -46,7 +46,7 @@ from .operators import (
     state_operator,
 )
 from .quadrature import (DEFAULT_ANGULAR_ORDER, DEFAULT_RADIAL_ORDER,
-                         RULE_CACHE_NODES, build_ball_rule,
+                         _check_unit_normal, build_ball_rule,
                          build_split_ball_rule)
 
 DEFAULT_DELTAS = (0.1, 0.05, 0.025, 0.0125, 0.00625)
@@ -216,34 +216,46 @@ def _discrete_norm(errors: np.ndarray, p: float) -> float:
 BATCH_FIELD_POINTS = 4096
 
 
-# One operators.Workspace per thread, kept across series and studies, so
-# the evaluations of every study a thread runs write their batches to the
-# same pages.  A workspace keeps the arrays of the largest batch it has
-# served and the steps of its last horizon (see operators.Workspace); a
-# worker thread's goes with the thread.  The caller's is dropped when a
-# series ends if it holds more than WORKSPACE_KEEP_BYTES, or if the series'
-# rule has more than RULE_CACHE_NODES nodes, so between studies a thread
-# keeps at most 8 MiB of arrays, with the one or two rules of at most
-# RULE_CACHE_NODES nodes it last read on.  A kinked field's evaluation on
-# the 36,864-node split rule of quad 16,24 keeps 6.7 MiB.
-_WORKSPACES = threading.local()
-WORKSPACE_KEEP_BYTES = 8 * 2**20
+# What a thread keeps between studies: the rule of its last series and the
+# operators.Workspace its evaluations wrote to, so that a repeated study
+# builds no rule and writes its batches to the same pages.  The rule is kept
+# while requests ask for the same orders and the same bytes of the normal (a
+# normal with a signed zero is another request: its rotation differs in the
+# last bit).  A request for another rule drops the pair before it builds the
+# next, and a series drops it when it ends if the workspace's and the rule's
+# arrays hold more than KEEP_BYTES.  A kinked field's series keeps 1.0 MiB on
+# the 4608-node split rule of quad 8,12, and drops its 8.1 MiB on the
+# 36,864-node one of quad 16,24.  A worker thread's workspace goes with the
+# thread.
+_KEPT = threading.local()
+KEEP_BYTES = 8 * 2**20
+
+
+def _drop() -> None:
+    """Drop this thread's kept rule and workspace."""
+    vars(_KEPT).clear()
 
 
 def _workspace() -> Workspace:
     """This thread's workspace."""
-    ws = getattr(_WORKSPACES, "ws", None)
+    ws = getattr(_KEPT, "ws", None)
     if ws is None:
-        ws = _WORKSPACES.ws = Workspace()
+        ws = _KEPT.ws = Workspace()
     return ws
 
 
 def _rule(radial_order: int, angular_order: int, split_normal=None):
     """The study's rule: the ball rule, or the one split along the plane
-    normal to ``split_normal``."""
-    if split_normal is not None:
-        return build_split_ball_rule(split_normal, radial_order, angular_order)
-    return build_ball_rule(radial_order, angular_order)
+    normal to ``split_normal``; the thread's kept rule if it answers the
+    same request."""
+    key = (radial_order, angular_order,
+           None if split_normal is None else _check_unit_normal(split_normal).tobytes())
+    if getattr(_KEPT, "key", None) != key:
+        _drop()
+        _KEPT.rule = (build_ball_rule(radial_order, angular_order) if split_normal is None
+                      else build_split_ball_rule(split_normal, radial_order, angular_order))
+        _KEPT.key = key
+    return _KEPT.rule
 
 
 def _series(corrected: bool, material: Material, field: PiecewiseField, deltas,
@@ -275,10 +287,9 @@ def _series(corrected: bool, material: Material, field: PiecewiseField, deltas,
     else:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             flat = list(pool.map(task, tasks))
-    ws = getattr(_WORKSPACES, "ws", None)
-    if ws is not None and (ws.nbytes > WORKSPACE_KEEP_BYTES
-                           or len(rule) > RULE_CACHE_NODES):
-        del _WORKSPACES.ws
+    ws = getattr(_KEPT, "ws", None)
+    if rule.nbytes + (0 if ws is None else ws.nbytes) > KEEP_BYTES:
+        _drop()
     values = np.empty((len(cfgs), len(pts), 3))
     for (i, rows), (v, _) in zip(tasks, flat):
         values[i, rows] = v

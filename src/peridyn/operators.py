@@ -116,8 +116,8 @@ def _batch(x):
 
 
 class Workspace:
-    """Arrays that the evaluations of one thread reuse, across batches,
-    series and studies.
+    """Arrays that the evaluations of one thread reuse, across batches and
+    series.
 
     An evaluation on a batch writes its largest arrays into arrays it takes
     from here, each under a name of its own: the outer nodes ``y``
@@ -126,31 +126,28 @@ class Workspace:
     ``plus`` and ``minus`` (P, n) and the pass's channels ``g`` (P, n) and
     ``p`` (P, n, 3).  Each closed form's steps W (n, m + m_c, 3) at the
     offsets delta z go to ``w0`` and ``w1``, and stay here with their inner
-    sums Q while the horizon and the field do; the outer nodes' weights
-    z/|z|^2 (n, 3) stay while the rule does.  So the evaluations allocate
+    sums Q while the horizon and the field do.  So the evaluations allocate
     those once, not once per batch or per horizon, and write them to the
     same pages, whose cost then does not hinge on whether the allocator
     hands them back to the system between evaluations (which depends on
     where the process's earlier allocations lie).  A taken array holds its
     contents until its name is taken again, and grows to the largest batch
-    it has served: a workspace keeps ``nbytes``, up to two thirds of
-    :data:`EVALUATION_BYTES_PER_NODE` per field point of that batch (190
-    bytes a node on the 4608-node split rule of a kinked field).  One
-    workspace serves one thread; ``passes`` counts the nested passes made
-    with it.
+    it has served: a workspace keeps ``nbytes``, about half of
+    :data:`EVALUATION_BYTES_PER_NODE` per field point of that batch (166
+    bytes a node on a split rule of a kinked field, at one point per
+    batch).  No evaluation returns one of these arrays.  One workspace
+    serves one thread; ``passes`` counts the nested passes made with it.
     """
 
     def __init__(self):
         self._arrays = {}
-        self._rule = None  # (rule, its outer nodes' weights) of the last rule
         self._offsets = None  # (config, field, forms) of the last horizon
         self.passes = 0
 
     @property
     def nbytes(self) -> int:
-        """Bytes of the arrays kept here, the outer weights included."""
-        kept = sum(a.nbytes for a in self._arrays.values())
-        return kept + (self._rule[1].nbytes if self._rule is not None else 0)
+        """Bytes of the arrays kept here."""
+        return sum(a.nbytes for a in self._arrays.values())
 
     def take(self, name: str, shape, dtype=float) -> np.ndarray:
         """The array ``name`` of shape ``shape``, contents undefined."""
@@ -206,14 +203,6 @@ class _Reads:
     y: np.ndarray
     forms: tuple
     ws: Workspace
-
-
-def _outer_weights(rule: BallQuadrature, ws: Workspace) -> np.ndarray:
-    """The outer nodes' weights a_j = z_j/|z_j|^2 (n, 3) of the nested
-    pass on ``rule``, kept in ``ws`` for the rule it last served."""
-    if ws._rule is None or ws._rule[0] is not rule:
-        ws._rule = (rule, (rule.points.T / rule.square_norms).T)
-    return ws._rule[1]
 
 
 # Offsets a closed form's declared step reads at a time, as its steps W are
@@ -415,18 +404,19 @@ def bond_correction_term(config: OperatorConfig, material: Material,
 # Estimated peak bytes per field point of one operator evaluation on a batch,
 # the rule included, where the field points are the P x n outer nodes of the
 # batch's points.  Measured with tracemalloc at one point per batch (rules of
-# more than 2048 nodes), where the rule's n-sized constants count per node,
-# over the first evaluation on a new rule with a new workspace (the rule's
-# |z|^2, which a memoized rule then keeps, computed there) and two more on
-# that workspace, at a new horizon and on a new field: the corrected
+# 1728 nodes and more), where the rule's n-sized arrays count per node:
+# traced from before the rule is built (its points and weights, 32 bytes a
+# node), over the first evaluation on it with a new workspace (which
+# computes the rule's |z|^2 and z/|z|^2, 32 bytes a node more) and two more
+# on that workspace, at a new horizon and on a new field.  The corrected
 # operator on a kinked affine field, which keeps each side's steps W at the
-# n offsets in the workspace, peaks at 270-284 on split rules of 4608 to
+# n offsets in the workspace, peaks at 302-317 on split rules of 4608 to
 # 36,864 nodes; the state operator on one closed form, with lambda != mu,
-# at 192-219 for the linear field, 240-267 for the quadratic one and
-# 216-243 for the trig one, on ball rules of 1728 to 27,648 nodes.  Batches
-# of several points spread the rule's constants: 96-185 on the 288-node ball
+# at 224-228 for the linear field, 272-275 for the quadratic one and
+# 248-251 for the trig one, on ball rules of 1728 to 27,648 nodes.  Batches
+# of several points spread the rule's arrays: 168-183 on the 288-node ball
 # rule (14 points) and the 576-node split rule (7 points).
-EVALUATION_BYTES_PER_NODE = 8 * 36
+EVALUATION_BYTES_PER_NODE = 8 * 40
 
 
 def nested_pass_points(n: int, field: PiecewiseField) -> int:
@@ -490,7 +480,7 @@ def _nested_moments(config: OperatorConfig, reads: _Reads, normal: bool = True):
     product over the batch.
     """
     y, ws = reads.y, reads.ws
-    a = _outer_weights(config.rule, ws)
+    a = config.rule.outer_weights
     ws.passes += 1
     if len(reads.forms) == 1:
         split, _, q, _ = reads.forms[0]

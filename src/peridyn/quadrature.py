@@ -11,14 +11,8 @@ machine precision.
 A half-ball rule is built for a given unit normal: its reference nodes are
 rotated once, at build, so the flat face is perpendicular to the normal.
 
-A rule's ``points``, ``weights`` and ``square_norms`` are read-only, so one
-rule can serve every study that asks for it: :func:`build_ball_rule` and
-:func:`build_split_ball_rule` are memoized, each in a cache of the
-:data:`RULE_CACHE_SIZE` rules used last, keyed on the orders and on the
-exact bytes of the normal (a normal with a signed zero is not the same
-normal: its rotation differs in the last bit).  Rules of more than
-:data:`RULE_CACHE_NODES` nodes are built afresh on every call, so the
-caches keep at most 11.3 MiB each.
+A rule's arrays are read-only, because every evaluation and every thread
+that reads a rule shares it.
 
 Tensors are plain ``numpy`` arrays of shape (3,), (3, 3), (3, 3, 3) and
 (3, 3, 3, 3); the aliases below name them in signatures.
@@ -27,7 +21,7 @@ Tensors are plain ``numpy`` arrays of shape (3,), (3, 3), (3, 3, 3) and
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -45,13 +39,6 @@ DEFAULT_RADIAL_ORDER = 8
 DEFAULT_ANGULAR_ORDER = 12
 
 UNIT_BALL_VOLUME = 4.0 * np.pi / 3.0
-
-# rules each memoized builder keeps, and the most nodes a kept rule has: a
-# rule holds 40 bytes a node with its |z|^2, 180 KiB on the 4608-node split
-# rule of quad 8,12 and 1.4 MiB on the 36,864-node one of quad 16,24, so a
-# cache keeps at most 8 x 1.4 = 11.3 MiB
-RULE_CACHE_SIZE = 8
-RULE_CACHE_NODES = 36_864
 
 
 def ball_volume(delta: float) -> float:
@@ -131,7 +118,7 @@ class BallQuadrature:
     weights: np.ndarray  # (n,), all positive
 
     def __post_init__(self):
-        # read-only views: a memoized rule serves every caller
+        # read-only views: a rule serves every evaluation that reads it
         for name in ("points", "weights"):
             object.__setattr__(self, name, _read_only(getattr(self, name).view()))
 
@@ -144,6 +131,17 @@ class BallQuadrature:
         computed once per rule."""
         return _read_only(np.einsum("qi,qi->q", self.points, self.points))
 
+    @cached_property
+    def outer_weights(self) -> np.ndarray:
+        """z/|z|^2 of each node (n, 3), the outer nodes' weights of a nested
+        pass; computed once per rule."""
+        return _read_only((self.points.T / self.square_norms).T)
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes of the rule's arrays, the cached ones included."""
+        return sum(a.nbytes for a in vars(self).values() if isinstance(a, np.ndarray))
+
 
 def ball_rule_size(radial_order: int, angular_order: int,
                    split: bool = False) -> int:
@@ -154,15 +152,7 @@ def ball_rule_size(radial_order: int, angular_order: int,
 
 def build_ball_rule(radial_order: int = DEFAULT_RADIAL_ORDER,
                     angular_order: int = DEFAULT_ANGULAR_ORDER) -> BallQuadrature:
-    """Rule on the unit ball, memoized (see the module docstring)."""
-    build = _ball_rule
-    if ball_rule_size(radial_order, angular_order) > RULE_CACHE_NODES:
-        build = build.__wrapped__
-    return build(radial_order, angular_order)
-
-
-@lru_cache(maxsize=RULE_CACHE_SIZE)
-def _ball_rule(radial_order: int, angular_order: int) -> BallQuadrature:
+    """Rule on the unit ball."""
     points, weights = _spherical_product_nodes(radial_order, angular_order, -1.0, 1.0)
     return BallQuadrature(radial_order, angular_order, points, weights)
 
@@ -186,19 +176,8 @@ def build_split_ball_rule(normal: Vec3,
     is its point reflection, so the rule is exactly antipodally symmetric.
     Used when integrands are smooth on each side of a plane through the ball
     center but kinked across it, where a plain ball rule loses accuracy.
-    Memoized on the exact bytes of the normal (see the module docstring).
     """
-    normal = _check_unit_normal(normal)
-    build = _split_ball_rule
-    if ball_rule_size(radial_order, angular_order, split=True) > RULE_CACHE_NODES:
-        build = build.__wrapped__
-    return build(normal.tobytes(), radial_order, angular_order)
-
-
-@lru_cache(maxsize=RULE_CACHE_SIZE)
-def _split_ball_rule(normal: bytes, radial_order: int,
-                     angular_order: int) -> BallQuadrature:
-    half = build_half_ball_rule(np.frombuffer(normal), radial_order, angular_order)
+    half = build_half_ball_rule(normal, radial_order, angular_order)
     points = np.concatenate([half.points, -half.points])
     weights = np.concatenate([half.weights, half.weights])
     return BallQuadrature(radial_order, angular_order, points, weights)

@@ -1,7 +1,16 @@
 import numpy as np
 import pytest
 
+from peridyn import analysis
 from peridyn import quadrature as quad
+
+
+@pytest.fixture(autouse=True)
+def no_kept_rule():
+    """Each test starts with no rule or workspace kept by its thread (see
+    :func:`peridyn.analysis._rule`), so a test that patches the rule
+    builders reaches them whatever ran before it."""
+    analysis._drop()
 
 
 @pytest.fixture(scope="session")

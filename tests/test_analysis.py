@@ -2,6 +2,7 @@ import csv
 import json
 import math
 import os
+import weakref
 
 import jsonschema
 import numpy as np
@@ -13,6 +14,7 @@ import peridyn
 from peridyn import analysis as A
 from peridyn import fields as F
 from peridyn import operators as O
+from peridyn import quadrature as Q
 from nested_reference import term_scale
 
 EZ = np.array([0.0, 0.0, 1.0])
@@ -148,9 +150,14 @@ class TestBatchSize:
 
 
 class TestThreadWorkspace:
-    """The caller's workspace outlives a series, unless it holds more than
-    WORKSPACE_KEEP_BYTES or the series' rule is one the rule caches do not
-    keep; either way the values are the same."""
+    """What a thread keeps between studies: the rule of its last series and
+    its workspace, while studies ask for the same rule and the two hold at
+    most KEEP_BYTES; the values are the same either way."""
+
+    # signed zeros give rules 2.2e-16 apart, yet their float tuples compare
+    # and hash equal
+    NORMALS = [(-1.0, 0.0, 0.0), (-1.0, -0.0, 0.0), (0.0, 0.0, -1.0),
+               (-0.0, 0.0, -1.0), (0.6, 0.0, 0.8), (0.6, -0.0, 0.8), None]
 
     @staticmethod
     def _blowup():
@@ -161,18 +168,47 @@ class TestThreadWorkspace:
 
     def test_kept_across_series(self):
         self._blowup()
-        ws = A._WORKSPACES.ws
+        rule, ws = A._KEPT.rule, A._KEPT.ws
         self._blowup()
-        assert A._WORKSPACES.ws is ws
-        assert 0 < ws.nbytes <= A.WORKSPACE_KEEP_BYTES
+        assert A._KEPT.rule is rule and A._KEPT.ws is ws
+        assert 0 < ws.nbytes < rule.nbytes + ws.nbytes <= A.KEEP_BYTES
 
-    @pytest.mark.parametrize("cap", ["WORKSPACE_KEEP_BYTES", "RULE_CACHE_NODES"])
-    def test_dropped_past_its_caps(self, cap, monkeypatch):
+    def test_one_rule_per_exact_request(self):
+        # each request in turn, each normal after the one with the other
+        # signed zero: every rule is the bits of a fresh build, and is kept
+        for normal in self.NORMALS:
+            rule = A._rule(4, 6, normal)
+            assert A._rule(4, 6, normal) is rule
+            want = (Q.build_ball_rule(4, 6) if normal is None
+                    else Q.build_split_ball_rule(np.array(normal), 4, 6))
+            for name in ("points", "weights"):
+                assert np.array_equal(getattr(rule, name), getattr(want, name))
+
+    def test_another_request_frees_the_kept_pair_before_its_build(self, monkeypatch):
+        self._blowup()
+        rule, ws = weakref.ref(A._KEPT.rule), weakref.ref(A._KEPT.ws)
+
+        def build(*args):
+            assert rule() is None and ws() is None
+            return Q.build_ball_rule(*args)
+
+        monkeypatch.setattr(A, "build_ball_rule", build)
+        assert len(A._rule(4, 6)) == 288
+        assert not hasattr(A._KEPT, "ws")
+
+    def test_dropped_past_the_cap(self, monkeypatch):
+        # kept at exactly the rule's and the workspace's bytes, both dropped
+        # one byte below
         want = self._blowup().values
-        monkeypatch.setattr(A, cap, 100)  # the 1536-node rule, and its arrays
-        got = self._blowup().values
-        assert not hasattr(A._WORKSPACES, "ws")
-        np.testing.assert_array_equal(got, want)
+        held = A._KEPT.rule.nbytes + A._KEPT.ws.nbytes
+        monkeypatch.setattr(A, "KEEP_BYTES", held)
+        rule = A._KEPT.rule
+        np.testing.assert_array_equal(self._blowup().values, want)
+        assert A._KEPT.rule is rule
+        monkeypatch.setattr(A, "KEEP_BYTES", held - 1)
+        np.testing.assert_array_equal(self._blowup().values, want)
+        assert not vars(A._KEPT)
+        np.testing.assert_array_equal(self._blowup().values, want)
 
 
 class TestInterfaceBlowup:

@@ -257,7 +257,7 @@ class TestExitCodes:
         assert capsys.readouterr() == ("", "error: box corners must be finite\n")
 
     @pytest.mark.parametrize("argv,nodes", [
-        # about 29 GiB on this split rule and 34 GiB on this ball rule, at 288
+        # about 32 GiB on this split rule and 38 GiB on this ball rule, at 320
         # bytes a node
         (["star", "--quad", "300,300", "--field", "quadratic",
           "--material", "two-phase:3,1,5,2"], 108_000_000),
@@ -303,17 +303,17 @@ class TestExitCodes:
         return False
 
     def test_quad_budget_admits_12_16_on_the_split_rule(self, tmp_path, monkeypatch):
-        # 12,288 nodes of 288 bytes: 3.4 MiB
+        # 12,288 nodes of 320 bytes: 3.8 MiB
         assert self._reaches_the_rule(["star", "--quad", "12,16", "--out", str(tmp_path)],
                                       2**30, monkeypatch)
 
     def test_quad_budget_admits_16_16_on_an_affine_field(self, tmp_path, capsys,
                                                          monkeypatch):
         # star's default field is affine on each side; the 16,384-node rule
-        # is one batch, and its 288 bytes a node fit a memory of exactly that
+        # is one batch, and its 320 bytes a node fit a memory of exactly that
         argv = ["star", "--quad", "16,16", "--out", str(tmp_path)]
-        assert self._reaches_the_rule(argv, 16384 * 288, monkeypatch)
-        assert not self._reaches_the_rule(argv, 16384 * 288 - 1, monkeypatch)
+        assert self._reaches_the_rule(argv, 16384 * 320, monkeypatch)
+        assert not self._reaches_the_rule(argv, 16384 * 320 - 1, monkeypatch)
         assert capsys.readouterr().err.startswith(
             "error: quad 16,16 gives a 16384-node rule whose evaluations need")
 
@@ -335,7 +335,7 @@ class TestExitCodes:
     def test_affine_rule_beyond_memory_refused_before_the_rule(self, tmp_path, capsys,
                                                               monkeypatch):
         # star's default field is kinked: the 64.8M-node rule's evaluation
-        # needs about 17 GiB; the memory is fixed so that the refusal does not
+        # needs about 19 GiB; the memory is fixed so that the refusal does not
         # depend on the host
         def build(*args):
             raise AssertionError("rule built")
@@ -346,15 +346,15 @@ class TestExitCodes:
         assert rc == 2
         err = capsys.readouterr().err
         assert err.startswith("error: quad 180,300 gives a 64800000-node rule whose "
-                              "evaluations need about 17.4 GiB, more than the 16 GiB")
+                              "evaluations need about 19.3 GiB, more than the 16 GiB")
         assert err.endswith("of physical memory\n") and err.count("\n") == 1
 
     def test_quad_memory_bound_is_the_batch(self, tmp_path, monkeypatch):
         # a 288-node rule: each thread's batch holds up to
-        # analysis.BATCH_FIELD_POINTS = 4096 field points of 288 bytes
-        assert (analysis.BATCH_FIELD_POINTS, cli.EVALUATION_BYTES_PER_NODE) == (4096, 288)
+        # analysis.BATCH_FIELD_POINTS = 4096 field points of 320 bytes
+        assert (analysis.BATCH_FIELD_POINTS, cli.EVALUATION_BYTES_PER_NODE) == (4096, 320)
         argv = ["converge", "--quad", "4,6", "--threads", "3", "--out", str(tmp_path)]
-        need = 4096 * 288 * 3
+        need = 4096 * 320 * 3
         assert self._reaches_the_rule(argv, need, monkeypatch)
         assert not self._reaches_the_rule(argv, need - 1, monkeypatch)
 
@@ -402,9 +402,9 @@ class TestExitCodes:
         assert main(["converge", "--config", str(cfg), "--out", str(tmp_path)]) == 2
 
     def test_sample_grid_memory_bound(self, tmp_path, monkeypatch):
-        # 1000 points at 5 horizons need more than the rule's batch, 4096 x 288
+        # 1000 points at 5 horizons need more than the rule's batch, 4096 x 320
         need = 1000 * 5 * cli.CONVERGE_BYTES_PER_SAMPLE
-        assert need > 4096 * 288
+        assert need > 4096 * 320
         assert self._reaches_the_grid(10, need, tmp_path, monkeypatch)
         assert not self._reaches_the_grid(10, need - 1, tmp_path, monkeypatch)
 
@@ -860,9 +860,10 @@ class TestDeterminism:
         return (out / f"{study}.csv").read_bytes(), nested_points
 
     def test_studies_in_turn_give_the_bits_of_a_fresh_process(self, tmp_path):
-        # the rule cache and the thread's workspace outlive each study; no
-        # study may read what an earlier one left there, with one thread or
-        # with two
+        # the thread's rule and workspace outlive each study; no study may
+        # read what an earlier one left there, with one thread or with two.
+        # The list runs twice, so the second star reuses the rule and the
+        # workspace of the blowup before it
         fresh = []
         for study, argv in self.IN_TURN:
             out = tmp_path / "fresh" / study
@@ -873,7 +874,7 @@ class TestDeterminism:
             fresh.append(self._bits(out, study))
         assert [nested > 0 for _, nested in fresh] == [True, True, False]
         for threads in ("1", "2"):
-            for (study, argv), want in zip(self.IN_TURN, fresh):
+            for (study, argv), want in zip(self.IN_TURN * 2, fresh * 2):
                 out = tmp_path / threads / study
                 assert main([study, *argv, "--threads", threads, "--out", str(out)]) == 0
                 assert self._bits(out, study) == want

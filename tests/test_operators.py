@@ -777,21 +777,29 @@ class TestBatches:
     def test_shared_workspace_changes_no_value(self):
         # one workspace through horizons, fields of one and two closed forms
         # and shrinking batches, as a series and the next one use it: every
-        # value is the bits of a call with a workspace of its own
+        # value is the bits of a call with a workspace of its own, and keeps
+        # them through the later calls (no evaluation returns an array of
+        # its workspace)
         trig, trig_mat = F.make_manufactured("smooth_material_trig")
         kinked, _ = F.make_manufactured("patch_jump_zero_traction")
         mat = F.TwoPhaseMaterial(3.0, 1.0, 5.0, 2.0, F.INTERFACE_Z)
         rule = O.make_config(0.1, 2, 4, split_normal=EZ).rule
         cfgs = [O.OperatorConfig(d, rule) for d in (0.1, 0.05)]
         ws = O.Workspace()
+        results = []
         for cfg in (*cfgs, cfgs[0]):
             for op, field, material in ((O.state_operator, trig, trig_mat),
+                                        (O.corrected_operator, trig, trig_mat),
                                         (O.corrected_operator, kinked, mat),
                                         (O.state_operator, kinked, mat)):
                 for x in (BATCH_POINTS, BATCH_POINTS[2:], BATCH_POINTS[0]):
-                    assert_array_equal(op(cfg, material, field, x, workspace=ws),
-                                       op(cfg, material, field, x))
-        assert ws.passes == 3 * 3 * 3
+                    value = op(cfg, material, field, x, workspace=ws)
+                    assert_array_equal(value, op(cfg, material, field, x))
+                    results.append((value, value.copy()))
+        assert ws.passes == 3 * 4 * 3
+        for value, bits in results:
+            assert_array_equal(value, bits)
+            assert not any(np.shares_memory(value, a) for a in ws._arrays.values())
 
     def test_failed_step_read_keeps_no_steps(self):
         # a step that raises at the second of a horizon's 256-offset reads

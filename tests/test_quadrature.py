@@ -56,45 +56,21 @@ class TestRuleInvariants:
 
 
 class TestRuleCache:
-    """The two memoized builders: one rule per orders and exact normal,
-    read-only, the bits of a build that bypasses the cache."""
-
-    # signed zeros give rules 2.2e-16 apart (rotation_to_pole takes atan2 of
-    # the zero), but the float tuples compare and hash equal
-    NORMALS = [(-1.0, 0.0, 0.0), (-1.0, -0.0, 0.0), (0.0, 0.0, -1.0),
-               (-0.0, 0.0, -1.0), (0.6, 0.0, 0.8), (0.6, -0.0, 0.8), (0.0, 0.0, 1.0)]
+    """What lets a thread keep a rule between studies and share it with every
+    evaluation that reads it (see :func:`peridyn.analysis._rule`): a rule's
+    arrays are read-only, and a normal with a signed zero gives another
+    rule, so a kept rule answers only the exact bytes of its normal."""
 
     def test_signed_zeros_give_distinct_rules(self):
+        # rules 2.2e-16 apart (rotation_to_pole takes atan2 of the zero),
+        # though the normals' float tuples compare and hash equal
         plain, signed = (quad.build_split_ball_rule(np.array(n), 4, 6)
-                         for n in self.NORMALS[:2])
+                         for n in ((-1.0, 0.0, 0.0), (-1.0, -0.0, 0.0)))
         assert plain is not signed
         assert not np.array_equal(plain.points, signed.points)
 
-    def test_cached_rules_are_fresh_builds_bit_for_bit(self):
-        rules = [quad.build_split_ball_rule(np.array(n), 4, 6) for n in self.NORMALS]
-        rules.append(quad.build_ball_rule(4, 6))
-        fresh = [quad._split_ball_rule.__wrapped__(np.array(n).tobytes(), 4, 6)
-                 for n in self.NORMALS]
-        fresh.append(quad._ball_rule.__wrapped__(4, 6))
-        for rule, want in zip(rules, fresh):
-            for name in ("points", "weights", "square_norms"):
-                assert np.array_equal(getattr(rule, name), getattr(want, name))
-        # every rule from the cache, each normal's own
-        again = [quad.build_split_ball_rule(np.array(n), 4, 6) for n in self.NORMALS]
-        assert all(a is r for a, r in zip(again, rules))
-        assert quad.build_ball_rule(4, 6) is rules[-1]
-
-    def test_rules_beyond_the_node_cap_are_not_kept(self, monkeypatch):
-        # 288 and 576 nodes, over a cap of 100
-        monkeypatch.setattr(quad, "RULE_CACHE_NODES", 100)
-        for build in (lambda: quad.build_ball_rule(4, 6),
-                      lambda: quad.build_split_ball_rule(EZ, 4, 6)):
-            first, second = build(), build()
-            assert first is not second
-            assert np.array_equal(first.points, second.points)
-            assert not first.points.flags.writeable
-
-    @pytest.mark.parametrize("name", ["points", "weights", "square_norms"])
+    @pytest.mark.parametrize("name", ["points", "weights", "square_norms",
+                                      "outer_weights"])
     def test_cached_rules_are_read_only(self, name):
         for rule in (quad.build_ball_rule(4, 6), quad.build_split_ball_rule(EZ, 4, 6)):
             values = getattr(rule, name)
