@@ -196,16 +196,22 @@ class TestThreadWorkspace:
         assert len(A._rule(4, 6)) == 288
         assert not hasattr(A._KEPT, "ws")
 
-    def test_dropped_past_the_cap(self, monkeypatch):
+    # named after the node cap on kept rules and the byte cap on kept
+    # workspaces that KEEP_BYTES replaced: the rule alone past the cap, and
+    # the workspace taking the pair past it
+    @pytest.mark.parametrize("cap", [
+        pytest.param(lambda rule, ws: rule - 1, id="RULE_CACHE_NODES"),
+        pytest.param(lambda rule, ws: rule + ws - 1, id="WORKSPACE_KEEP_BYTES")])
+    def test_dropped_past_its_caps(self, cap, monkeypatch):
         # kept at exactly the rule's and the workspace's bytes, both dropped
-        # one byte below
+        # below
         want = self._blowup().values
-        held = A._KEPT.rule.nbytes + A._KEPT.ws.nbytes
-        monkeypatch.setattr(A, "KEEP_BYTES", held)
+        rule_bytes, ws_bytes = A._KEPT.rule.nbytes, A._KEPT.ws.nbytes
+        monkeypatch.setattr(A, "KEEP_BYTES", rule_bytes + ws_bytes)
         rule = A._KEPT.rule
         np.testing.assert_array_equal(self._blowup().values, want)
         assert A._KEPT.rule is rule
-        monkeypatch.setattr(A, "KEEP_BYTES", held - 1)
+        monkeypatch.setattr(A, "KEEP_BYTES", cap(rule_bytes, ws_bytes))
         np.testing.assert_array_equal(self._blowup().values, want)
         assert not vars(A._KEPT)
         np.testing.assert_array_equal(self._blowup().values, want)
