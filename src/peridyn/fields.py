@@ -53,11 +53,6 @@ class PlanarInterface:
         (signed distance >= 0), written to the bool array ``out`` if given."""
         return np.greater_equal(self.signed_distance(x), 0.0, out=out)
 
-    def project(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        sd = self.signed_distance(x)
-        return x - np.multiply.outer(sd, self.normal)
-
 
 # a plane through the origin normal to the third axis; the default interface
 # of the manufactured two-phase configurations
@@ -76,15 +71,17 @@ class Split:
     ``constant`` holds the m_c factors C (m_c, 3) that do not, once, so
     that a reader need not copy them to every point.  The inner factors
     V, whose terms pair first with U's and then with C's, are declared as
-    ``base``, V(0) (m + m_c, 3), and ``step``, which maps offsets d
-    (..., 3) to W(d) (..., m + m_c, 3) without cancellation: d for a term
-    linear in d, -2 sin^2(q/2) for cos q.  So u(y) = sum_m F(y)_m V(0)_m, and the
-    difference u(y + d) - u(y) = sum_m F(y)_m W(d)_m loses no digits to
-    the size of u(y).
+    ``base``, V(0) (m + m_c, 3), and ``step(d, out)``, which writes W(d)
+    at offsets d (..., 3) into ``out`` (..., m + m_c, 3), a C-contiguous
+    array, without cancellation: d for a term linear in d, -2 sin^2(q/2)
+    for cos q.  So both declared reads write into an array the reader
+    passes.  And u(y) = sum_m F(y)_m V(0)_m, so the difference
+    u(y + d) - u(y) = sum_m F(y)_m W(d)_m loses no digits to the size of
+    u(y).
     """
 
-    outer: Callable[[np.ndarray], np.ndarray]
-    step: Callable[[np.ndarray], np.ndarray]
+    outer: Callable[[np.ndarray, np.ndarray], None]
+    step: Callable[[np.ndarray, np.ndarray], None]
     base: np.ndarray
     constant: np.ndarray = dataclasses.field(default_factory=lambda: np.zeros((0, 3)))
 
@@ -341,8 +338,8 @@ def linear_field(c, g) -> AnalyticVectorField:
     steps = np.zeros((3, 2, 3))
     steps[:, 1, :] = g.T
 
-    def step(d):
-        return (d @ steps.reshape(3, 6)).reshape(d.shape[:-1] + (2, 3))
+    def step(d, out):
+        np.matmul(d, steps.reshape(3, 6), out=out.reshape(d.shape[:-1] + (6,)))
 
     return AnalyticVectorField(
         value=value,
@@ -376,12 +373,10 @@ def _quadratic_x1_field() -> AnalyticVectorField:
         out[..., 0, 0] = y[..., 0] ** 2
         out[..., 1, 0] = 2.0 * y[..., 0]
 
-    def step(d):
-        w = np.empty(d.shape[:-1] + (3, 3))
-        w[..., 0, :] = 0.0
-        w[..., 1, :] = d[..., 0, None]
-        w[..., 2, :] = d[..., 0, None] ** 2
-        return w
+    def step(d, out):
+        out[..., 0, :] = 0.0
+        out[..., 1, :] = d[..., 0, None]
+        out[..., 2, :] = d[..., 0, None] ** 2
 
     return AnalyticVectorField(value, grad, hessian,
                                split=Split(outer, step, [[1.0] * 3, [0.0] * 3, [0.0] * 3],
@@ -418,9 +413,13 @@ def _trig_field() -> AnalyticVectorField:
             np.sin(y[..., j], out=out[..., 0, i])
             np.cos(y[..., j], out=out[..., 1, i])
 
-    def step(d):
-        q = d[..., [1, 2, 0]]
-        return np.stack([-2.0 * np.sin(0.5 * q) ** 2, np.sin(q)], axis=-2)
+    def step(d, out):
+        for i, j in enumerate((1, 2, 0)):
+            np.sin(d[..., j], out=out[..., 1, i])
+            c = np.multiply(0.5, d[..., j], out=out[..., 0, i])
+            np.sin(c, out=c)
+            np.square(c, out=c)
+            c *= -2.0
 
     return AnalyticVectorField(value, grad, hessian,
                                split=Split(outer, step, [[1.0] * 3, [0.0] * 3]))

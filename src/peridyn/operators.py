@@ -124,11 +124,13 @@ class Workspace:
     (P, n, 3), the outer factors ``u`` (P, n, m, 3) of the nested pass
     there, and for a field with a kink the outer nodes' phase masks
     ``plus`` and ``minus`` (P, n) and the pass's channels ``g`` (P, n) and
-    ``p`` (P, n, 3).  Each closed form's steps W (n, m + m_c, 3) at the
-    offsets delta z go to ``w0`` and ``w1``, and stay here with their inner
-    sums Q while the horizon and the field do.  So the evaluations allocate
-    those once, not once per batch or per horizon, and write them to the
-    same pages, whose cost then does not hinge on whether the allocator
+    ``p`` (P, n, 3).  Each closed form writes its steps W (n, m + m_c, 3)
+    at the offsets delta z to ``w0`` and ``w1``, as it writes its outer
+    factors to ``u``: both declared reads of a split write into arrays
+    taken here.  The steps stay here with their inner sums Q while the
+    horizon and the field do.  So the evaluations allocate those once, not
+    once per batch or per horizon, and write them to the same pages,
+    whose cost then does not hinge on whether the allocator
     hands them back to the system between evaluations (which depends on
     where the process's earlier allocations lie).  A taken array holds its
     contents until its name is taken again, and grows to the largest batch
@@ -179,14 +181,11 @@ def _closed_forms(field: PiecewiseField):
 
 
 class _Form(NamedTuple):
-    """One closed form's reads at a batch: its declared split, the mask
-    (P, n) of the outer nodes in its phase (None for a field with one
-    closed form), the inner sums Q (3, m + m_c, 3) of its inner factors V
-    at the n offsets delta z (see :func:`_nested_moments`) and its steps
-    W (n, m + m_c, 3) there."""
+    """One closed form's reads at a horizon: its declared split, the inner
+    sums Q (3, m + m_c, 3) of its inner factors V at the n offsets delta z
+    (see :func:`_nested_moments`) and its steps W (n, m + m_c, 3) there."""
 
     split: Split
-    phase: Optional[np.ndarray]
     q: np.ndarray
     w: np.ndarray
 
@@ -194,31 +193,25 @@ class _Form(NamedTuple):
 @dataclass(frozen=True)
 class _Reads:
     """What one evaluation at a batch x (P, 3) reads of the field before
-    any sum: the outer nodes y = x + delta z (P, n, 3), and each closed
-    form's :class:`_Form` (see :func:`_closed_forms`), with the
-    :class:`Workspace` it writes to."""
+    any sum: the outer nodes y = x + delta z (P, n, 3), each closed form's
+    :class:`_Form` (see :func:`_closed_forms`) and the masks (P, n) of the
+    outer nodes in its phase (None for a field with one closed form), with
+    the :class:`Workspace` it writes to."""
 
     field: PiecewiseField
     x: np.ndarray
     y: np.ndarray
     forms: tuple
+    phases: tuple
     ws: Workspace
 
 
-# Offsets a closed form's declared step reads at a time, as its steps W are
-# copied into the workspace: a step allocates its result, and one read of
-# all n offsets would allocate each W afresh per horizon (442 KiB on the
-# 4608-node split rule of an affine kink).  Each row of W depends on its own
-# offset only, so the rows are the same bits however the offsets are cut.
-_STEP_ROWS = 256
-
-
 def _offset_reads(config: OperatorConfig, field: PiecewiseField, ws: Workspace):
-    """(split, Q, W) of each closed form at the horizon's n offsets, kept
-    in ``ws`` while the horizon and the field stay the same: each closed
-    form's steps W are read once at the n offsets, into the workspace, and
-    its inner factors V = V(0) + W enter the pass only as their inner sums
-    Q."""
+    """The :class:`_Form` of each closed form at the horizon's n offsets
+    delta z, kept in ``ws`` while the horizon and the field stay the same:
+    each closed form writes its steps W at the n offsets into the
+    workspace in one read, and its inner factors V = V(0) + W enter the
+    pass only as their inner sums Q."""
     kept = ws._offsets
     if kept is not None and kept[0] is config and kept[1] is field:
         return kept[2]
@@ -228,16 +221,16 @@ def _offset_reads(config: OperatorConfig, field: PiecewiseField, ws: Workspace):
     # the inner nodes' weights bw_k = (w_k/|z_k|^2) z_k, as (3, n)
     bw = rule.points.T * (rule.weights / rule.square_norms)
     bw_sum = bw @ np.ones(n)  # one product: np.sum over n is slower here
+    dz = config.delta * rule.points
     forms = []
     for i, side in enumerate(_closed_forms(field)):
         split = side.split
         w = ws.take(f"w{i}", (n,) + split.base.shape)
-        for k in range(0, n, _STEP_ROWS):
-            w[k:k + _STEP_ROWS] = split.step(config.delta * rule.points[k:k + _STEP_ROWS])
+        split.step(dz, w)
         # Q = sum_k bw_k (x) (V(0) + W(delta z_k))
         q = ((bw @ w.reshape(n, -1)).reshape(3, -1, 3)
              + bw_sum[:, None, None] * split.base)
-        forms.append((split, q, w))
+        forms.append(_Form(split, q, w))
     ws._offsets = (config, field, tuple(forms))
     return ws._offsets[2]
 
@@ -249,18 +242,17 @@ def _read(config: OperatorConfig, field: PiecewiseField, x,
     workspace if None).  For a field with a kink the outer nodes' sides of
     its interface are read once, into ``ws``, as both phase masks."""
     ws = Workspace() if ws is None else ws
-    offsets = _offset_reads(config, field, ws)
+    forms = _offset_reads(config, field, ws)
     nodes = (len(x), len(config.rule))
     # delta z + x, in place: the bits of x + delta z
     y = np.multiply(config.delta, config.rule.points, out=ws.take("y", nodes + (3,)))
     y += x[:, None, :]
-    if len(offsets) == 1:
+    if len(forms) == 1:
         phases = (None,)
     else:
         plus = field.interface.side_of(y, out=ws.take("plus", nodes, bool))
         phases = (plus, np.logical_not(plus, out=ws.take("minus", nodes, bool)))
-    forms = tuple(_Form(split, phase, q, w) for (split, q, w), phase in zip(offsets, phases))
-    return _Reads(field, x, y, forms, ws)
+    return _Reads(field, x, y, forms, phases, ws)
 
 
 def _moduli(material: Material, reads: _Reads):
@@ -271,7 +263,7 @@ def _moduli(material: Material, reads: _Reads):
     x, y = reads.x, reads.y
     shape = y.shape[:2]
     _, mu_x = material.lame_at(x)
-    plus = reads.forms[0].phase
+    plus = reads.phases[0]
     if (isinstance(material, TwoPhaseMaterial) and plus is not None
             and material.interface is reads.field.interface):
         lam_y, mu_y = material.lame_where(plus)
@@ -315,10 +307,13 @@ def _bond_differences(config: OperatorConfig, reads: _Reads):
     iface = reads.field.interface
     sd = iface.signed_distance(x)
     e = sd[:, None] * iface.normal
-    rises = [np.einsum("pmi,pmi->pi", form.split.factors(x - e), form.split.step(e))
-             for form in reads.forms]  # u_s(x) - u_s(x')
+    rises = []  # u_s(x) - u_s(x')
+    for split, _, _ in reads.forms:
+        w = np.empty((len(x),) + split.base.shape)
+        split.step(e, w)
+        rises.append(np.einsum("pmi,pmi->pi", split.factors(x - e), w))
     own = np.where(iface.side_of(x)[:, None], *rises)
-    dz = np.where(reads.forms[0].phase, steps[0] + (rises[0] - own) @ z.T,
+    dz = np.where(reads.phases[0], steps[0] + (rises[0] - own) @ z.T,
                   steps[1] + (rises[1] - own) @ z.T)
     return _require_finite(dz)
 
@@ -408,9 +403,11 @@ def bond_correction_term(config: OperatorConfig, material: Material,
 # traced from before the rule is built (its points and weights, 32 bytes a
 # node), over the first evaluation on it with a new workspace (which
 # computes the rule's |z|^2 and z/|z|^2, 32 bytes a node more) and two more
-# on that workspace, at a new horizon and on a new field.  The corrected
-# operator on a kinked affine field, which keeps each side's steps W at the
-# n offsets in the workspace, peaks at 302-317 on split rules of 4608 to
+# on that workspace, at a new horizon and on a new field.  Both declared
+# reads of a split write into workspace arrays; a read of the steps holds
+# only its n offsets delta z besides.  The corrected operator on a kinked
+# affine field, which keeps each side's steps W at the n offsets in the
+# workspace, peaks at 302-317 on split rules of 4608 to
 # 36,864 nodes; the state operator on one closed form, with lambda != mu,
 # at 224-228 for the linear field, 272-275 for the quadratic one and
 # 248-251 for the trig one, on ball rules of 1728 to 27,648 nodes.  Batches
@@ -483,7 +480,7 @@ def _nested_moments(config: OperatorConfig, reads: _Reads, normal: bool = True):
     a = config.rule.outer_weights
     ws.passes += 1
     if len(reads.forms) == 1:
-        split, _, q, _ = reads.forms[0]
+        split, q, _ = reads.forms[0]
         u = ws.take("u", y.shape[:2] + (split.terms, 3))
         split.outer(y, u)
         g, p = _split_channels(split, q, u, a, normal)
@@ -493,7 +490,7 @@ def _nested_moments(config: OperatorConfig, reads: _Reads, normal: bool = True):
         # the flat index of the P x n nodes wraps to the rule node's
         g = ws.take("g", y.shape[:2])
         p = ws.take("p", y.shape) if normal else None
-        for split, phase, q, _ in reads.forms:
+        for (split, q, _), phase in zip(reads.forms, reads.phases):
             at = np.flatnonzero(phase)
             u = ws.take("u", (len(at), split.terms, 3))
             split.outer(np.take(y.reshape(-1, 3), at, axis=0), u)

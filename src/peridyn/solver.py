@@ -69,9 +69,6 @@ class BoxGrid:
     def n_nodes(self) -> int:
         return self.points.shape[0]
 
-    def nodes_with_tag(self, tag: NodeTag) -> np.ndarray:
-        return np.flatnonzero(self.tags == tag)
-
 
 def _stencil_reach(h: float, delta: float) -> int:
     # farthest lattice offset whose cell can intersect the sphere

@@ -289,11 +289,10 @@ class TestNaturalLimit:
                 out[..., 0, 2] = value(y)[..., 2]
                 out[..., 1, 2] = lin + 2.0 * quad * y[..., 2]
 
-            def step(d):
-                w = np.zeros(d.shape[:-1] + (3, 3))
-                w[..., 1, 2] = d[..., 2]
-                w[..., 2, 2] = d[..., 2] ** 2
-                return w
+            def step(d, out):
+                out[...] = 0.0
+                out[..., 1, 2] = d[..., 2]
+                out[..., 2, 2] = d[..., 2] ** 2
 
             base = np.zeros((3, 3))
             base[0] = 1.0

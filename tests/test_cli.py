@@ -797,6 +797,56 @@ class TestStudyOutputs:
         rc = main(["solve", "--config", str(cfg), "--out", str(tmp_path)])
         assert rc == 0
 
+    def test_solve_with_a_body_force(self, tmp_path, capsys):
+        # a valid b on the default patch: the residual check measures the
+        # interior rows against b and the extended rows against 0, and
+        # without the manufactured solution no recovery is checked.  The
+        # default box's free nodes all lie on the extended interface, so
+        # the box is widened to give interior rows
+        box = [[-0.75] * 3, [0.75] * 3]
+        cfg = tmp_path / "solve.json"
+        cfg.write_text(json.dumps({"study": "solve", "b": [0, 0, 1], "box": box}))
+        rc = main(["solve", "--config", str(cfg), "--out", str(tmp_path)])
+        assert rc == 0
+        out = capsys.readouterr().out
+        assert "PASS solve/residual" in out and "recovery" not in out
+        with open(tmp_path / "solve_report.json") as f:
+            payload = json.load(f)
+        assert payload["recovery_error"] is None
+        assert [name for name, _, _ in payload["checks"]] == ["residual"]
+        loaded = load("solve", "--config", str(cfg))
+        _, material = cli._field_material(loaded, cli._STUDIES["solve"])
+        grid = solver.build_grid(np.asarray(box), loaded.h, loaded.ratio, material.interface)
+        opr = solver.assemble(grid, material)
+        rows = (tmp_path / "solution.csv").read_text().splitlines()[1:]
+        u = np.array([[float(v) for v in row.split(",")[3:6]] for row in rows])
+        r = opr.action(u)
+        tol = 1e-10 * cli._residual_scale(opr)
+        interior = grid.tags == solver.NodeTag.INTERIOR
+        extended = grid.tags == solver.NodeTag.EXTENDED_INTERFACE
+        assert interior.any() and extended.any()
+        assert np.abs(r[interior] - [0.0, 0.0, 1.0]).max() <= tol
+        assert np.abs(r[extended]).max() <= tol
+
+    def test_converge_exact_regime(self, tmp_path, capsys):
+        # the constant field: every error is below the exact floor, so the
+        # study records the exact check and fits no slope
+        rc = main(["converge", "--field", "constant", "--out", str(tmp_path), *FAST])
+        assert rc == 0
+        assert "PASS converge/exact" in capsys.readouterr().out
+        with open(tmp_path / "converge.json") as f:
+            report = json.load(f)
+        assert (report["slope"], report["exact"]) == (None, True)
+
+    def test_star_on_one_horizon(self, tmp_path):
+        # one horizon: the limit estimate is its one scaled value
+        rc = main(["star", "--delta-series", "0.1", "--out", str(tmp_path), *FAST])
+        assert rc == 0
+        with open(tmp_path / "star.json") as f:
+            report = json.load(f)
+        [record] = report["records"]
+        assert report["limit_estimate"] == record["value"]
+
     def test_flag_overrides_config(self, tmp_path):
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps({"study": "kdelta", "normal": [1.0, 0.0, 0.0]}))

@@ -214,7 +214,7 @@ class TestBuildGrid:
         grid = flagship_grid
         assert grid.shape == (17, 17, 17)
         assert grid.delta == pytest.approx(3.0 / 16.0)
-        ext = grid.nodes_with_tag(S.NodeTag.EXTENDED_INTERFACE)
+        ext = np.flatnonzero(grid.tags == S.NodeTag.EXTENDED_INTERFACE)
         sd = grid.interface.signed_distance(grid.points)
         free = grid.tags != S.NodeTag.CONSTRAINT
         assert np.array_equal(np.flatnonzero(free & (np.abs(sd) < grid.delta)), ext)
@@ -222,8 +222,8 @@ class TestBuildGrid:
     def test_interface_outside_box(self):
         iface = F.PlanarInterface(np.array([0.0, 0.0, 5.0]), np.array([0.0, 0.0, 1.0]))
         grid = S.build_grid(BOX, 1.0 / 16.0, 3.0, iface)
-        assert len(grid.nodes_with_tag(S.NodeTag.EXTENDED_INTERFACE)) == 0
-        assert len(grid.nodes_with_tag(S.NodeTag.INTERIOR)) > 0
+        assert len(np.flatnonzero(grid.tags == S.NodeTag.EXTENDED_INTERFACE)) == 0
+        assert len(np.flatnonzero(grid.tags == S.NodeTag.INTERIOR)) > 0
 
     def test_ratio_must_exceed_one(self):
         with pytest.raises(ValueError):
@@ -475,6 +475,13 @@ class TestSolve:
         scale = matrix_scale(flagship_operator)
         for tag_res in res.residuals.values():
             assert tag_res["max"] <= 1e-10 * scale
+
+    def test_zero_right_hand_side(self, flagship_operator):
+        # no body force and zero constraint values: u = 0 without a GMRES
+        # iteration
+        res = S.solve_equilibrium(flagship_operator, None, lambda p: np.zeros(p.shape))
+        assert not res.u.any()
+        assert (res.iterations, res.residual_history) == (0, [])
 
     def test_perturbation_scales_linearly(self, flagship_operator,
                                           flagship_grid, patch, rng):
