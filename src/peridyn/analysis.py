@@ -216,50 +216,38 @@ def _discrete_norm(errors: np.ndarray, p: float) -> float:
 BATCH_FIELD_POINTS = 4096
 
 
-# What a thread keeps between studies: the rule of its last series and the
-# operators.Workspace its evaluations wrote to, so that a repeated study
-# builds no rule and writes its batches to the same pages.  The rule is kept
+# What a thread keeps between studies: one record (key, rule, workspaces) of
+# its last series, the rule and the operators.Workspace each of the series'
+# workers wrote to, so that a repeated study builds no rule and writes its
+# batches to the same pages, whatever the thread count.  The rule is kept
 # while requests ask for the same orders and the same bytes of the normal (a
 # normal with a signed zero is another request: its rotation differs in the
-# last bit).  A request for another rule drops the pair before it builds the
-# next, and a series drops it when it ends if the workspace's and the rule's
-# arrays hold more than KEEP_BYTES.  A kinked field's series keeps 1.0 MiB on
-# the 4608-node split rule of quad 8,12, and drops its 8.1 MiB on the
-# 36,864-node one of quad 16,24.  A worker thread's workspace goes with the
-# thread.
+# last bit).  A request for another rule drops the record before it builds
+# the next, and a series drops it when it ends if the rule's and every
+# workspace's arrays hold more than KEEP_BYTES.  A kinked field's series on
+# one thread keeps 1.0 MiB on the 4608-node split rule of quad 8,12 (1.7 MiB
+# on two), and drops its 8.1 MiB on the 36,864-node one of quad 16,24.
 _KEPT = threading.local()
 KEEP_BYTES = 8 * 2**20
 
 
-def _drop() -> None:
-    """Drop this thread's kept rule and workspace."""
-    vars(_KEPT).clear()
-
-
-def _workspace() -> Workspace:
-    """This thread's workspace."""
-    ws = getattr(_KEPT, "ws", None)
-    if ws is None:
-        ws = _KEPT.ws = Workspace()
-    return ws
-
-
-def _rule(radial_order: int, angular_order: int, split_normal=None):
-    """The study's rule: the ball rule, or the one split along the plane
-    normal to ``split_normal``; the thread's kept rule if it answers the
-    same request."""
+def _kept(radial_order: int, angular_order: int, split_normal=None):
+    """The study's rule, the ball rule or the one split along the plane
+    normal to ``split_normal``, and the workspaces of its series' workers:
+    this thread's kept record if it answers the same request."""
     key = (radial_order, angular_order,
            None if split_normal is None else _check_unit_normal(split_normal).tobytes())
-    if getattr(_KEPT, "key", None) != key:
-        _drop()
-        _KEPT.rule = (build_ball_rule(radial_order, angular_order) if split_normal is None
-                      else build_split_ball_rule(split_normal, radial_order, angular_order))
-        _KEPT.key = key
-    return _KEPT.rule
+    record = getattr(_KEPT, "record", None)
+    if record is None or record[0] != key:
+        record = _KEPT.record = None  # dropped before the next rule is built
+        rule = (build_ball_rule(radial_order, angular_order) if split_normal is None
+                else build_split_ball_rule(split_normal, radial_order, angular_order))
+        record = _KEPT.record = (key, rule, [])
+    return record[1:]
 
 
 def _series(corrected: bool, material: Material, field: PiecewiseField, deltas,
-            pts, rule, threads: int):
+            pts, rule, workspaces: list, threads: int):
     """The state operator, or the corrected operator if ``corrected``, over
     the horizon x point grid as (n_delta, n_points, 3) values, and the report
     params of the run: the rule, the threads, and the field points of one
@@ -267,33 +255,35 @@ def _series(corrected: bool, material: Material, field: PiecewiseField, deltas,
 
     One rule serves every horizon.  Each task evaluates one batch of
     consecutive sample points at one horizon (see
-    :data:`BATCH_FIELD_POINTS`); the tasks run horizon-major, and with
-    ``threads <= 1`` on the caller's thread.  The batches do not depend on
-    the thread count, so neither do the values."""
+    :data:`BATCH_FIELD_POINTS`), and the tasks run horizon-major, split into
+    one run of consecutive tasks per worker, at most max(1, ``threads``).
+    Worker k writes to ``workspaces[k]`` (added if missing), and a single
+    worker runs on the caller's thread.  The batches do not depend on the
+    thread count, so neither do the values."""
     operator = corrected_operator if corrected else state_operator
     cfgs = [OperatorConfig(float(d), rule) for d in deltas]
     size = max(1, BATCH_FIELD_POINTS // len(rule))
-    tasks = [(i, slice(a, a + size)) for i in range(len(cfgs))
+    tasks = [(cfg, slice(a, a + size)) for cfg in cfgs
              for a in range(0, len(pts), size)]
+    workers = min(max(threads, 1), len(tasks))
+    workspaces.extend(Workspace() for _ in range(workers - len(workspaces)))
+    before = sum(ws.passes for ws in workspaces)
 
-    def task(t):
-        ws = _workspace()
-        before = ws.passes
-        value = operator(cfgs[t[0]], material, field, pts[t[1]], workspace=ws)
-        return value, ws.passes - before
+    def run(k):
+        ws = workspaces[k]
+        return [operator(cfg, material, field, pts[rows], workspace=ws)
+                for cfg, rows in tasks[k * len(tasks) // workers:
+                                       (k + 1) * len(tasks) // workers]]
 
-    if threads <= 1:
-        flat = [task(t) for t in tasks]
+    if workers == 1:
+        flat = run(0)
     else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            flat = list(pool.map(task, tasks))
-    ws = getattr(_KEPT, "ws", None)
-    if rule.nbytes + (0 if ws is None else ws.nbytes) > KEEP_BYTES:
-        _drop()
-    values = np.empty((len(cfgs), len(pts), 3))
-    for (i, rows), (v, _) in zip(tasks, flat):
-        values[i, rows] = v
-    passes = any(made for _, made in flat)
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            flat = [v for part in pool.map(run, range(workers)) for v in part]
+    passes = sum(ws.passes for ws in workspaces) > before
+    if rule.nbytes + sum(ws.nbytes for ws in workspaces) > KEEP_BYTES:
+        _KEPT.record = None
+    values = np.concatenate(flat).reshape(len(cfgs), len(pts), 3)
     params = {"radial_order": rule.radial_order,
               "angular_order": rule.angular_order, "nodes": len(rule),
               "nested_points": nested_pass_points(len(rule), field) if passes else 0,
@@ -344,7 +334,7 @@ def converge_to_navier(material: Material, field: PiecewiseField, deltas,
             raise ValueError("sample points must stay at least two largest "
                              "horizons away from the interface")
     raw, params = _series(False, material, field, deltas, pts,
-                          _rule(radial_order, angular_order), threads)
+                          *_kept(radial_order, angular_order), threads)
     values = raw - _navier_refs(material, field, pts)
     errors = np.linalg.norm(values, axis=-1)
     norms = [_discrete_norm(e, p) for e in errors]
@@ -366,9 +356,9 @@ def _interface_study(study: str, corrected: bool, material: Material,
     if abs(material.interface.signed_distance(x)) > 1e-12:
         raise ValueError("study point is not on the material interface")
     deltas = as_delta_series(deltas)
-    rule = _rule(radial_order, angular_order, material.interface.normal)
+    rule, workspaces = _kept(radial_order, angular_order, material.interface.normal)
     values, params = _series(corrected, material, field, deltas, x[None], rule,
-                             threads)
+                             workspaces, threads)
     if target is None:
         errors = np.linalg.norm(values, axis=-1)
         norms = [float(e[0]) for e in errors]
@@ -447,7 +437,7 @@ def star_converges_offinterface(material: Material, field: PiecewiseField,
     deltas = as_delta_series(deltas)
     pts = _sample_points(sample_points)
     star, params = _series(True, material, field, deltas, pts,
-                           _rule(radial_order, angular_order), threads)
+                           *_kept(radial_order, angular_order), threads)
     values = star - _navier_refs(material, field, pts)
     errors = np.linalg.norm(values, axis=-1)
     sd = np.zeros(len(pts))

@@ -31,7 +31,7 @@ node's phase, O(n m) work per point.
 
 :func:`state_operator` and :func:`corrected_operator`, which the studies
 evaluate over a series of batches, take an optional :class:`Workspace` that
-the evaluations of one thread share, series after series; it changes no
+the evaluations of one worker share, series after series; it changes no
 value.
 
 Every summation order is fixed for a given batch, so results are
@@ -110,13 +110,13 @@ def _batch(x):
     """The points x as a batch of shape (P, 3), and the shape of the vector
     results: (3,) for one point of shape (3,), else (P, 3)."""
     x = np.asarray(x, dtype=float)
-    if x.ndim not in (1, 2) or x.shape[-1] != 3:
-        raise ValueError(f"points must have shape (3,) or (P, 3), got {x.shape}")
+    if x.ndim not in (1, 2) or x.shape[-1] != 3 or not x.size:
+        raise ValueError(f"points must have shape (3,) or (P, 3) with P >= 1, got {x.shape}")
     return x.reshape(-1, 3), x.shape
 
 
 class Workspace:
-    """Arrays that the evaluations of one thread reuse, across batches and
+    """Arrays that the evaluations of one worker reuse, across batches and
     series.
 
     An evaluation on a batch writes its largest arrays into arrays it takes
@@ -138,7 +138,8 @@ class Workspace:
     :data:`EVALUATION_BYTES_PER_NODE` per field point of that batch (166
     bytes a node on a split rule of a kinked field, at one point per
     batch).  No evaluation returns one of these arrays.  One workspace
-    serves one thread; ``passes`` counts the nested passes made with it.
+    serves one worker at a time, whichever thread that runs on;
+    ``passes`` counts the nested passes made with it.
     """
 
     def __init__(self):
@@ -206,10 +207,11 @@ class _Reads:
     ws: Workspace
 
 
-def _offset_reads(config: OperatorConfig, field: PiecewiseField, ws: Workspace):
+def _offset_reads(config: OperatorConfig, field: PiecewiseField, ws: Workspace,
+                  dz: np.ndarray):
     """The :class:`_Form` of each closed form at the horizon's n offsets
-    delta z, kept in ``ws`` while the horizon and the field stay the same:
-    each closed form writes its steps W at the n offsets into the
+    ``dz`` = delta z, kept in ``ws`` while the horizon and the field stay
+    the same: each closed form writes its steps W at the n offsets into the
     workspace in one read, and its inner factors V = V(0) + W enter the
     pass only as their inner sums Q."""
     kept = ws._offsets
@@ -221,7 +223,6 @@ def _offset_reads(config: OperatorConfig, field: PiecewiseField, ws: Workspace):
     # the inner nodes' weights bw_k = (w_k/|z_k|^2) z_k, as (3, n)
     bw = rule.points.T * (rule.weights / rule.square_norms)
     bw_sum = bw @ np.ones(n)  # one product: np.sum over n is slower here
-    dz = config.delta * rule.points
     forms = []
     for i, side in enumerate(_closed_forms(field)):
         split = side.split
@@ -242,10 +243,11 @@ def _read(config: OperatorConfig, field: PiecewiseField, x,
     workspace if None).  For a field with a kink the outer nodes' sides of
     its interface are read once, into ``ws``, as both phase masks."""
     ws = Workspace() if ws is None else ws
-    forms = _offset_reads(config, field, ws)
     nodes = (len(x), len(config.rule))
-    # delta z + x, in place: the bits of x + delta z
+    # delta z + x, in place: the bits of x + delta z; before x is added,
+    # each point's row holds the offsets delta z that the steps read
     y = np.multiply(config.delta, config.rule.points, out=ws.take("y", nodes + (3,)))
+    forms = _offset_reads(config, field, ws, y[0])
     y += x[:, None, :]
     if len(forms) == 1:
         phases = (None,)
@@ -404,15 +406,15 @@ def bond_correction_term(config: OperatorConfig, material: Material,
 # node), over the first evaluation on it with a new workspace (which
 # computes the rule's |z|^2 and z/|z|^2, 32 bytes a node more) and two more
 # on that workspace, at a new horizon and on a new field.  Both declared
-# reads of a split write into workspace arrays; a read of the steps holds
-# only its n offsets delta z besides.  The corrected operator on a kinked
-# affine field, which keeps each side's steps W at the n offsets in the
-# workspace, peaks at 302-317 on split rules of 4608 to
-# 36,864 nodes; the state operator on one closed form, with lambda != mu,
-# at 224-228 for the linear field, 272-275 for the quadratic one and
-# 248-251 for the trig one, on ball rules of 1728 to 27,648 nodes.  Batches
-# of several points spread the rule's arrays: 168-183 on the 288-node ball
-# rule (14 points) and the 576-node split rule (7 points).
+# reads of a split write into workspace arrays, and the steps read their n
+# offsets delta z from the outer nodes' array.  The corrected operator on a
+# kinked affine field, which keeps each side's steps W at the n offsets in
+# the workspace, peaks at 302-317 on split rules of 4608 to 36,864 nodes;
+# the state operator on one closed form, with lambda != mu, at 224-228 for
+# the linear field, 272-275 for the quadratic one and 248-251 for the trig
+# one, on ball rules of 1728 to 27,648 nodes.  Batches of several points
+# spread the rule's arrays: 168-183 on the 288-node ball rule (14 points)
+# and the 576-node split rule (7 points).
 EVALUATION_BYTES_PER_NODE = 8 * 40
 
 

@@ -7,10 +7,10 @@ from peridyn import quadrature as quad
 
 @pytest.fixture(autouse=True)
 def no_kept_rule():
-    """Each test starts with no rule or workspace kept by its thread (see
-    :func:`peridyn.analysis._rule`), so a test that patches the rule
+    """Each test starts with no record kept by its thread (see
+    :func:`peridyn.analysis._kept`), so a test that patches the rule
     builders reaches them whatever ran before it."""
-    analysis._drop()
+    analysis._KEPT.record = None
 
 
 @pytest.fixture(scope="session")

@@ -150,9 +150,10 @@ class TestBatchSize:
 
 
 class TestThreadWorkspace:
-    """What a thread keeps between studies: the rule of its last series and
-    its workspace, while studies ask for the same rule and the two hold at
-    most KEEP_BYTES; the values are the same either way."""
+    """What a thread keeps between studies: one record of its last series,
+    the rule and one workspace per worker, while studies ask for the same
+    rule and the record holds at most KEEP_BYTES; the values are the same
+    either way."""
 
     # signed zeros give rules 2.2e-16 apart, yet their float tuples compare
     # and hash equal
@@ -160,25 +161,70 @@ class TestThreadWorkspace:
                (-0.0, 0.0, -1.0), (0.6, 0.0, 0.8), (0.6, -0.0, 0.8), None]
 
     @staticmethod
-    def _blowup():
+    def _blowup(threads=1):
         # lambda != mu: a nested pass on both closed forms at every horizon
         field, _ = F.make_manufactured("gradient_jump")
         mat = F.TwoPhaseMaterial(3.0, 1.0, 5.0, 2.0, F.INTERFACE_Z)
-        return A.interface_blowup(mat, field, X0, SHORT_DELTAS, **FAST_QUAD)
+        return A.interface_blowup(mat, field, X0, SHORT_DELTAS, threads=threads,
+                                  **FAST_QUAD)
+
+    @staticmethod
+    def _kept():
+        """The kept rule and workspace list."""
+        _, rule, workspaces = A._KEPT.record
+        return rule, workspaces
 
     def test_kept_across_series(self):
         self._blowup()
-        rule, ws = A._KEPT.rule, A._KEPT.ws
+        rule, workspaces = self._kept()
+        (ws,) = workspaces
         self._blowup()
-        assert A._KEPT.rule is rule and A._KEPT.ws is ws
+        kept_rule, kept = self._kept()
+        assert kept_rule is rule and kept is workspaces and kept[0] is ws
+        assert len(kept) == 1
         assert 0 < ws.nbytes < rule.nbytes + ws.nbytes <= A.KEEP_BYTES
+
+    def test_two_workers_keep_two_workspaces(self, monkeypatch):
+        # worker k writes to workspace k: a repeated series makes the same
+        # passes on the same two workspaces, with the bits of one thread,
+        # and KEEP_BYTES counts both
+        want = self._blowup().values
+        A._KEPT.record = None
+        np.testing.assert_array_equal(self._blowup(threads=2).values, want)
+        rule, workspaces = self._kept()
+        first = list(workspaces)
+        passes = [ws.passes for ws in first]
+        assert len(first) == 2 and sum(passes) == len(SHORT_DELTAS) and min(passes) > 0
+        np.testing.assert_array_equal(self._blowup(threads=2).values, want)
+        kept_rule, kept = self._kept()
+        assert kept_rule is rule and kept is workspaces
+        assert len(kept) == 2 and all(a is b for a, b in zip(kept, first))
+        assert [ws.passes for ws in kept] == [2 * p for p in passes]
+        monkeypatch.setattr(A, "KEEP_BYTES",
+                            rule.nbytes + sum(ws.nbytes for ws in kept) - 1)
+        np.testing.assert_array_equal(self._blowup(threads=2).values, want)
+        assert A._KEPT.record is None
+
+    def test_one_task_runs_on_the_callers_thread(self, monkeypatch):
+        # at most one worker per task, and no pool for one worker
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a pool for one task")
+
+        monkeypatch.setattr(A, "ThreadPoolExecutor", no_pool)
+        field, _ = F.make_manufactured("gradient_jump")
+        mat = F.TwoPhaseMaterial(3.0, 1.0, 5.0, 2.0, F.INTERFACE_Z)
+        rule, workspaces = A._kept(2, 4, EZ)
+        values, params = A._series(True, mat, field, [0.1], X0[None], rule,
+                                   workspaces, threads=4)
+        assert values.shape == (1, 1, 3) and params["threads"] == 4
+        assert len(workspaces) == 1 and workspaces[0].passes == 1
 
     def test_one_rule_per_exact_request(self):
         # each request in turn, each normal after the one with the other
         # signed zero: every rule is the bits of a fresh build, and is kept
         for normal in self.NORMALS:
-            rule = A._rule(4, 6, normal)
-            assert A._rule(4, 6, normal) is rule
+            rule, _ = A._kept(4, 6, normal)
+            assert A._kept(4, 6, normal)[0] is rule
             want = (Q.build_ball_rule(4, 6) if normal is None
                     else Q.build_split_ball_rule(np.array(normal), 4, 6))
             for name in ("points", "weights"):
@@ -186,34 +232,35 @@ class TestThreadWorkspace:
 
     def test_another_request_frees_the_kept_pair_before_its_build(self, monkeypatch):
         self._blowup()
-        rule, ws = weakref.ref(A._KEPT.rule), weakref.ref(A._KEPT.ws)
+        rule, (ws,) = self._kept()
+        rule, ws = weakref.ref(rule), weakref.ref(ws)
 
         def build(*args):
             assert rule() is None and ws() is None
             return Q.build_ball_rule(*args)
 
         monkeypatch.setattr(A, "build_ball_rule", build)
-        assert len(A._rule(4, 6)) == 288
-        assert not hasattr(A._KEPT, "ws")
+        new_rule, workspaces = A._kept(4, 6)
+        assert len(new_rule) == 288 and workspaces == []
 
     # named after the node cap on kept rules and the byte cap on kept
     # workspaces that KEEP_BYTES replaced: the rule alone past the cap, and
-    # the workspace taking the pair past it
+    # the workspace taking the record past it
     @pytest.mark.parametrize("cap", [
         pytest.param(lambda rule, ws: rule - 1, id="RULE_CACHE_NODES"),
         pytest.param(lambda rule, ws: rule + ws - 1, id="WORKSPACE_KEEP_BYTES")])
     def test_dropped_past_its_caps(self, cap, monkeypatch):
-        # kept at exactly the rule's and the workspace's bytes, both dropped
+        # kept at exactly the rule's and the workspace's bytes, dropped
         # below
         want = self._blowup().values
-        rule_bytes, ws_bytes = A._KEPT.rule.nbytes, A._KEPT.ws.nbytes
+        rule, (ws,) = self._kept()
+        rule_bytes, ws_bytes = rule.nbytes, ws.nbytes
         monkeypatch.setattr(A, "KEEP_BYTES", rule_bytes + ws_bytes)
-        rule = A._KEPT.rule
         np.testing.assert_array_equal(self._blowup().values, want)
-        assert A._KEPT.rule is rule
+        assert self._kept()[0] is rule
         monkeypatch.setattr(A, "KEEP_BYTES", cap(rule_bytes, ws_bytes))
         np.testing.assert_array_equal(self._blowup().values, want)
-        assert not vars(A._KEPT)
+        assert A._KEPT.record is None
         np.testing.assert_array_equal(self._blowup().values, want)
 
 
@@ -240,6 +287,11 @@ class TestInterfaceBlowup:
         with pytest.raises(ValueError):
             A.interface_blowup(mat, field, np.array([0.0, 0.0, 0.1]),
                                SHORT_DELTAS, **FAST_QUAD)
+
+    def test_requires_two_phase(self):
+        field, mat = F.make_manufactured("trig_smooth")
+        with pytest.raises(TypeError, match="require a two-phase material"):
+            A.interface_blowup(mat, field, X0, SHORT_DELTAS, **FAST_QUAD)
 
 
 class TestNaturalLimit:

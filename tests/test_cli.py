@@ -483,8 +483,11 @@ class TestConfigTable:
         # values that convert, refused by the material they build
         ({"material": "two-phase:1,0,1,1"}, "material: shear moduli must be positive\n"),
         ({"material": "two-phase:1,nan,1,1"}, "material: lambda and mu must be finite\n"),
+        # values that convert, refused by the checks that follow
+        ({"threads": 0}, "threads must be >= 1\n"),
+        ({"quad": [8, 0]}, "quadrature orders must be >= 1\n"),
     ], ids=["quad", "box", "material", "threads", "normal", "material_zero_shear",
-            "material_nan"])
+            "material_nan", "threads_zero", "quad_zero"])
     def test_bad_value_names_its_key(self, payload, message, tmp_path, capsys):
         # every value is converted as the config loads, and natural builds
         # the material

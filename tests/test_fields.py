@@ -94,6 +94,11 @@ class TestTractionJump:
         with pytest.raises(ValueError):
             F.traction_jump(mat, field, np.array([0.0, 0.0, 0.1]))
 
+    def test_requires_two_phase(self):
+        field, mat = F.make_manufactured("trig_smooth")
+        with pytest.raises(TypeError, match="requires a two-phase material"):
+            F.traction_jump(mat, field, np.zeros(3))
+
 
 class TestNavier:
     def test_quadratic_constant_coefficients(self):

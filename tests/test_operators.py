@@ -762,6 +762,23 @@ class TestBatches:
         points = np.array([op(cfg, mat, field, x) for x in slab])
         assert np.abs(batch - points).max() <= 1e-12 * term_scale(cfg, mat, field, slab)
 
+    @pytest.mark.parametrize("op", [
+        lambda cfg, mat, f, x: O.base_operator(cfg, f, x),
+        lambda cfg, mat, f, x: O.base_operator_scalar(cfg, lambda p: p[..., 0], x),
+        O.bond_operator, O.bond_correction_term, O.dilatation_operator,
+        O.state_operator, O.interface_correction, O.corrected_operator,
+        lambda cfg, mat, f, x: O.normal_correction_term(cfg, mat, f, x, EZ),
+    ], ids=["base", "base_scalar", "bond", "bond_correction", "dilatation",
+            "state", "interface_correction", "corrected", "normal_term"])
+    def test_empty_batch_refused(self, op):
+        # a batch has at least one point, whose row of the outer nodes holds
+        # the offsets that the steps read
+        field, _ = F.make_manufactured("patch_jump_zero_traction")
+        mat = F.TwoPhaseMaterial(3.0, 1.0, 5.0, 2.0, F.INTERFACE_Z)
+        cfg = O.make_config(0.1, 2, 4, split_normal=EZ)
+        with pytest.raises(ValueError, match=r"\(P, 3\) with P >= 1, got \(0, 3\)"):
+            op(cfg, mat, field, np.empty((0, 3)))
+
     def test_scalar_variant_takes_a_batch(self):
         cfg = O.make_config(0.5)
         f = lambda p: p[..., 0] ** 2 * p[..., 1]

@@ -57,7 +57,7 @@ class TestRuleInvariants:
 
 class TestRuleCache:
     """What lets a thread keep a rule between studies and share it with every
-    evaluation that reads it (see :func:`peridyn.analysis._rule`): a rule's
+    evaluation that reads it (see :func:`peridyn.analysis._kept`): a rule's
     arrays are read-only, and a normal with a signed zero gives another
     rule, so a kept rule answers only the exact bytes of its normal."""
 
